@@ -12,6 +12,13 @@ with their complete-sequence CTC probability. Search stops once no live
 hypothesis can still beat the best finished one (component scores only
 ever decrease along an extension) or at the output-length cap.
 
+A step works on arrays per utterance: one reduction over frames gives
+the CTC prefix scores of every live hypothesis and label, each hypothesis
+keeps its best `beam` labels, the beam is ranked from those by (-score,
+tokens), and CTC frame states are built only for the extensions that
+enter it. Every score is the same floating-point expression, in the same
+order, as a loop over single candidates would compute.
+
 Batched decoding stacks hypotheses from several utterances into shared
 kernel calls. All per-step math runs through einsum and elementwise
 kernels whose per-row accumulation order is independent of the number
@@ -26,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ctc import CtcPrefixState, ctc_prefix_initial, ctc_prefix_score, ctc_prefix_score_all
+from .ctc import (
+    CtcPrefixState,
+    ctc_prefix_extend,
+    ctc_prefix_initial,
+    ctc_prefix_score,
+    ctc_prefix_score_all,
+)
 from .nn.layers import NEG_FILL
 from .tokenizer import BLANK_ID, SOS_EOS_ID
 
@@ -239,12 +252,27 @@ def _frames(feat) -> np.ndarray:
     return arr
 
 
+def _label_order(vocab_size: int) -> np.ndarray:
+    """Candidate labels in tie-break order: end-of-sequence first, since a
+    finished hypothesis keeps its parent's tokens, which sort before any
+    extension of them; then the other non-blank labels ascending."""
+    rest = [c for c in range(vocab_size) if c not in (BLANK_ID, SOS_EOS_ID)]
+    return np.array([SOS_EOS_ID] + rest, dtype=np.int64)
+
+
 def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
+    """Run the lanes to completion; returns each lane's finished
+    hypotheses, best first by (-score, tokens)."""
     lam = cfg.ctc_weight
     gam = cfg.lm_weight if lmk is not None else 0.0
+    # a zero weight times an infeasible -inf prefix score would poison the
+    # sum with NaN, so without CTC weight skip CTC entirely
+    run_ctc = lam > 0.0
     t_max = max(lane.T for lane in lanes)
     for lane in lanes:
         lane.pad_to(t_max)
+    labels_all = _label_order(kern.vocab_size)
+    labels_eos = labels_all[:1]
 
     while True:
         rows = [(lane, hyp) for lane in lanes if not lane.done for hyp in lane.active]
@@ -281,98 +309,96 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
         else:
             logp_lm = new_lm = None
 
-        run_ctc = lam > 0.0
+        lo = 0
         for lane in lanes:
             if lane.done:
                 continue
-            cands = []
-            for ri, (rl, hyp) in enumerate(rows):
-                if rl is not lane:
-                    continue
-                if run_ctc:
-                    psi, r_nb, r_b = ctc_prefix_score_all(
-                        hyp.ctc_state, lane.ctc_logp, BLANK_ID
-                    )
-                else:
-                    # a zero weight times an infeasible -inf prefix score
-                    # would poison the sum with NaN, so skip CTC entirely
-                    psi = r_nb = r_b = None
-                la = logp_att[ri]
-                ll = logp_lm[ri] if logp_lm is not None else None
-                emitted = len(hyp.tokens) - 1
+            hyps = lane.active
+            sl = slice(lo, lo + len(hyps))
+            lo += len(hyps)
 
-                eos_score = (
-                    (lam * hyp.ctc_state.final_log_prob() if run_ctc else 0.0)
-                    + (1.0 - lam) * (hyp.score_att + la[SOS_EOS_ID])
-                    + (gam * (hyp.score_lm + ll[SOS_EOS_ID]) if ll is not None else 0.0)
+            # scores of every (row, label) extension; the end-of-sequence
+            # column carries the complete-sequence CTC probability
+            att = np.array([hy.score_att for hy in hyps])[:, None] + logp_att[sl]
+            lm = None
+            if logp_lm is not None:
+                lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
+            if run_ctc:
+                states = [hy.ctc_state for hy in hyps]
+                ctc = ctc_prefix_score_all(states, lane.ctc_logp, BLANK_ID)
+                ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
+            scores = (
+                (lam * ctc if run_ctc else 0.0)
+                + (1.0 - lam) * att
+                + (gam * lm if lm is not None else 0.0)
+            )
+
+            # All rows of a lane hold distinct token sequences of one
+            # length, so the (-score, tokens) order of candidates equals
+            # the order by (-score, rank of the parent's tokens, label
+            # position). A candidate in the lane's top `beam` is in its
+            # row's top `beam`, so only those are ranked across rows.
+            emitted = len(hyps[0].tokens) - 1
+            labels = labels_eos if emitted >= lane.cap else labels_all
+            sub = scores[:, labels]
+            top = np.argsort(-sub, axis=1, kind="stable")[:, : cfg.beam]
+            row_of = np.repeat(np.arange(len(hyps)), top.shape[1])
+            pos = top.ravel()
+            cand = sub[row_of, pos]
+            parent_rank = np.argsort(sorted(range(len(hyps)), key=lambda i: hyps[i].tokens))
+            keep = np.lexsort((pos, parent_rank[row_of], -cand))[: cfg.beam]
+
+            picked = [(int(row_of[k]), int(labels[pos[k]]), float(cand[k])) for k in keep]
+            grown = [(ri, c) for ri, c, _ in picked if c != SOS_EOS_ID]
+            if run_ctc and grown:
+                # frame states only for the extensions that entered the beam
+                new_states = iter(
+                    ctc_prefix_extend(
+                        [hyps[ri].ctc_state for ri, _ in grown],
+                        [c for _, c in grown],
+                        [ctc[ri, c] for ri, c in grown],
+                        lane.ctc_logp,
+                        BLANK_ID,
+                    )
                 )
-                cands.append((eos_score, hyp.tokens, ri, SOS_EOS_ID, None, None, None))
-                if emitted >= lane.cap:
-                    continue
-                for c in range(kern.vocab_size):
-                    if c == BLANK_ID or c == SOS_EOS_ID:
-                        continue
-                    s = (
-                        (lam * psi[c] if run_ctc else 0.0)
-                        + (1.0 - lam) * (hyp.score_att + la[c])
-                        + (gam * (hyp.score_lm + ll[c]) if ll is not None else 0.0)
-                    )
-                    cands.append((s, hyp.tokens + (c,), ri, c, psi, r_nb, r_b))
-            cands.sort(key=lambda it: (-it[0], it[1]))
-
             new_active = []
-            for s, toks, ri, c, psi, r_nb, r_b in cands[: cfg.beam]:
-                hyp = rows[ri][1]
-                la = logp_att[ri]
-                ll = logp_lm[ri] if logp_lm is not None else None
-                att2 = hyp.score_att + la[c]
-                lm2 = hyp.score_lm + (ll[c] if ll is not None else 0.0)
+            for ri, c, s in picked:
+                hyp = hyps[ri]
+                att2 = float(att[ri, c])
+                ctc2 = float(ctc[ri, c]) if run_ctc else 0.0
+                lm2 = float(lm[ri, c]) if lm is not None else hyp.score_lm
                 if c == SOS_EOS_ID:
                     lane.finished.append(
                         Hypothesis(
-                            tokens=toks,
-                            score=float(s),
-                            score_att=float(att2),
-                            score_ctc=(
-                                float(hyp.ctc_state.final_log_prob()) if run_ctc else 0.0
-                            ),
-                            score_lm=float(lm2),
+                            tokens=hyp.tokens,
+                            score=s,
+                            score_att=att2,
+                            score_ctc=ctc2,
+                            score_lm=lm2,
                             a=hyp.a,
                             ctc_state=hyp.ctc_state,
                             finished=True,
                         )
                     )
                     continue
+                g = sl.start + ri
                 new_active.append(
                     Hypothesis(
-                        tokens=toks,
-                        score=float(s),
-                        score_att=float(att2),
-                        score_ctc=float(psi[c]) if run_ctc else 0.0,
-                        score_lm=float(lm2),
-                        a=a_new[ri, : lane.T].copy(),
+                        tokens=hyp.tokens + (c,),
+                        score=s,
+                        score_att=att2,
+                        score_ctc=ctc2,
+                        score_lm=lm2,
+                        a=a_new[g, : lane.T].copy(),
                         dec_state=[
-                            (hh[ri : ri + 1].copy(), cc[ri : ri + 1].copy())
-                            for hh, cc in new_dec
+                            (hh[g : g + 1].copy(), cc[g : g + 1].copy()) for hh, cc in new_dec
                         ],
                         lm_state=(
-                            [
-                                (hh[ri : ri + 1].copy(), cc[ri : ri + 1].copy())
-                                for hh, cc in new_lm
-                            ]
+                            [(hh[g : g + 1].copy(), cc[g : g + 1].copy()) for hh, cc in new_lm]
                             if new_lm is not None
                             else None
                         ),
-                        ctc_state=(
-                            CtcPrefixState(
-                                r_nb=r_nb[:, c].copy(),
-                                r_b=r_b[:, c].copy(),
-                                last_label=int(c),
-                                log_psi=float(psi[c]),
-                            )
-                            if run_ctc
-                            else hyp.ctc_state
-                        ),
+                        ctc_state=next(new_states) if run_ctc else hyp.ctc_state,
                     )
                 )
             lane.active = new_active
@@ -384,46 +410,20 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
             elif not lane.active:
                 raise RuntimeError("beam search lost all hypotheses")
 
-    return [lane.best_finished() for lane in lanes]
-
-
-def decode(feat, model, lm=None, cfg: DecodeConfig | None = None) -> Hypothesis:
-    """Best finished hypothesis for one utterance."""
-    cfg = cfg or DecodeConfig()
-    _check_vocab(model, lm)
-    kern = _AsrKernel(model)
-    lmk = _LmKernel(lm) if lm is not None and cfg.lm_weight > 0.0 else None
-    h64 = _f64(model.encode(_frames(feat)))
-    lane = _Lane(h64, kern, lmk, cfg)
-    return _search([lane], kern, lmk, cfg)[0]
+    return [sorted(lane.finished, key=lambda hy: (-hy.score, hy.tokens)) for lane in lanes]
 
 
 def decode_nbest(
-    feat, model, lm=None, cfg: DecodeConfig | None = None, n: int = 1
-) -> list[Hypothesis]:
-    """Top-n finished hypotheses for one utterance, best first.
+    feats, model, lm=None, cfg: DecodeConfig | None = None, n: int = 1, batch_size: int = 1
+) -> list[list[Hypothesis]]:
+    """Top-n finished hypotheses of each utterance, best first.
 
-    Ranking follows the same (score, token sequence) order the search
-    itself uses, so element 0 equals decode()'s result.
+    Ranking follows the (score, token sequence) order the search itself
+    uses. Up to `batch_size` utterances share each search; every list is
+    identical to the one decoding its utterance alone gives.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cfg = cfg or DecodeConfig()
-    _check_vocab(model, lm)
-    kern = _AsrKernel(model)
-    lmk = _LmKernel(lm) if lm is not None and cfg.lm_weight > 0.0 else None
-    h64 = _f64(model.encode(_frames(feat)))
-    lane = _Lane(h64, kern, lmk, cfg)
-    _search([lane], kern, lmk, cfg)
-    ranked = sorted(lane.finished, key=lambda hy: (-hy.score, hy.tokens))
-    return ranked[:n]
-
-
-def decode_batch(
-    feats, model, lm=None, cfg: DecodeConfig | None = None, batch_size: int = 1
-) -> list[Hypothesis]:
-    """Decode a list of utterances; token output is identical to mapping
-    decode() over the list one by one, for every batch size."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     cfg = cfg or DecodeConfig()
@@ -431,11 +431,24 @@ def decode_batch(
     kern = _AsrKernel(model)
     lmk = _LmKernel(lm) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]
-    results: list[Hypothesis] = []
+    results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
         lanes = [_Lane(_f64(model.encode(a)), kern, lmk, cfg) for a in arrs[i : i + batch_size]]
-        results.extend(_search(lanes, kern, lmk, cfg))
+        results.extend(ranked[:n] for ranked in _search(lanes, kern, lmk, cfg))
     return results
+
+
+def decode_batch(
+    feats, model, lm=None, cfg: DecodeConfig | None = None, batch_size: int = 1
+) -> list[Hypothesis]:
+    """Decode a list of utterances; token output is identical to mapping
+    decode() over the list one by one, for every batch size."""
+    return [ranked[0] for ranked in decode_nbest(feats, model, lm, cfg, 1, batch_size)]
+
+
+def decode(feat, model, lm=None, cfg: DecodeConfig | None = None) -> Hypothesis:
+    """Best finished hypothesis for one utterance."""
+    return decode_batch([feat], model, lm, cfg)[0]
 
 
 def rescore(feat, model, tokens, lm=None):

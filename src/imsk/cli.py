@@ -196,14 +196,29 @@ class Artifacts:
     dcfg: DecodeConfig
 
 
-def _check_hashes(named_hashes: list[tuple[str, str]]) -> None:
-    present = [(n, h) for n, h in named_hashes if h]
+def _check_vocabularies(vocab, asr: AsrModel, lm) -> None:
+    """The tokenizer, recognizer and LM (if any) must share one vocabulary:
+    equal fingerprints where recorded, and equal sizes."""
+    named = [("tokenizer", vocab_fingerprint(vocab)), ("asr model", asr.vocab_hash)]
+    if lm is not None:
+        named.append(("lm", lm.vocab_hash))
+    present = [(n, h) for n, h in named if h]
     for (na, ha), (nb, hb) in zip(present, present[1:]):
         if ha != hb:
             raise PipelineError(
                 f"config: vocabulary hash mismatch between {na} ({ha[:12]}…) "
                 f"and {nb} ({hb[:12]}…)"
             )
+    if asr.vocab_size != vocab.size:
+        raise PipelineError(
+            f"config: asr model vocabulary size {asr.vocab_size} "
+            f"does not match tokenizer size {vocab.size}"
+        )
+    if lm is not None and lm.vocab_size != vocab.size:
+        raise PipelineError(
+            f"config: lm vocabulary size {lm.vocab_size} "
+            f"does not match tokenizer size {vocab.size}"
+        )
 
 
 def load_artifacts(cfg: PipelineConfig) -> Artifacts:
@@ -234,20 +249,7 @@ def load_artifacts(cfg: PipelineConfig) -> Artifacts:
         with _stage("config", cfg.lm_model):
             lm, _ = load_lm(cfg.lm_model)
 
-    hashes = [("tokenizer", vocab_fingerprint(vocab)), ("asr model", asr.vocab_hash)]
-    if lm is not None:
-        hashes.append(("lm", lm.vocab_hash))
-    _check_hashes(hashes)
-    if asr.vocab_size != vocab.size:
-        raise PipelineError(
-            f"config: asr model vocabulary size {asr.vocab_size} "
-            f"does not match tokenizer size {vocab.size}"
-        )
-    if lm is not None and lm.vocab_size != vocab.size:
-        raise PipelineError(
-            f"config: lm vocabulary size {lm.vocab_size} "
-            f"does not match tokenizer size {vocab.size}"
-        )
+    _check_vocabularies(vocab, asr, lm)
     dcfg = DecodeConfig(
         beam=cfg.beam,
         ctc_weight=cfg.ctc_weight,
@@ -562,10 +564,7 @@ def _cmd_decode(args) -> int:
             lm, _ = load_lm(args.lm)
     with _stage("config", args.cmvn):
         stats = load_cmvn(args.cmvn)
-    hashes = [("tokenizer", vocab_fingerprint(vocab)), ("asr model", model.vocab_hash)]
-    if lm is not None:
-        hashes.append(("lm", lm.vocab_hash))
-    _check_hashes(hashes)
+    _check_vocabularies(vocab, model, lm)
 
     rows = _read_manifest(args.manifest, with_text=False)
     dcfg = DecodeConfig(
@@ -583,31 +582,30 @@ def _cmd_decode(args) -> int:
         audio_s += wav.duration
         with _stage("features", utt):
             feats.append(apply_cmvn(extract_logmel(wav), stats))
+    # the n-best lists come from the same search as the 1-best output
+    n = args.nbest if args.dump_nbest is not None else 1
     with _stage("decode", args.manifest):
-        hyps = decode_batch(feats, model, lm, dcfg, batch_size=args.batch_size)
+        ranked = decode_nbest(feats, model, lm, dcfg, n=n, batch_size=args.batch_size)
     out_rows = [
-        (utt, detokenize(hy.output_ids, vocab)) for (utt, _, _), hy in zip(rows, hyps)
+        (utt, detokenize(best[0].output_ids, vocab)) for (utt, _, _), best in zip(rows, ranked)
     ]
     wall = time.perf_counter() - started
     write_tsv(args.out, out_rows)
 
     if args.dump_nbest is not None:
-        nbest_rows = []
-        for (utt, _, _), f in zip(rows, feats):
-            with _stage("decode", utt):
-                ranked = decode_nbest(f, model, lm, dcfg, n=args.nbest)
-            for rank, hy in enumerate(ranked):
-                nbest_rows.append(
-                    (
-                        utt,
-                        rank,
-                        f"{hy.score:.6f}",
-                        f"{hy.score_ctc:.6f}",
-                        f"{hy.score_att:.6f}",
-                        f"{hy.score_lm:.6f}",
-                        detokenize(hy.output_ids, vocab),
-                    )
-                )
+        nbest_rows = [
+            (
+                utt,
+                rank,
+                f"{hy.score:.6f}",
+                f"{hy.score_ctc:.6f}",
+                f"{hy.score_att:.6f}",
+                f"{hy.score_lm:.6f}",
+                detokenize(hy.output_ids, vocab),
+            )
+            for (utt, _, _), hyps in zip(rows, ranked)
+            for rank, hy in enumerate(hyps)
+        ]
         write_tsv(args.dump_nbest, nbest_rows)
 
     if audio_s > 0.0:

@@ -8,9 +8,12 @@ is returned with respect to the pre-softmax logits, where it takes the
 standard form posterior minus state-occupancy.
 
 Prefix scoring keeps, per hypothesis, the log probability of every frame
-being the end of the prefix with a blank and with the last label; extending
-by one label is O(T) and, accumulated to the end of a hypothesis, matches
-the full ctc loss on the same sequence.
+being the end of the prefix with a blank and with the last label. The
+prefix probabilities of every one-label extension of R hypotheses come
+from one (T, R, V) reduction over frames, with no frame recursion; the
+O(T) recursion to a new state runs only for the extensions a search keeps.
+Accumulated to the end of a hypothesis, the state matches the full ctc
+loss on the same sequence.
 """
 
 from __future__ import annotations
@@ -173,42 +176,76 @@ def ctc_prefix_initial(log_posteriors: np.ndarray, blank: int) -> CtcPrefixState
     return CtcPrefixState(r_nb=r_nb, r_b=r_b, last_label=-1, log_psi=0.0)
 
 
-def ctc_prefix_score_all(
-    state: CtcPrefixState, log_posteriors: np.ndarray, blank: int
-):
-    """Extend a prefix by every label at once.
+def _prefix_ends(states) -> tuple[np.ndarray, np.ndarray]:
+    """(prev_b, prev_any), each (T, R): log probability that prefix r has
+    ended by frame t-1 with a blank, and with either symbol.
 
-    Returns (psi, r_nb, r_b): psi[c] is the prefix probability after
-    appending label c, and column c of the (T, V) arrays is the new state
-    for that label.  Column `blank` is meaningless and set to -inf.
+    Starting a new label at frame t needs the prefix to have ended by t-1;
+    a repeat of the last label additionally needs the blank.
     """
-    T, V = log_posteriors.shape
-    phi_base = np.empty((T, V))
-    # starting a new label at frame t requires the previous prefix to have
-    # ended by t-1; a repeat of the last label additionally needs a blank
-    prev_b = np.concatenate([[0.0 if state.last_label == -1 else NEG_INF], state.r_b[:-1]])
-    prev_nb = np.concatenate([[NEG_INF], state.r_nb[:-1]])
-    phi_base[:] = np.logaddexp(prev_b, prev_nb)[:, None]
-    if state.last_label >= 0:
-        phi_base[:, state.last_label] = prev_b
-    phi_base[:, blank] = NEG_INF
+    r_b = np.stack([s.r_b for s in states], axis=1)
+    r_nb = np.stack([s.r_nb for s in states], axis=1)
+    first = np.array([0.0 if s.last_label == -1 else NEG_INF for s in states])
+    prev_b = np.concatenate([first[None], r_b[:-1]])
+    prev_nb = np.concatenate([np.full((1, len(states)), NEG_INF), r_nb[:-1]])
+    return prev_b, np.logaddexp(prev_b, prev_nb)
 
-    r_nb = np.empty((T, V))
-    run = np.full(V, NEG_INF)
-    for t in range(T):
-        run = np.logaddexp(run, phi_base[t]) + log_posteriors[t]
-        run[blank] = NEG_INF
-        r_nb[t] = run
-    r_b = np.empty((T, V))
-    run_b = np.full(V, NEG_INF)
-    prev_nb_rows = np.concatenate([np.full((1, V), NEG_INF), r_nb[:-1]])
-    for t in range(T):
-        run_b = np.logaddexp(run_b, prev_nb_rows[t]) + log_posteriors[t, blank]
-        r_b[t] = run_b
+
+def ctc_prefix_score_all(states, log_posteriors: np.ndarray, blank: int) -> np.ndarray:
+    """Prefix probabilities of every one-label extension of R prefixes.
+
+    Returns psi of shape (R, V): psi[r, c] is the log probability that the
+    frames begin with the prefix of states[r] followed by label c. Column
+    `blank` is -inf. A score depends only on its parent's state, so all
+    R*V scores come from one (T, R, V) reduction over frames and no frame
+    recursion runs; ctc_prefix_extend builds states for the labels kept.
+    """
+    prev_b, prev_any = _prefix_ends(states)
+    # phi[t, r, c] + log p(c | frame t): the prefix ends by t-1, c starts at t
+    phi = prev_any[:, :, None] + log_posteriors[:, None, :]
+    last = np.array([s.last_label for s in states])
+    rows = np.flatnonzero(last >= 0)
+    phi[:, rows, last[rows]] = prev_b[:, rows] + log_posteriors[:, last[rows]]
     with np.errstate(invalid="ignore"):
-        psi = np.logaddexp.reduce(phi_base + log_posteriors, axis=0)
-    psi[blank] = NEG_INF
-    return psi, r_nb, r_b
+        psi = np.logaddexp.reduce(phi, axis=0)
+    psi[:, blank] = NEG_INF
+    return psi
+
+
+def ctc_prefix_extend(
+    states, labels, log_psi, log_posteriors: np.ndarray, blank: int
+) -> list[CtcPrefixState]:
+    """States of K prefixes, states[k] extended by labels[k].
+
+    log_psi[k] is the extension's prefix probability from
+    ctc_prefix_score_all. The frame recursion runs once over all K
+    columns; its operations are elementwise, so each column equals the
+    recursion of that prefix alone.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    prev_b, prev_any = _prefix_ends(states)
+    last = np.array([s.last_label for s in states])
+    phi = np.where(labels == last, prev_b, prev_any)
+    T, K = phi.shape
+    r_nb = np.empty((T, K))
+    r_b = np.empty((T, K))
+    nb_prev = b_prev = np.full(K, NEG_INF)
+    rows = zip(r_nb, r_b, phi, log_posteriors[:, labels], log_posteriors[:, blank])
+    for nb, b, phi_t, lp_t, lp_blank in rows:
+        np.logaddexp(nb_prev, phi_t, out=nb)
+        np.add(nb, lp_t, out=nb)
+        np.logaddexp(b_prev, nb_prev, out=b)
+        np.add(b, lp_blank, out=b)
+        nb_prev, b_prev = nb, b
+    return [
+        CtcPrefixState(
+            r_nb=r_nb[:, k].copy(),
+            r_b=r_b[:, k].copy(),
+            last_label=int(labels[k]),
+            log_psi=float(log_psi[k]),
+        )
+        for k in range(K)
+    ]
 
 
 def ctc_prefix_score(
@@ -217,11 +254,6 @@ def ctc_prefix_score(
     """Extend a prefix by ``next_label``; returns (psi, new state)."""
     if next_label == blank:
         raise ValueError("cannot extend a prefix with the blank id")
-    psi, r_nb, r_b = ctc_prefix_score_all(state, log_posteriors, blank)
-    new = CtcPrefixState(
-        r_nb=r_nb[:, next_label].copy(),
-        r_b=r_b[:, next_label].copy(),
-        last_label=int(next_label),
-        log_psi=float(psi[next_label]),
-    )
-    return float(psi[next_label]), new
+    psi = ctc_prefix_score_all([state], log_posteriors, blank)[0, next_label]
+    (new,) = ctc_prefix_extend([state], [next_label], [psi], log_posteriors, blank)
+    return float(psi), new

@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from imsk.asr import AsrModel, AttentionConfig, DecoderConfig, EncoderConfig
-from imsk.beam import DecodeConfig, Hypothesis, decode, decode_batch, rescore
+from imsk.beam import (
+    DecodeConfig,
+    Hypothesis,
+    _AsrKernel,
+    _f64,
+    _rows_linear,
+    _rows_log_softmax,
+    decode,
+    decode_batch,
+    decode_nbest,
+    rescore,
+)
+from imsk.ctc import ctc_prefix_initial, ctc_prefix_score
 from imsk.lm import LstmLm
 from imsk.nn import tensor as tt
 from imsk.tokenizer import BLANK_ID, SOS_EOS_ID
@@ -186,3 +199,118 @@ class TestBatched:
         got = decode_batch(fs, m, cfg=cfg, batch_size=4)
         for f, h in zip(fs, got):
             assert decode(f, m, cfg=cfg).tokens == h.tokens
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        batch_size=st.integers(1, 8),
+        max_ratio=st.sampled_from([1.0, 0.5, 0.05]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1, 40, 4, 16, 9], batch_size=3, max_ratio=1.0, seed=0)
+    @example(lengths=[2, 13, 7], batch_size=2, max_ratio=0.05, seed=1)
+    def test_batches_equal_sequential_for_random_length_mixes(
+        self, lengths, batch_size, max_ratio, seed
+    ):
+        # inputs of 1-16 frames give 1-4 encoder frames; max_ratio 0.05
+        # caps utterances under 20 encoder frames at 0 output tokens
+        m, lm = tiny_model(), tiny_lm()
+        rng = np.random.default_rng(seed)
+        fs = [rng.normal(0, 0.5, (n, 8)) for n in lengths]
+        cfg = DecodeConfig(beam=3, ctc_weight=0.5, lm_weight=0.3, max_ratio=max_ratio)
+        seq = [decode(f, m, lm, cfg) for f in fs]
+        got = decode_batch(fs, m, lm, cfg, batch_size=batch_size)
+        assert [_fields(h) for h in got] == [_fields(h) for h in seq]
+
+
+def _fields(h):
+    return h.tokens, h.score, h.score_ctc, h.score_att, h.score_lm
+
+
+def tied_model():
+    """Output layer with label 0 a copy of end-of-sequence, and label 4 a
+    copy of label 3, so their attention scores tie exactly at every step."""
+    m = tiny_model(seed=21)
+    for dst, src in ((0, SOS_EOS_ID), (4, 3)):
+        m.out.w.data[:, dst] = m.out.w.data[:, src]
+        m.out.b.data[dst] = m.out.b.data[src]
+    return m
+
+
+def brute_force_search(m, f, cfg):
+    """LM-free search that scores every extension of every live hypothesis
+    and sorts all of them by (-score, tokens). Returns the finished
+    (score, tokens) pairs best first, and whether a tie fell across the
+    beam boundary."""
+    kern = _AsrKernel(m)
+    h = _f64(m.encode(f))
+    T = h.shape[0]
+    vh = _rows_linear(h, kern.enc_w, kern.enc_b)[None]
+    ctc_logp = _rows_log_softmax(_rows_linear(h, kern.ctc_w, kern.ctc_b))
+    lam, cap = cfg.ctc_weight, int(T * cfg.max_ratio)
+
+    def total(p_ctc, att):
+        return (lam * p_ctc if lam > 0.0 else 0.0) + (1.0 - lam) * att + 0.0
+
+    start = ctc_prefix_initial(ctc_logp, BLANK_ID)
+    live = [((SOS_EOS_ID,), 0.0, 0.0, start, np.full((1, T), 1.0 / T), kern.zero_dec_state(1))]
+    finished, tie_at_cut = [], False
+    while live:
+        cands = []
+        for tokens, _, att, ctc, a, state in live:
+            a2, r = kern.attend(a, state[-1][0], h[None], vh, np.ones((1, T)))
+            logp, state2 = kern.decode_rows(r, state, np.array([tokens[-1]]))
+            att_eos = att + logp[0, SOS_EOS_ID]
+            cands.append((total(ctc.final_log_prob(), att_eos), tokens, att_eos, None, None, None))
+            if len(tokens) - 1 < cap:
+                for c in range(m.vocab_size):
+                    if c not in (BLANK_ID, SOS_EOS_ID):
+                        psi, ctc2 = ctc_prefix_score(ctc, c, ctc_logp, BLANK_ID)
+                        att2 = att + logp[0, c]
+                        cands.append((total(psi, att2), tokens + (c,), att2, ctc2, a2, state2))
+        cands.sort(key=lambda x: (-x[0], x[1]))
+        if len(cands) > cfg.beam and cands[cfg.beam - 1][0] == cands[cfg.beam][0]:
+            tie_at_cut = True
+        live = []
+        for score, tokens, att, ctc, a, state in cands[: cfg.beam]:
+            if a is None:
+                finished.append((score, tokens))
+            else:
+                live.append((tokens, score, att, ctc, a, state))
+        if finished:
+            best = min(finished, key=lambda x: (-x[0], x[1]))[0]
+            if not live or max(x[1] for x in live) <= best:
+                break
+    return sorted(finished, key=lambda x: (-x[0], x[1])), tie_at_cut
+
+
+class TestTieBreak:
+    def _check(self, m, cfg, fs):
+        ties = 0
+        for f in fs:
+            ref, tied = brute_force_search(m, f, cfg)
+            got = decode_nbest([f], m, None, cfg, n=len(ref) + 1)[0]
+            assert [(h.score, h.tokens) for h in got] == ref
+            ties += tied
+        return ties
+
+    def test_exact_ties_follow_brute_force_order(self):
+        m = tied_model()
+        ties = sum(
+            self._check(m, DecodeConfig(beam=beam, ctc_weight=0.0, lm_weight=0.0),
+                        feats(3, seed=17, lo=6, hi=24))
+            for beam in (1, 2, 3, 5)
+        )
+        assert ties
+
+    def test_infeasible_ctc_ties_across_parents(self):
+        # with 2 encoder frames a repeated label has CTC probability 0: at
+        # step 2 the 7 repeats, one per parent, tie at -inf across the cut
+        # of a beam that holds all 49 other candidates. A low end-of-sequence
+        # bias keeps the search going until the kept repeat finishes, and a
+        # low bias of label 0 puts its row, first by tokens, last by score.
+        m = tiny_model(seed=4)
+        m.out.b.data[SOS_EOS_ID] -= 8.0
+        m.out.b.data[0] -= 4.0
+        cfg = DecodeConfig(beam=50, ctc_weight=0.5, lm_weight=0.0)
+        assert self._check(m, cfg, feats(4, seed=3, lo=5, hi=9))

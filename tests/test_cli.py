@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import sad_recording, tone_utterance
-from imsk.asr import load_asr
+from imsk.asr import load_asr, save_asr
 from imsk.audio import (
     Waveform,
     apply_cmvn,
@@ -14,7 +14,7 @@ from imsk.audio import (
     load_cmvn,
     save_audio,
 )
-from imsk.beam import DecodeConfig, decode
+from imsk.beam import DecodeConfig, decode, decode_nbest
 from imsk.cli import (
     PipelineConfig,
     Transcript,
@@ -105,6 +105,29 @@ def test_decode_subcommand_and_nbest(world, tmp_path, capsys):
         for r in ranked:
             total, ctc, att, lm = (float(x) for x in r[2:6])
             assert total == pytest.approx(0.5 * ctc + 0.5 * att + 0.5 * lm, abs=1e-5)
+
+    # the batched dump is byte-identical to decoding each utterance alone
+    one = tmp_path / "nbest1.tsv"
+    assert run_cli(["decode", "--manifest", str(man), "--model", str(root / "asr.ckpt"),
+                    "--tokenizer", str(root / "vocab.tsv"), "--cmvn", str(root / "cmvn.bin"),
+                    "--lm", str(root / "lm.ckpt"), "--beam", "3", "--batch-size", "1",
+                    "--dump-nbest", str(one), "--nbest", "3",
+                    "--out", str(tmp_path / "hyp1.tsv")]) == 0
+    assert one.read_bytes() == nbest.read_bytes()
+    asr, _ = load_asr(root / "asr.ckpt")
+    lm, _ = load_lm(root / "lm.ckpt")
+    vocab = load_vocab(root / "vocab.tsv")
+    stats = load_cmvn(root / "cmvn.bin")
+    expected = []
+    for utt, path, _ in rows:
+        feat = apply_cmvn(extract_logmel(load_audio(path)), stats)
+        (ranked,) = decode_nbest([feat], asr, lm, DecodeConfig(beam=3), n=3)
+        expected += [
+            f"{utt}\t{rank}\t{hy.score:.6f}\t{hy.score_ctc:.6f}\t{hy.score_att:.6f}\t"
+            f"{hy.score_lm:.6f}\t{detokenize(hy.output_ids, vocab)}\n"
+            for rank, hy in enumerate(ranked)
+        ]
+    assert nbest.read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_score_subcommand(tmp_path, capsys):
@@ -251,6 +274,35 @@ def test_mismatched_vocabulary_is_rejected(world, tmp_path, capsys):
                     "--tokenizer", str(other_vocab), "--cmvn", str(root / "cmvn.bin"),
                     "--out", str(tmp_path / "hyp.tsv")]) == 1
     assert "vocabulary hash mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_decode_rejects_vocabulary_size_mismatch(world, tmp_path, capsys, monkeypatch):
+    root = world["root"]
+    other_text = tmp_path / "other.txt"
+    other_text.write_text("xx yy zz\nzz yy\n", encoding="utf-8")
+    other_vocab = tmp_path / "other_vocab.tsv"
+    assert run_cli(["train-tokenizer", "--corpus", str(other_text),
+                    "--out", str(other_vocab), "--target-size", "10"]) == 0
+    capsys.readouterr()
+    asr, _ = load_asr(root / "asr.ckpt")
+    assert load_vocab(other_vocab).size != asr.vocab_size
+    # without recorded fingerprints only the sizes can tell
+    asr.vocab_hash = ""
+    save_asr(tmp_path / "nohash.ckpt", asr)
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoding started")
+
+    monkeypatch.setattr("imsk.cli.decode_nbest", no_decoding)
+    utt, wav_path, _ = world["tone_rows"][0]
+    man = tmp_path / "man.tsv"
+    write_tsv(man, [(utt, wav_path)])
+    assert run_cli(["decode", "--manifest", str(man), "--model", str(tmp_path / "nohash.ckpt"),
+                    "--tokenizer", str(other_vocab), "--cmvn", str(root / "cmvn.bin"),
+                    "--out", str(tmp_path / "hyp.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: asr model vocabulary size")
     assert not (tmp_path / "hyp.tsv").exists()
 
 

@@ -10,9 +10,11 @@ from imsk import ctc
 from imsk.ctc import (
     CtcPrefixState,
     InfeasibleAlignmentError,
+    ctc_forward_backward,
     ctc_loss,
     ctc_loss_op,
     ctc_posteriors,
+    ctc_prefix_extend,
     ctc_prefix_initial,
     ctc_prefix_score,
     ctc_prefix_score_all,
@@ -183,12 +185,15 @@ class TestPrefixScoring:
         lp = np.log(p)
         state = ctc_prefix_initial(lp, blank=0)
         _, state = ctc_prefix_score(state, 2, lp, blank=0)
-        psi, r_nb, r_b = ctc_prefix_score_all(state, lp, blank=0)
-        for lab in [1, 2, 3]:
+        psi = ctc_prefix_score_all([state], lp, blank=0)[0]
+        labels = [1, 2, 3]
+        extended = ctc_prefix_extend([state] * 3, labels, psi[labels], lp, blank=0)
+        for lab, ext in zip(labels, extended):
             s_psi, s_state = ctc_prefix_score(state, lab, lp, blank=0)
-            assert np.isclose(psi[lab], s_psi)
-            assert np.allclose(r_nb[:, lab], s_state.r_nb)
-            assert np.allclose(r_b[:, lab], s_state.r_b)
+            assert psi[lab] == s_psi
+            assert np.array_equal(ext.r_nb, s_state.r_nb)
+            assert np.array_equal(ext.r_b, s_state.r_b)
+            assert ext.last_label == lab and ext.log_psi == s_psi
         assert psi[0] == -np.inf
 
     def test_blank_extension_rejected(self):
@@ -205,3 +210,131 @@ class TestPrefixScoring:
         _, state = ctc_prefix_score(state, 1, lp, blank=0)
         _, state = ctc_prefix_score(state, 1, lp, blank=0)
         assert state.final_log_prob() == -np.inf
+
+
+def reference_extend_all(r_nb_prev, r_b_prev, last, lp, blank):
+    """One hypothesis extended by every label, frame by frame: returns
+    (psi, r_nb, r_b) with (T, V) state matrices."""
+    T, V = lp.shape
+    phi = np.empty((T, V))
+    for t in range(T):
+        if t == 0:
+            ended_b = 0.0 if last == -1 else -np.inf
+            ended_nb = -np.inf
+        else:
+            ended_b, ended_nb = r_b_prev[t - 1], r_nb_prev[t - 1]
+        phi[t] = np.logaddexp(ended_b, ended_nb)
+        if last >= 0:
+            phi[t, last] = ended_b
+    phi[:, blank] = -np.inf
+    r_nb = np.full((T, V), -np.inf)
+    r_b = np.full((T, V), -np.inf)
+    for c in range(V):
+        if c == blank:
+            continue
+        for t in range(T):
+            nb_prev = r_nb[t - 1, c] if t else -np.inf
+            b_prev = r_b[t - 1, c] if t else -np.inf
+            r_nb[t, c] = np.logaddexp(nb_prev, phi[t, c]) + lp[t, c]
+            r_b[t, c] = np.logaddexp(b_prev, nb_prev) + lp[t, blank]
+    psi = np.full(V, -np.inf)
+    for c in range(V):
+        if c != blank:
+            acc = phi[0, c] + lp[0, c]
+            for t in range(1, T):
+                acc = np.logaddexp(acc, phi[t, c] + lp[t, c])
+            psi[c] = acc
+    return psi, r_nb, r_b
+
+
+def random_prefix_states(rng, lp, blank, count):
+    """States of random prefixes built by the reference recursion: the
+    empty prefix, and label sequences with repeats, some infeasible."""
+    T, V = lp.shape
+    labels = [c for c in range(V) if c != blank]
+    states = []
+    for _ in range(count):
+        r_nb = np.full(T, -np.inf)
+        r_b = np.cumsum(lp[:, blank])
+        last, log_psi = -1, 0.0
+        for _ in range(int(rng.integers(0, 4))):
+            c = last if last >= 0 and rng.random() < 0.4 else int(rng.choice(labels))
+            psi, all_nb, all_b = reference_extend_all(r_nb, r_b, last, lp, blank)
+            r_nb, r_b, last, log_psi = all_nb[:, c], all_b[:, c], c, psi[c]
+        states.append(CtcPrefixState(r_nb.copy(), r_b.copy(), last, float(log_psi)))
+    return states
+
+
+class TestLaneBatchedPrefix:
+    """Lane-batched scores and survivor-only states against a
+    per-hypothesis reference recursion, bit for bit."""
+
+    def test_matches_reference_recursion(self):
+        rng = np.random.default_rng(5)
+        seen_empty = seen_repeat = 0
+        for _ in range(60):
+            t, v = int(rng.integers(1, 9)), int(rng.integers(3, 7))
+            blank = int(rng.integers(0, v))
+            lp = np.log(random_posteriors(t, v))
+            states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 6)))
+            psi = ctc_prefix_score_all(states, lp, blank)
+            assert psi.shape == (len(states), v)
+            refs = [reference_extend_all(s.r_nb, s.r_b, s.last_label, lp, blank) for s in states]
+            for row, (ref_psi, _, _) in zip(psi, refs):
+                assert np.array_equal(row, ref_psi)
+
+            # survivors: random (row, label) pairs, repeats of the last label included
+            pairs = []
+            for _ in range(int(rng.integers(1, 8))):
+                r = int(rng.integers(len(states)))
+                last = states[r].last_label
+                if last >= 0 and rng.random() < 0.5:
+                    c = last
+                else:
+                    c = int(rng.choice([c for c in range(v) if c != blank]))
+                pairs.append((r, c))
+            extended = ctc_prefix_extend(
+                [states[r] for r, _ in pairs], [c for _, c in pairs],
+                [psi[r, c] for r, c in pairs], lp, blank,
+            )
+            for (r, c), ext in zip(pairs, extended):
+                _, ref_nb, ref_b = refs[r]
+                assert np.array_equal(ext.r_nb, ref_nb[:, c])
+                assert np.array_equal(ext.r_b, ref_b[:, c])
+                assert ext.last_label == c and ext.log_psi == psi[r, c]
+                seen_repeat += c == states[r].last_label
+            seen_empty += sum(s.last_label == -1 for s in states)
+        assert seen_empty and seen_repeat
+
+    def test_completed_sequences_match_forward_backward(self):
+        rng = np.random.default_rng(9)
+        checked = infeasible = 0
+        for _ in range(40):
+            t, v = int(rng.integers(1, 9)), int(rng.integers(3, 6))
+            blank = int(rng.integers(0, v))
+            labels = [c for c in range(v) if c != blank]
+            lp = np.log(random_posteriors(t, v))
+            seqs = [[int(c) for c in rng.choice(labels, int(rng.integers(0, 5)))]
+                    for _ in range(int(rng.integers(1, 5)))]
+            # extend every sequence in lockstep, one batched call per length
+            states = [ctc_prefix_initial(lp, blank) for _ in seqs]
+            for step in range(max(len(s) for s in seqs)):
+                live = [i for i, s in enumerate(seqs) if len(s) > step]
+                psi = ctc_prefix_score_all([states[i] for i in live], lp, blank)
+                grown = ctc_prefix_extend(
+                    [states[i] for i in live], [seqs[i][step] for i in live],
+                    [psi[k, seqs[i][step]] for k, i in enumerate(live)], lp, blank,
+                )
+                for i, st in zip(live, grown):
+                    states[i] = st
+            for seq, st in zip(seqs, states):
+                if min_frames(seq) > t:
+                    assert st.final_log_prob() == -np.inf
+                    with pytest.raises(InfeasibleAlignmentError):
+                        ctc_forward_backward(lp, seq, blank)
+                    infeasible += 1
+                    continue
+                log_z, _ = ctc_forward_backward(lp, seq, blank)
+                assert st.final_log_prob() == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+                checked += 1
+        assert checked and infeasible
