@@ -29,6 +29,7 @@ class EpochStats:
     train_loss: float
     valid_accuracy: float
     eps: float
+    grad_norm_max: float  # largest pre-clip gradient norm of the epoch
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ def train_asr(
     for epoch in range(1, cfg.epochs + 1):
         total_loss = 0.0
         n_utts = 0
+        norm_max = 0.0
         for bi in rng.permutation(len(batches)):
             batch = batches[bi]
             feats = [f for f, _ in batch]
@@ -90,7 +92,7 @@ def train_asr(
                 )
             model.zero_grad()
             loss.backward()
-            clip_gradients(model.params(), cfg.clip)
+            norm_max = max(norm_max, clip_gradients(model.params(), cfg.clip))
             opt.step()
             total_loss += loss.item() * len(batch)
             n_utts += len(batch)
@@ -107,6 +109,7 @@ def train_asr(
                 train_loss=total_loss / n_utts,
                 valid_accuracy=acc,
                 eps=opt.eps,
+                grad_norm_max=norm_max,
             )
         )
     return TrainResult(

@@ -19,11 +19,14 @@ tokens), and CTC frame states are built only for the extensions that
 enter it. Every score is the same floating-point expression, in the same
 order, as a loop over single candidates would compute.
 
-Batched decoding stacks hypotheses from several utterances into shared
-kernel calls. All per-step math runs through einsum and elementwise
-kernels whose per-row accumulation order is independent of the number
-and content of the other rows, and padded frames enter reductions as
-exact zeros, so batched results are bit-identical to sequential ones.
+Each utterance (a lane) owns its encoder frames and the attention
+weights, decoder states and LM states of its live hypotheses as arrays,
+and gathers them by parent row when the beam moves on. Attention runs
+per lane over the lane's own frames; the decoder and LM steps stack the
+rows of all lanes. Every kernel is row-stable: a row's result depends
+only on its own inputs and on shapes its lane fixes, never on how many
+other rows share the call, so batched decoding is bit-identical to
+sequential decoding.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .ctc import (
     ctc_prefix_score,
     ctc_prefix_score_all,
 )
-from .nn.layers import NEG_FILL
 from .tokenizer import BLANK_ID, SOS_EOS_ID
 
 
@@ -71,9 +73,6 @@ class Hypothesis:
     score_att: float
     score_ctc: float
     score_lm: float
-    a: np.ndarray | None = None
-    dec_state: list | None = None
-    lm_state: list | None = None
     ctc_state: CtcPrefixState | None = None
     finished: bool = False
 
@@ -84,13 +83,19 @@ class Hypothesis:
 
 # -- row-stable inference kernels ---------------------------------------------
 #
-# np.einsum with its default (unoptimized) path accumulates every output
-# element with a plain sequential loop, so a row's result depends only on
-# that row. np.sum would not give that guarantee.
+# np.matmul loops over the leading axes of stacked operands and computes
+# each slice on its own (one BLAS call per slice), so a slice's bits depend
+# only on that slice and on the core matrix shapes; a single 2-D product
+# would not give that, since BLAS may sum an M=1 product differently from
+# an M>1 one. Linear layers therefore multiply each row as a (1, I) @ (I, O)
+# slice, and attention stacks a lane's rows over (T, .) cores that the
+# lane's own frame count fixes. np.einsum with its default (unoptimized)
+# path sums each output element in a plain sequential loop, which keeps the
+# softmax denominators row-stable; np.sum would not guarantee that.
 
 
 def _rows_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("bi,io->bo", x, w) + b
+    return np.matmul(x[:, None, :], w)[:, 0] + b
 
 
 def _rows_log_softmax(z: np.ndarray) -> np.ndarray:
@@ -140,25 +145,28 @@ class _AsrKernel:
         z = np.zeros((rows, self.units))
         return [(z.copy(), z.copy()) for _ in self.cells]
 
-    def attend(self, a_prev, q, h, vh, mask):
-        R, Tm = a_prev.shape
+    def attend(self, a_prev, q, h, vh):
+        """One step for the (R, T) weights of a lane's rows over its (T, D)
+        encodings h and (T, A) keys vh: new weights and (R, D) contexts."""
+        R, T = a_prev.shape
         K = self.conv.shape[0]
         P = (K - 1) // 2
-        pad = np.zeros((R, Tm + K - 1))
-        pad[:, P : P + Tm] = a_prev
+        pad = np.zeros((R, T + K - 1))
+        pad[:, P : P + T] = a_prev
         win = sliding_window_view(pad, K, axis=1)
-        f = np.einsum("btk,kc->btc", win, self.conv)
-        loc = np.einsum("btc,ca->bta", f, self.loc_w) + self.loc_b
-        wq = _rows_linear(q, self.dec_w, self.dec_b)[:, None, :]
-        pre = np.tanh(vh + loc + wq)
-        scores = np.einsum("bta,a->bt", pre, self.vec)
-        scores = scores + (1.0 - mask) * NEG_FILL
+        # conv and projection stay two products: a fused (K, A) filter
+        # costs K*A instead of C*(K+A) per frame
+        pre = np.matmul(np.matmul(win, self.conv), self.loc_w)
+        pre += self.loc_b
+        pre += vh
+        pre += _rows_linear(q, self.dec_w, self.dec_b)[:, None, :]
+        np.tanh(pre, out=pre)
+        scores = pre @ self.vec
         m = scores.max(axis=1, keepdims=True)
         e = np.exp(scores - m)
         s = np.einsum("bt->b", e)
         a = e / s[:, None]
-        r = np.einsum("bt,bth->bh", a, h)
-        return a, r
+        return a, np.matmul(a[:, None, :], h)[:, 0]
 
     def decode_rows(self, r, states, y_prev):
         x = np.concatenate([self.embed[y_prev], r], axis=1)
@@ -194,7 +202,8 @@ class _LmKernel:
 
 
 class _Lane:
-    """Per-utterance search context: encodings, caps, live and done sets."""
+    """Per-utterance search context: encodings, caps, live and done sets,
+    and the (rows, .) attention, decoder and LM states of the live rows."""
 
     def __init__(self, h64: np.ndarray, kern: _AsrKernel, lmk, cfg: DecodeConfig):
         self.T = h64.shape[0]
@@ -209,27 +218,22 @@ class _Lane:
             score_att=0.0,
             score_ctc=0.0,
             score_lm=0.0,
-            a=np.full(self.T, 1.0 / self.T),
-            dec_state=kern.zero_dec_state(1),
-            lm_state=lmk.zero_state(1) if lmk is not None else None,
             ctc_state=ctc_prefix_initial(self.ctc_logp, BLANK_ID),
         )
         self.active: list[Hypothesis] = [start]
+        self.a = np.full((1, self.T), 1.0 / self.T)
+        self.dec = kern.zero_dec_state(1)
+        self.lm = lmk.zero_state(1) if lmk is not None else None
         self.finished: list[Hypothesis] = []
         self.done = False
-        # padded views are filled in once the lane joins a group
-        self.h_pad = self.vh_pad = self.mask = None
-
-    def pad_to(self, t_max: int):
-        self.h_pad = np.zeros((t_max, self.h.shape[1]))
-        self.h_pad[: self.T] = self.h
-        self.vh_pad = np.zeros((t_max, self.vh.shape[1]))
-        self.vh_pad[: self.T] = self.vh
-        self.mask = np.zeros(t_max)
-        self.mask[: self.T] = 1.0
 
     def best_finished(self) -> Hypothesis:
         return min(self.finished, key=lambda hy: (-hy.score, hy.tokens))
+
+
+def _stack_states(per_lane: list) -> list:
+    """Concatenate per-lane [(h, c), ...] layer states along rows."""
+    return [tuple(np.concatenate(part) for part in zip(*layer)) for layer in zip(*per_lane)]
 
 
 def _check_vocab(model, lm):
@@ -268,51 +272,24 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
     # a zero weight times an infeasible -inf prefix score would poison the
     # sum with NaN, so without CTC weight skip CTC entirely
     run_ctc = lam > 0.0
-    t_max = max(lane.T for lane in lanes)
-    for lane in lanes:
-        lane.pad_to(t_max)
     labels_all = _label_order(kern.vocab_size)
     labels_eos = labels_all[:1]
 
     while True:
-        rows = [(lane, hyp) for lane in lanes if not lane.done for hyp in lane.active]
-        if not rows:
+        live = [lane for lane in lanes if not lane.done]
+        if not live:
             break
-        R = len(rows)
-        y_prev = np.array([hyp.tokens[-1] for _, hyp in rows], dtype=np.int64)
-        a_prev = np.zeros((R, t_max))
-        for ri, (lane, hyp) in enumerate(rows):
-            a_prev[ri, : lane.T] = hyp.a
-        q = np.stack([hyp.dec_state[-1][0][0] for _, hyp in rows])
-        h = np.stack([lane.h_pad for lane, _ in rows])
-        vh = np.stack([lane.vh_pad for lane, _ in rows])
-        mask = np.stack([lane.mask for lane, _ in rows])
-        dec_states = [
-            (
-                np.stack([hyp.dec_state[li][0][0] for _, hyp in rows]),
-                np.stack([hyp.dec_state[li][1][0] for _, hyp in rows]),
-            )
-            for li in range(len(kern.cells))
-        ]
-
-        a_new, r = kern.attend(a_prev, q, h, vh, mask)
-        logp_att, new_dec = kern.decode_rows(r, dec_states, y_prev)
+        y_prev = np.array([hy.tokens[-1] for lane in live for hy in lane.active], dtype=np.int64)
+        attended = [kern.attend(lane.a, lane.dec[-1][0], lane.h, lane.vh) for lane in live]
+        r = np.concatenate([ctx for _, ctx in attended])
+        logp_att, new_dec = kern.decode_rows(r, _stack_states([lane.dec for lane in live]), y_prev)
         if lmk is not None:
-            lm_states = [
-                (
-                    np.stack([hyp.lm_state[li][0][0] for _, hyp in rows]),
-                    np.stack([hyp.lm_state[li][1][0] for _, hyp in rows]),
-                )
-                for li in range(len(lmk.cells))
-            ]
-            logp_lm, new_lm = lmk.step(lm_states, y_prev)
+            logp_lm, new_lm = lmk.step(_stack_states([lane.lm for lane in live]), y_prev)
         else:
             logp_lm = new_lm = None
 
         lo = 0
-        for lane in lanes:
-            if lane.done:
-                continue
+        for lane, (a_new, _) in zip(live, attended):
             hyps = lane.active
             sl = slice(lo, lo + len(hyps))
             lo += len(hyps)
@@ -361,7 +338,7 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
                         BLANK_ID,
                     )
                 )
-            new_active = []
+            new_active, parents = [], []
             for ri, c, s in picked:
                 hyp = hyps[ri]
                 att2 = float(att[ri, c])
@@ -375,13 +352,12 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
                             score_att=att2,
                             score_ctc=ctc2,
                             score_lm=lm2,
-                            a=hyp.a,
                             ctc_state=hyp.ctc_state,
                             finished=True,
                         )
                     )
                     continue
-                g = sl.start + ri
+                parents.append(ri)
                 new_active.append(
                     Hypothesis(
                         tokens=hyp.tokens + (c,),
@@ -389,19 +365,17 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
                         score_att=att2,
                         score_ctc=ctc2,
                         score_lm=lm2,
-                        a=a_new[g, : lane.T].copy(),
-                        dec_state=[
-                            (hh[g : g + 1].copy(), cc[g : g + 1].copy()) for hh, cc in new_dec
-                        ],
-                        lm_state=(
-                            [(hh[g : g + 1].copy(), cc[g : g + 1].copy()) for hh, cc in new_lm]
-                            if new_lm is not None
-                            else None
-                        ),
                         ctc_state=next(new_states) if run_ctc else hyp.ctc_state,
                     )
                 )
             lane.active = new_active
+            # the survivors' states, gathered from their parents' rows
+            rows = np.array(parents, dtype=np.int64)
+            g = sl.start + rows
+            lane.a = a_new[rows]
+            lane.dec = [(hh[g], cc[g]) for hh, cc in new_dec]
+            if new_lm is not None:
+                lane.lm = [(hh[g], cc[g]) for hh, cc in new_lm]
             if lane.finished:
                 best_done = lane.best_finished().score
                 if not lane.active or max(hy.score for hy in lane.active) <= best_done:
@@ -441,8 +415,9 @@ def decode_nbest(
 def decode_batch(
     feats, model, lm=None, cfg: DecodeConfig | None = None, batch_size: int = 1
 ) -> list[Hypothesis]:
-    """Decode a list of utterances; token output is identical to mapping
-    decode() over the list one by one, for every batch size."""
+    """Best hypothesis of each utterance. Up to `batch_size` utterances
+    share each search step, and since every kernel is row-stable, tokens
+    and scores are bit-identical to decoding each utterance alone."""
     return [ranked[0] for ranked in decode_nbest(feats, model, lm, cfg, 1, batch_size)]
 
 
@@ -460,18 +435,16 @@ def rescore(feat, model, tokens, lm=None):
     kern = _AsrKernel(model)
     h64 = _f64(model.encode(_frames(feat)))
     T = h64.shape[0]
-    vh = _rows_linear(h64, kern.enc_w, kern.enc_b)[None]
+    vh = _rows_linear(h64, kern.enc_w, kern.enc_b)
     ctc_logp = _rows_log_softmax(_rows_linear(h64, kern.ctc_w, kern.ctc_b))
 
     seq = list(tokens) + [SOS_EOS_ID]
     a = np.full((1, T), 1.0 / T)
     states = kern.zero_dec_state(1)
-    mask = np.ones((1, T))
     att = 0.0
     prev = SOS_EOS_ID
     for t in seq:
-        q = states[-1][0]
-        a, r = kern.attend(a, q, h64[None], vh, mask)
+        a, r = kern.attend(a, states[-1][0], h64, vh)
         logp, states = kern.decode_rows(r, states, np.array([prev], dtype=np.int64))
         att += float(logp[0, t])
         prev = t

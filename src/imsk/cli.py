@@ -221,35 +221,39 @@ def _check_vocabularies(vocab, asr: AsrModel, lm) -> None:
         )
 
 
-def load_artifacts(cfg: PipelineConfig) -> Artifacts:
-    """Load every referenced file and verify cross-artifact consistency."""
-    required = [
-        ("sad_model", cfg.sad_model),
-        ("asr_model", cfg.asr_model),
-        ("tokenizer", cfg.tokenizer),
-        ("cmvn", cfg.cmvn),
-    ]
-    for name, p in required + [("lm_model", cfg.lm_model)]:
+def _load_decoding(asr_model, tokenizer, cmvn, lm_model, required=()):
+    """File-check and load the tokenizer, recognizer, CMVN stats and LM (if
+    any), and check that they share one vocabulary. `required` names more
+    (config field, path) pairs that must exist; the caller loads them."""
+    required = [*required, ("asr_model", asr_model), ("tokenizer", tokenizer), ("cmvn", cmvn)]
+    for name, p in required + [("lm_model", lm_model)]:
         if p and not Path(p).is_file():
             raise PipelineError(f"config: {name} file not found: {p}")
     for name, p in required:
         if not p:
             raise PipelineError(f"config: {name} is required")
 
-    with _stage("config", cfg.tokenizer):
-        vocab = load_vocab(cfg.tokenizer)
-    with _stage("config", cfg.asr_model):
-        asr, _ = load_asr(cfg.asr_model)
+    with _stage("config", tokenizer):
+        vocab = load_vocab(tokenizer)
+    with _stage("config", asr_model):
+        asr, _ = load_asr(asr_model)
+    with _stage("config", cmvn):
+        stats = load_cmvn(cmvn)
+    lm = None
+    if lm_model:
+        with _stage("config", lm_model):
+            lm, _ = load_lm(lm_model)
+    _check_vocabularies(vocab, asr, lm)
+    return vocab, asr, lm, stats
+
+
+def load_artifacts(cfg: PipelineConfig) -> Artifacts:
+    """Load every referenced file and verify cross-artifact consistency."""
+    vocab, asr, lm, stats = _load_decoding(
+        cfg.asr_model, cfg.tokenizer, cfg.cmvn, cfg.lm_model, [("sad_model", cfg.sad_model)]
+    )
     with _stage("config", cfg.sad_model):
         sad, priors, _ = load_sad(cfg.sad_model)
-    with _stage("config", cfg.cmvn):
-        stats = load_cmvn(cfg.cmvn)
-    lm = None
-    if cfg.lm_model:
-        with _stage("config", cfg.lm_model):
-            lm, _ = load_lm(cfg.lm_model)
-
-    _check_vocabularies(vocab, asr, lm)
     dcfg = DecodeConfig(
         beam=cfg.beam,
         ctc_weight=cfg.ctc_weight,
@@ -486,7 +490,7 @@ def _cmd_train_asr(args) -> int:
     for st in res.history:
         print(
             f"epoch {st.epoch}: loss {st.train_loss:.4f} "
-            f"valid accuracy {st.valid_accuracy:.4f}"
+            f"valid accuracy {st.valid_accuracy:.4f} grad norm max {st.grad_norm_max:.4f}"
         )
     print(f"best epoch {res.best_epoch}: accuracy {res.best_accuracy:.4f}")
     return 0
@@ -554,17 +558,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    with _stage("config", args.tokenizer):
-        vocab = load_vocab(args.tokenizer)
-    with _stage("config", args.model):
-        model, _ = load_asr(args.model)
-    lm = None
-    if args.lm is not None:
-        with _stage("config", args.lm):
-            lm, _ = load_lm(args.lm)
-    with _stage("config", args.cmvn):
-        stats = load_cmvn(args.cmvn)
-    _check_vocabularies(vocab, model, lm)
+    vocab, model, lm, stats = _load_decoding(args.model, args.tokenizer, args.cmvn, args.lm)
 
     rows = _read_manifest(args.manifest, with_text=False)
     dcfg = DecodeConfig(

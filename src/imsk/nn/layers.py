@@ -100,9 +100,12 @@ class LstmCell(Module):
 
     def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         z = matmul(concat([x, h], axis=1), self.w) + self.b
-        return self._apply_gates(z, c)
+        with np.errstate(over="ignore"):
+            return self._apply_gates(z, c)
 
     def _apply_gates(self, z: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+        """Callers hold np.errstate(over="ignore"): a sigmoid gate of a
+        large negative input overflows exp to inf and correctly gives 0."""
         H = self.n_hidden
         i = sigmoid(take(z, (slice(None), slice(0, H))))
         f = sigmoid(take(z, (slice(None), slice(H, 2 * H))))
@@ -147,17 +150,18 @@ class Lstm(Module):
         full = bool(np.all(lengths == T))
         h, c = self.cell.zero_state(B, dtype)
         outs = []
-        for t in range(T):
-            z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
-            h_new, c_new = self.cell._apply_gates(z, c)
-            if full:
-                h, c = h_new, c_new
-            else:
-                m = Tensor((t < lengths)[:, None].astype(dtype))
-                keep = Tensor((1.0 - m.data).astype(dtype))
-                h = h_new * m + h * keep
-                c = c_new * m + c * keep
-            outs.append(h)
+        with np.errstate(over="ignore"):
+            for t in range(T):
+                z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
+                h_new, c_new = self.cell._apply_gates(z, c)
+                if full:
+                    h, c = h_new, c_new
+                else:
+                    m = Tensor((t < lengths)[:, None].astype(dtype))
+                    keep = Tensor((1.0 - m.data).astype(dtype))
+                    h = h_new * m + h * keep
+                    c = c_new * m + c * keep
+                outs.append(h)
         y = stack(outs, axis=1)
         if self.reverse:
             y = take(y, (bidx, ridx))

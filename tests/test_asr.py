@@ -1,5 +1,7 @@
 """Recognizer model tests: encoder geometry, attention, losses, training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from imsk.asr import (
     save_asr,
     train_asr,
 )
+import imsk.asr.training as training
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
 from imsk.nn.optim import DivergedError
@@ -65,6 +68,18 @@ class TestEncoder:
         h, lengths = m.encode_batch([feat(12), feat(7)])
         assert list(lengths) == [3, 2]
         assert h.shape[0] == 2
+
+    def test_saturated_lstm_gates_warn_nothing(self):
+        # exp(200) overflows float32: the gates are exactly 0, not a warning
+        m = tiny_model(dtype=np.float32)
+        m.blstms[0].fw.cell.b.data[:] = -200.0
+        m.dec_cells[0].b.data[:] = -200.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = m.encode(feat(12))
+            r = tt.Tensor(np.ones((1, h.shape[1]), dtype=np.float32))
+            logp, _ = m.decode_step(r, m.initial_decoder_state(1), np.array([3]))
+        assert np.all(np.isfinite(h.data)) and np.all(np.isfinite(logp.data))
 
 
 class TestAttention:
@@ -278,6 +293,23 @@ class TestTrainLoop:
         assert res.best_accuracy == 0.9
         # two consecutive non-improving epochs halve eps twice
         assert np.isclose(res.history[-1].eps, 2.5e-9)
+
+    def test_epoch_records_largest_pre_clip_norm(self, monkeypatch):
+        norms = []
+
+        def recording_clip(params, threshold):
+            norms.append(clip(params, threshold))
+            return norms[-1]
+
+        clip = training.clip_gradients
+        monkeypatch.setattr(training, "clip_gradients", recording_clip)
+        m = tiny_model(dtype=np.float32, seed=11)
+        data = memorization_task()
+        res = train_asr(m, data, data, AsrTrainConfig(epochs=2, batch_size=3, seed=5))
+        assert len(norms) == 4  # two batches per epoch
+        for st, epoch_norms in zip(res.history, (norms[:2], norms[2:])):
+            assert np.isfinite(st.grad_norm_max) and st.grad_norm_max > 0.0
+            assert st.grad_norm_max == max(epoch_norms)
 
     def test_divergence_aborts_with_diagnostic(self):
         m = tiny_model(dtype=np.float32, seed=11)

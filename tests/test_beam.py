@@ -25,9 +25,8 @@ from imsk.tokenizer import BLANK_ID, SOS_EOS_ID
 VOCAB = 9
 
 
-def tiny_model(seed=7):
+def tiny_model(seed=7, att=AttentionConfig(attn_dim=5, conv_channels=2, conv_filters=3)):
     enc = EncoderConfig(input_dim=8, vgg_channels=(2, 3), blstm_layers=1, blstm_units=4)
-    att = AttentionConfig(attn_dim=5, conv_channels=2, conv_filters=3)
     dec = DecoderConfig(layers=1, units=6, embed_dim=4)
     return AsrModel(VOCAB, enc, att, dec, np.random.default_rng(seed))
 
@@ -245,7 +244,7 @@ def brute_force_search(m, f, cfg):
     kern = _AsrKernel(m)
     h = _f64(m.encode(f))
     T = h.shape[0]
-    vh = _rows_linear(h, kern.enc_w, kern.enc_b)[None]
+    vh = _rows_linear(h, kern.enc_w, kern.enc_b)
     ctc_logp = _rows_log_softmax(_rows_linear(h, kern.ctc_w, kern.ctc_b))
     lam, cap = cfg.ctc_weight, int(T * cfg.max_ratio)
 
@@ -258,7 +257,7 @@ def brute_force_search(m, f, cfg):
     while live:
         cands = []
         for tokens, _, att, ctc, a, state in live:
-            a2, r = kern.attend(a, state[-1][0], h[None], vh, np.ones((1, T)))
+            a2, r = kern.attend(a, state[-1][0], h, vh)
             logp, state2 = kern.decode_rows(r, state, np.array([tokens[-1]]))
             att_eos = att + logp[0, SOS_EOS_ID]
             cands.append((total(ctc.final_log_prob(), att_eos), tokens, att_eos, None, None, None))
@@ -314,3 +313,62 @@ class TestTieBreak:
         m.out.b.data[0] -= 4.0
         cfg = DecodeConfig(beam=50, ctc_weight=0.5, lm_weight=0.0)
         assert self._check(m, cfg, feats(4, seed=3, lo=5, hi=9))
+
+
+class TestKernels:
+    """The search kernels against the float64 model, and row stability."""
+
+    @staticmethod
+    def _inputs(rng, R, T, kern):
+        h = rng.normal(0, 1, (T, kern.enc_w.shape[0]))
+        a_prev = rng.dirichlet(np.ones(T), size=R)
+        q = rng.normal(0, 1, (R, kern.units))
+        return a_prev, q, h, _rows_linear(h, kern.enc_w, kern.enc_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(1, 40),
+        R=st.integers(1, 5),
+        conv_filters=st.sampled_from([1, 3, 5, 11]),
+        conv_channels=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(T=2, R=3, conv_filters=11, conv_channels=2, seed=0)
+    @example(T=7, R=2, conv_filters=1, conv_channels=1, seed=1)
+    def test_attend_matches_float64_model(self, T, R, conv_filters, conv_channels, seed):
+        m = tiny_model(seed, AttentionConfig(5, conv_channels, conv_filters))
+        m64 = AsrModel(m.vocab_size, m.enc_cfg, m.att_cfg, m.dec_cfg, dtype=np.float64)
+        m64.load_state_dict(m.state_dict())
+        kern = _AsrKernel(m)
+        a_prev, q, h, vh = self._inputs(np.random.default_rng(seed), R, T, kern)
+        a, r = kern.attend(a_prev, q, h, vh)
+        h_rows = tt.Tensor(np.broadcast_to(h, (R,) + h.shape).copy())
+        a_ref, r_ref = m64.attend(tt.Tensor(a_prev), tt.Tensor(q), h_rows)
+        for got, ref in ((a, a_ref.data), (r, r_ref.data)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(R=st.integers(1, 12), T=st.integers(1, 60), seed=st.integers(0, 2**16), data=st.data())
+    def test_attend_rows_do_not_depend_on_other_rows(self, R, T, seed, data):
+        kern = _AsrKernel(tiny_model(seed, AttentionConfig(attn_dim=64)))
+        a_prev, q, h, vh = self._inputs(np.random.default_rng(seed), R, T, kern)
+        rows = data.draw(st.permutations(range(R)))[: data.draw(st.integers(1, R))]
+        full = kern.attend(a_prev, q, h, vh)
+        part = kern.attend(a_prev[rows], q[rows], h, vh)
+        for f, p in zip(full, part):
+            assert np.array_equal(f[rows], p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        R=st.integers(1, 12),
+        n_in=st.integers(1, 600),
+        n_out=st.integers(1, 1100),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_rows_linear_rows_do_not_depend_on_other_rows(self, R, n_in, n_out, seed, data):
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(R, n_in)), rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)
+        rows = data.draw(st.permutations(range(R)))[: data.draw(st.integers(1, R))]
+        assert np.array_equal(_rows_linear(x, w, b)[rows], _rows_linear(x[rows], w, b))

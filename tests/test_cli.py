@@ -306,6 +306,39 @@ def test_decode_rejects_vocabulary_size_mismatch(world, tmp_path, capsys, monkey
     assert not (tmp_path / "hyp.tsv").exists()
 
 
+def test_decode_names_a_missing_lm_file(world, tmp_path, capsys, monkeypatch):
+    root = world["root"]
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoding started")
+
+    monkeypatch.setattr("imsk.cli.decode_nbest", no_decoding)
+    utt, wav_path, _ = world["tone_rows"][0]
+    man = tmp_path / "man.tsv"
+    write_tsv(man, [(utt, wav_path)])
+    missing = tmp_path / "missing.lm"
+    assert run_cli(["decode", "--manifest", str(man), "--model", str(root / "asr.ckpt"),
+                    "--tokenizer", str(root / "vocab.tsv"), "--cmvn", str(root / "cmvn.bin"),
+                    "--lm", str(missing), "--out", str(tmp_path / "hyp.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: lm_model file not found: {missing}")
+    assert not (tmp_path / "hyp.tsv").exists()
+
+
+def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):
+    man = tmp_path / "man.tsv"
+    write_tsv(man, world["tone_rows"][:3])
+    assert run_cli(["train-asr", "--manifest", str(man), "--vocab", str(world["root"] / "vocab.tsv"),
+                    "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "cmvn.bin"),
+                    "--epochs", "1", "--seed", "3", "--enc-layers", "1", "--enc-units", "4",
+                    "--vgg-channels", "2,2", "--attn-dim", "4", "--conv-filters", "3",
+                    "--dec-units", "4", "--embed-dim", "4"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("epoch 1: ")
+    norm = float(line.split("grad norm max ")[1])
+    assert np.isfinite(norm) and norm > 0.0
+
+
 def test_transcript_validation_and_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="invalid entry times"):
         Transcript("r", ((1.0, 0.5, "x"),))
