@@ -164,13 +164,9 @@ class AsrModel(Module):
 
     # -- attention ------------------------------------------------------------
 
-    def _project3d(self, lin: Linear, x: tt.Tensor) -> tt.Tensor:
-        B, T, D = x.shape
-        return tt.reshape(lin(tt.reshape(x, (B * T, D))), (B, T, lin.w.shape[1]))
-
     def precompute_attention(self, h: tt.Tensor) -> tt.Tensor:
         """Per-frame encoder projection, computed once per utterance."""
-        return self._project3d(self.att_enc, h)
+        return self.att_enc(h)
 
     def attend(
         self,
@@ -180,22 +176,26 @@ class AsrModel(Module):
         vh: tt.Tensor | None = None,
         mask: np.ndarray | None = None,
     ) -> tuple[tt.Tensor, tt.Tensor]:
-        """One attention step: (B, T') weights and (B, 2H) context."""
-        B, T, H2 = h.shape
-        if a_prev.shape != (B, T):
-            raise ValueError(f"alignment shape {a_prev.shape} does not match {(B, T)}")
+        """One attention step: (B, T') weights and (B, 2H) context.
+
+        `h` (and `vh`) hold one utterance per row, or one utterance (batch
+        1) that all B rows share.
+        """
+        B, T = a_prev.shape
+        if h.shape[0] not in (1, B) or h.shape[1] != T:
+            raise ValueError(f"alignment shape {a_prev.shape} does not match encodings {h.shape}")
         if vh is None:
             vh = self.precompute_attention(h)
+        A = self.att_cfg.attn_dim
         f = tt.conv1d_single_channel(a_prev, self.att_conv)  # (B, T, C)
-        loc = self._project3d(self.att_loc, f)
-        wq = tt.reshape(self.att_dec(q_prev), (B, 1, self.att_cfg.attn_dim))
-        pre = tt.tanh(tt.add(tt.add(vh, loc), wq))
-        scores = tt.sum_(tt.mul(pre, tt.reshape(self.att_vec, (1, 1, -1))), axis=2)
+        wq = tt.reshape(self.att_dec(q_prev) + self.att_loc.b, (B, 1, A))
+        pre = tt.tanh(vh + tt.matmul(f, self.att_loc.w) + wq)
+        scores = tt.reshape(tt.matmul(pre, tt.reshape(self.att_vec, (A, 1))), (B, T))
         if mask is not None:
             scores = tt.add(scores, tt.Tensor(((1.0 - mask) * NEG_FILL).astype(self.dtype)))
         a = tt.softmax(scores)
-        r = tt.sum_(tt.mul(tt.reshape(a, (B, T, 1)), h), axis=1)
-        return a, r
+        r = tt.matmul(tt.reshape(a, (B, 1, T)), h)
+        return a, tt.reshape(r, (B, h.shape[2]))
 
     # -- decoder --------------------------------------------------------------
 
@@ -267,7 +267,7 @@ class AsrModel(Module):
         return tt.mean_(per_utt)
 
     def _ctc_forward(self, h: tt.Tensor, lengths: np.ndarray, labels: list) -> tt.Tensor:
-        logits = self._project3d(self.ctc_out, h)
+        logits = self.ctc_out(h)
         losses = []
         for b, y in enumerate(labels):
             utt_logits = tt.take(logits, (b, slice(0, int(lengths[b]))))

@@ -324,6 +324,10 @@ def load_cmvn(path) -> CmvnStats:
         raise DumpError(f"{path}: expected {16 * dim} stat bytes, got {len(body)}")
     mean = np.frombuffer(body[: 8 * dim], dtype="<f8").copy()
     variance = np.frombuffer(body[8 * dim :], dtype="<f8").copy()
+    if count < 1:
+        raise DumpError(f"{path}: frame count must be >= 1, got {count}")
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()) or np.any(variance < 0):
+        raise DumpError(f"{path}: statistics must be finite, with variances >= 0")
     return CmvnStats(dim=dim, mean=mean, variance=variance, frame_count=count)
 
 
@@ -355,7 +359,10 @@ def read_feature_dump(path) -> list[tuple[str, np.ndarray]]:
         pos += 4
         if pos + id_len + 8 > len(blob):
             raise DumpError(f"{path}: truncated record header")
-        utt_id = blob[pos : pos + id_len].decode("utf-8")
+        try:
+            utt_id = blob[pos : pos + id_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DumpError(f"{path}: invalid UTF-8 utterance id at byte {pos}") from e
         pos += id_len
         t, d = struct.unpack_from("<II", blob, pos)
         pos += 8

@@ -19,22 +19,27 @@ tokens), and CTC frame states are built only for the extensions that
 enter it. Every score is the same floating-point expression, in the same
 order, as a loop over single candidates would compute.
 
-Each utterance (a lane) owns its encoder frames and the attention
-weights, decoder states and LM states of its live hypotheses as arrays,
-and gathers them by parent row when the beam moves on. Attention runs
-per lane over the lane's own frames; the decoder and LM steps stack the
-rows of all lanes. Every kernel is row-stable: a row's result depends
-only on its own inputs and on shapes its lane fixes, never on how many
-other rows share the call, so batched decoding is bit-identical to
-sequential decoding.
+The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
+`LstmLm.lm_step`), run on float64 copies of their weights that build no
+autograd graph; the float32 encoder runs as trained. Each utterance (a
+lane) owns its encoder frames and the attention weights, decoder states
+and LM states of its live hypotheses, and gathers them by parent row
+when the beam moves on. Attention runs once per lane over the lane's own
+frames; the decoder and LM steps stack the rows of all lanes.
+
+Batched decoding is bit-identical to sequential decoding because a row's
+result depends only on its own inputs and on shapes its lane fixes,
+never on how many other rows share a call: every product goes through
+`tt.matmul`, which multiplies each row, or each lane's item, on its own,
+and every other operation is elementwise or reduces within a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ctc import (
     CtcPrefixState,
@@ -43,6 +48,8 @@ from .ctc import (
     ctc_prefix_score,
     ctc_prefix_score_all,
 )
+from .lm import sequence_log_prob
+from .nn import tensor as tt
 from .tokenizer import BLANK_ID, SOS_EOS_ID
 
 
@@ -81,136 +88,39 @@ class Hypothesis:
         return self.tokens[1:]
 
 
-# -- row-stable inference kernels ---------------------------------------------
-#
-# np.matmul loops over the leading axes of stacked operands and computes
-# each slice on its own (one BLAS call per slice), so a slice's bits depend
-# only on that slice and on the core matrix shapes; a single 2-D product
-# would not give that, since BLAS may sum an M=1 product differently from
-# an M>1 one. Linear layers therefore multiply each row as a (1, I) @ (I, O)
-# slice, and attention stacks a lane's rows over (T, .) cores that the
-# lane's own frame count fixes. np.einsum with its default (unoptimized)
-# path sums each output element in a plain sequential loop, which keeps the
-# softmax denominators row-stable; np.sum would not guarantee that.
+# the float32 encoder runs as trained; only the parts after it are cast
+_ENCODER = ("block1", "block2", "blstms")
 
 
-def _rows_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(x[:, None, :], w)[:, 0] + b
+def _float64(module, share=()):
+    """A copy of `module` that computes in float64: its parameters become
+    float64 constants, so its calls build no autograd graph. The
+    attributes named in `share` are not copied; the copy uses the
+    module's own."""
+    memo = {id(getattr(module, name)): getattr(module, name) for name in share}
+    for path, p in module.named_params():
+        if path.split(".")[0] not in share:
+            memo[id(p)] = tt.Tensor(p.data.astype(np.float64))
+    twin = copy.deepcopy(module, memo)
+    twin.dtype = np.float64
+    return twin
 
 
-def _rows_log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = np.einsum("bv->b", e)
-    return (z - m) - np.log(s)[:, None]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
-def _lstm_rows(w, b, x, h, c):
-    z = _rows_linear(np.concatenate([x, h], axis=1), w, b)
-    H = h.shape[1]
-    i = _sigmoid(z[:, :H])
-    f = _sigmoid(z[:, H : 2 * H])
-    g = np.tanh(z[:, 2 * H : 3 * H])
-    o = _sigmoid(z[:, 3 * H :])
-    c2 = f * c + i * g
-    return o * np.tanh(c2), c2
-
-
-def _f64(t) -> np.ndarray:
-    return np.asarray(t.data, dtype=np.float64).copy()
-
-
-class _AsrKernel:
-    """float64 copies of the recognizer weights for search-time math."""
-
-    def __init__(self, model):
-        self.vocab_size = model.vocab_size
-        self.embed = _f64(model.embed.table)
-        self.cells = [(_f64(c.w), _f64(c.b)) for c in model.dec_cells]
-        self.units = model.dec_cfg.units
-        self.out_w, self.out_b = _f64(model.out.w), _f64(model.out.b)
-        self.ctc_w, self.ctc_b = _f64(model.ctc_out.w), _f64(model.ctc_out.b)
-        self.enc_w, self.enc_b = _f64(model.att_enc.w), _f64(model.att_enc.b)
-        self.dec_w, self.dec_b = _f64(model.att_dec.w), _f64(model.att_dec.b)
-        self.loc_w, self.loc_b = _f64(model.att_loc.w), _f64(model.att_loc.b)
-        self.conv = _f64(model.att_conv)
-        self.vec = _f64(model.att_vec)
-
-    def zero_dec_state(self, rows: int):
-        z = np.zeros((rows, self.units))
-        return [(z.copy(), z.copy()) for _ in self.cells]
-
-    def attend(self, a_prev, q, h, vh):
-        """One step for the (R, T) weights of a lane's rows over its (T, D)
-        encodings h and (T, A) keys vh: new weights and (R, D) contexts."""
-        R, T = a_prev.shape
-        K = self.conv.shape[0]
-        P = (K - 1) // 2
-        pad = np.zeros((R, T + K - 1))
-        pad[:, P : P + T] = a_prev
-        win = sliding_window_view(pad, K, axis=1)
-        # conv and projection stay two products: a fused (K, A) filter
-        # costs K*A instead of C*(K+A) per frame
-        pre = np.matmul(np.matmul(win, self.conv), self.loc_w)
-        pre += self.loc_b
-        pre += vh
-        pre += _rows_linear(q, self.dec_w, self.dec_b)[:, None, :]
-        np.tanh(pre, out=pre)
-        scores = pre @ self.vec
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        s = np.einsum("bt->b", e)
-        a = e / s[:, None]
-        return a, np.matmul(a[:, None, :], h)[:, 0]
-
-    def decode_rows(self, r, states, y_prev):
-        x = np.concatenate([self.embed[y_prev], r], axis=1)
-        new_states = []
-        for (h, c), (w, b) in zip(states, self.cells):
-            h, c = _lstm_rows(w, b, x, h, c)
-            new_states.append((h, c))
-            x = h
-        return _rows_log_softmax(_rows_linear(x, self.out_w, self.out_b)), new_states
-
-
-class _LmKernel:
-    """float64 copies of the LM weights; mirrors LstmLm.lm_step."""
-
-    def __init__(self, lm):
-        self.embed = _f64(lm.embed.table)
-        self.cells = [(_f64(c.w), _f64(c.b)) for c in lm.cells]
-        self.units = lm.units
-        self.out_w, self.out_b = _f64(lm.out.w), _f64(lm.out.b)
-
-    def zero_state(self, rows: int):
-        z = np.zeros((rows, self.units))
-        return [(z.copy(), z.copy()) for _ in self.cells]
-
-    def step(self, states, ids):
-        x = self.embed[ids]
-        new_states = []
-        for (h, c), (w, b) in zip(states, self.cells):
-            h, c = _lstm_rows(w, b, x, h, c)
-            new_states.append((h, c))
-            x = h
-        return _rows_log_softmax(_rows_linear(x, self.out_w, self.out_b)), new_states
+def _encode64(model, feat: np.ndarray) -> tt.Tensor:
+    """(1, T, D) float64 copy of one utterance's encodings."""
+    h, _ = model.encode_batch([feat])
+    return tt.Tensor(h.data.astype(np.float64))
 
 
 class _Lane:
     """Per-utterance search context: encodings, caps, live and done sets,
     and the (rows, .) attention, decoder and LM states of the live rows."""
 
-    def __init__(self, h64: np.ndarray, kern: _AsrKernel, lmk, cfg: DecodeConfig):
-        self.T = h64.shape[0]
-        self.h = h64
-        self.vh = _rows_linear(h64, kern.enc_w, kern.enc_b)
-        ctc_logits = _rows_linear(h64, kern.ctc_w, kern.ctc_b)
-        self.ctc_logp = _rows_log_softmax(ctc_logits)
+    def __init__(self, h: tt.Tensor, m64, lm64, cfg: DecodeConfig):
+        self.T = h.shape[1]
+        self.h = h
+        self.vh = m64.precompute_attention(h)
+        self.ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
         self.cap = int(self.T * cfg.max_ratio)
         start = Hypothesis(
             tokens=(SOS_EOS_ID,),
@@ -221,9 +131,9 @@ class _Lane:
             ctc_state=ctc_prefix_initial(self.ctc_logp, BLANK_ID),
         )
         self.active: list[Hypothesis] = [start]
-        self.a = np.full((1, self.T), 1.0 / self.T)
-        self.dec = kern.zero_dec_state(1)
-        self.lm = lmk.zero_state(1) if lmk is not None else None
+        self.a = tt.Tensor(np.full((1, self.T), 1.0 / self.T))
+        self.dec = m64.initial_decoder_state(1)
+        self.lm = lm64.initial_state(1) if lm64 is not None else None
         self.finished: list[Hypothesis] = []
         self.done = False
 
@@ -233,7 +143,7 @@ class _Lane:
 
 def _stack_states(per_lane: list) -> list:
     """Concatenate per-lane [(h, c), ...] layer states along rows."""
-    return [tuple(np.concatenate(part) for part in zip(*layer)) for layer in zip(*per_lane)]
+    return [tuple(tt.concat(part) for part in zip(*layer)) for layer in zip(*per_lane)]
 
 
 def _check_vocab(model, lm):
@@ -264,15 +174,15 @@ def _label_order(vocab_size: int) -> np.ndarray:
     return np.array([SOS_EOS_ID] + rest, dtype=np.int64)
 
 
-def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
-    """Run the lanes to completion; returns each lane's finished
-    hypotheses, best first by (-score, tokens)."""
+def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
+    """Run the lanes to completion with the float64 model and LM copies;
+    returns each lane's finished hypotheses, best first by (-score, tokens)."""
     lam = cfg.ctc_weight
-    gam = cfg.lm_weight if lmk is not None else 0.0
+    gam = cfg.lm_weight if lm64 is not None else 0.0
     # a zero weight times an infeasible -inf prefix score would poison the
     # sum with NaN, so without CTC weight skip CTC entirely
     run_ctc = lam > 0.0
-    labels_all = _label_order(kern.vocab_size)
+    labels_all = _label_order(m64.vocab_size)
     labels_eos = labels_all[:1]
 
     while True:
@@ -280,13 +190,16 @@ def _search(lanes: list[_Lane], kern: _AsrKernel, lmk, cfg: DecodeConfig):
         if not live:
             break
         y_prev = np.array([hy.tokens[-1] for lane in live for hy in lane.active], dtype=np.int64)
-        attended = [kern.attend(lane.a, lane.dec[-1][0], lane.h, lane.vh) for lane in live]
-        r = np.concatenate([ctx for _, ctx in attended])
-        logp_att, new_dec = kern.decode_rows(r, _stack_states([lane.dec for lane in live]), y_prev)
-        if lmk is not None:
-            logp_lm, new_lm = lmk.step(_stack_states([lane.lm for lane in live]), y_prev)
-        else:
-            logp_lm = new_lm = None
+        attended = [
+            m64.attend(lane.a, m64.decoder_query(lane.dec), lane.h, lane.vh) for lane in live
+        ]
+        r = tt.concat([ctx for _, ctx in attended])
+        logp_att, new_dec = m64.decode_step(r, _stack_states([lane.dec for lane in live]), y_prev)
+        logp_att = logp_att.data
+        logp_lm = new_lm = None
+        if lm64 is not None:
+            logp_lm, new_lm = lm64.lm_step(_stack_states([lane.lm for lane in live]), y_prev)
+            logp_lm = logp_lm.data
 
         lo = 0
         for lane, (a_new, _) in zip(live, attended):
@@ -402,13 +315,13 @@ def decode_nbest(
         raise ValueError("batch_size must be >= 1")
     cfg = cfg or DecodeConfig()
     _check_vocab(model, lm)
-    kern = _AsrKernel(model)
-    lmk = _LmKernel(lm) if lm is not None and cfg.lm_weight > 0.0 else None
+    m64 = _float64(model, _ENCODER)
+    lm64 = _float64(lm) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]
     results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
-        lanes = [_Lane(_f64(model.encode(a)), kern, lmk, cfg) for a in arrs[i : i + batch_size]]
-        results.extend(ranked[:n] for ranked in _search(lanes, kern, lmk, cfg))
+        lanes = [_Lane(_encode64(model, a), m64, lm64, cfg) for a in arrs[i : i + batch_size]]
+        results.extend(ranked[:n] for ranked in _search(lanes, m64, lm64, cfg))
     return results
 
 
@@ -416,8 +329,9 @@ def decode_batch(
     feats, model, lm=None, cfg: DecodeConfig | None = None, batch_size: int = 1
 ) -> list[Hypothesis]:
     """Best hypothesis of each utterance. Up to `batch_size` utterances
-    share each search step, and since every kernel is row-stable, tokens
-    and scores are bit-identical to decoding each utterance alone."""
+    share each search step; a row's math never depends on the other rows
+    of a call (see `tt.matmul`), so tokens and scores are bit-identical to
+    decoding each utterance alone."""
     return [ranked[0] for ranked in decode_nbest(feats, model, lm, cfg, 1, batch_size)]
 
 
@@ -430,37 +344,20 @@ def rescore(feat, model, tokens, lm=None):
     """Teacher-forced component scores of one finished token sequence.
 
     Returns (att, ctc, lm) log-probabilities of `tokens` (output ids, no
-    sos/eos) computed by direct replay, independent of any search state.
+    sos/eos), replayed step by step through the calls the search makes,
+    independent of any search state.
     """
-    kern = _AsrKernel(model)
-    h64 = _f64(model.encode(_frames(feat)))
-    T = h64.shape[0]
-    vh = _rows_linear(h64, kern.enc_w, kern.enc_b)
-    ctc_logp = _rows_log_softmax(_rows_linear(h64, kern.ctc_w, kern.ctc_b))
-
-    seq = list(tokens) + [SOS_EOS_ID]
-    a = np.full((1, T), 1.0 / T)
-    states = kern.zero_dec_state(1)
-    att = 0.0
-    prev = SOS_EOS_ID
-    for t in seq:
-        a, r = kern.attend(a, states[-1][0], h64, vh)
-        logp, states = kern.decode_rows(r, states, np.array([prev], dtype=np.int64))
-        att += float(logp[0, t])
+    m64 = _float64(model, _ENCODER)
+    lane = _Lane(_encode64(model, _frames(feat)), m64, None, DecodeConfig())
+    a, state, att, prev = lane.a, lane.dec, 0.0, SOS_EOS_ID
+    for t in list(tokens) + [SOS_EOS_ID]:
+        a, r = m64.attend(a, m64.decoder_query(state), lane.h, lane.vh)
+        logp, state = m64.decode_step(r, state, np.array([prev], dtype=np.int64))
+        att += float(logp.data[0, t])
         prev = t
 
-    state = ctc_prefix_initial(ctc_logp, BLANK_ID)
+    ctc = lane.active[0].ctc_state
     for t in tokens:
-        _, state = ctc_prefix_score(state, int(t), ctc_logp, BLANK_ID)
-    ctc = state.final_log_prob()
-
-    lm_score = 0.0
-    if lm is not None:
-        lmk = _LmKernel(lm)
-        st = lmk.zero_state(1)
-        prev = SOS_EOS_ID
-        for t in seq:
-            logp, st = lmk.step(st, np.array([prev], dtype=np.int64))
-            lm_score += float(logp[0, t])
-            prev = t
-    return att, ctc, lm_score
+        _, ctc = ctc_prefix_score(ctc, int(t), lane.ctc_logp, BLANK_ID)
+    lm_score = sequence_log_prob(_float64(lm), tokens) if lm is not None else 0.0
+    return att, ctc.final_log_prob(), lm_score

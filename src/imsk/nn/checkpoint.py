@@ -11,6 +11,7 @@ Layout (little-endian throughout):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -55,18 +56,29 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.read(4))[0]
 
+    def text(self) -> str:
+        try:
+            return self.read(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"invalid UTF-8 in checkpoint: {self.path}") from e
+
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     r = _Reader(Path(path).read_bytes(), path)
     if r.read(4) != MAGIC:
         raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
-    config = json.loads(r.read(r.u32()).decode("utf-8"))
+    try:
+        config = json.loads(r.text())
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"malformed config in checkpoint: {path}") from e
+    if not isinstance(config, dict):
+        raise CheckpointError(f"checkpoint config is not a JSON object: {path}")
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.read(r.u32()).decode("utf-8")
+        name = r.text()
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.read(4 * ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(r.read(4 * count), dtype="<f4").reshape(shape)
         params[name] = data.astype(np.float32)
     if r.pos != len(r.buf):

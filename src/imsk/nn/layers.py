@@ -18,7 +18,6 @@ from .tensor import (
     maxpool2d_ceil,
     mul,
     relu,
-    reshape,
     sigmoid,
     sqrt_clamped,
     stack,
@@ -146,7 +145,7 @@ class Lstm(Module):
         # project all inputs at once; recur only through the hidden term
         wx = take(self.cell.w, (slice(0, n_in), slice(None)))
         wh = take(self.cell.w, (slice(n_in, n_in + H), slice(None)))
-        xw = reshape(matmul(reshape(x, (B * T, n_in)), wx), (B, T, 4 * H))
+        xw = matmul(x, wx)
         full = bool(np.all(lengths == T))
         h, c = self.cell.zero_state(B, dtype)
         outs = []

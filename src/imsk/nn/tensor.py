@@ -220,18 +220,37 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    """Row-stable product: each item along the leading axis is multiplied
+    on its own.
+
+    `a` is (N, I), taken row by row, or (N, M, I), taken item by item; `b`
+    is a shared (I, O), or (N, I, O) or (1, I, O) with one matrix per item
+    or one shared by all. np.matmul computes every leading-axis slice of
+    stacked operands with its own BLAS call, so an item's bits depend only
+    on that item and on the core matrix shapes, never on how many items
+    share the call; a single 2-D product would not give that, since BLAS
+    may sum an M=1 product differently from an M>1 one. This is what keeps
+    batched decoding bit-identical to sequential decoding.
+    """
+    A, B = a.data, b.data
+    shared = B.ndim == 2 or B.shape[0] == 1
+    if A.ndim not in (2, 3) or B.ndim not in (2, 3) or (B.ndim == 3 and A.ndim == 2):
+        raise ValueError(f"matmul expects (N, I) or (N, M, I) @ (I, O) or (N|1, I, O): {A.shape} @ {B.shape}")
+    if A.shape[-1] != B.shape[-2] or not (shared or B.shape[0] == A.shape[0]):
+        raise ValueError(f"matmul shape mismatch: {A.shape} @ {B.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(np.matmul(g, np.swapaxes(B, -1, -2)))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            if shared:
+                gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.matmul(np.swapaxes(A, 1, 2), g)
+            b._accumulate(gb.reshape(B.shape))
 
-    return Tensor._result(a.data @ b.data, (a, b), backward)
+    out = np.matmul(A[:, None, :], B)[:, 0] if A.ndim == 2 else np.matmul(A, B)
+    return Tensor._result(out, (a, b), backward)
 
 
 # -- activations --------------------------------------------------------------
@@ -367,10 +386,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
     def backward(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
@@ -486,9 +503,10 @@ def conv1d_single_channel(x: Tensor, w: Tensor) -> Tensor:
     B, T = x.data.shape
     K, C = w.data.shape
     p = K // 2
-    xp = np.pad(x.data, ((0, 0), (p, p)))
+    xp = np.zeros((B, T + 2 * p), dtype=x.data.dtype)  # np.pad costs more than the product
+    xp[:, p : p + T] = x.data
     cols = np.lib.stride_tricks.sliding_window_view(xp, K, axis=1)  # (B, T, K)
-    out = cols.reshape(B * T, K) @ w.data
+    out = np.matmul(cols, w.data)  # row-stable, as in matmul
 
     def backward(g):
         gflat = g.reshape(B * T, C)
@@ -501,7 +519,7 @@ def conv1d_single_channel(x: Tensor, w: Tensor) -> Tensor:
                 gxp[:, k : k + T] += gcols[:, :, k]
             x._accumulate(gxp[:, p : p + T])
 
-    return Tensor._result(out.reshape(B, T, C), (x, w), backward)
+    return Tensor._result(out, (x, w), backward)
 
 
 def windowed_sum(x: Tensor, radius: int) -> Tensor:

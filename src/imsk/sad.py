@@ -58,7 +58,7 @@ class SadModel(Module):
         c = self.cfg.context
         idx = np.clip(np.arange(T)[:, None] + np.arange(-c, c + 1)[None, :], 0, T - 1)
         x = tt.Tensor(np.asarray(f, dtype=self.dtype))
-        return tt.reshape(tt.take(x, idx), (T, (2 * c + 1) * self.cfg.input_dim))
+        return tt.reshape(tt.take(x, idx), (1, T, (2 * c + 1) * self.cfg.input_dim))
 
     def log_posteriors(self, f) -> tt.Tensor:
         f = np.asarray(getattr(f, "frames", f))
@@ -67,10 +67,14 @@ class SadModel(Module):
                 f"feature dim {f.shape[1] if f.ndim == 2 else f.shape} "
                 f"does not match input_dim {self.cfg.input_dim}"
             )
+        # the frames form one (1, T, D) item: one product per layer, not
+        # one per frame (frames need no row stability)
+        T = f.shape[0]
         h = self._splice(f)
         for lin in self.layers:
             h = tt.relu(lin(h))
-        return tt.log_softmax(self.out(self.pool(h)))
+        h = tt.reshape(self.pool(tt.reshape(h, (T, -1))), (1, T, -1))
+        return tt.log_softmax(tt.reshape(self.out(h), (T, 3)))
 
 
 def sad_posteriors(f, model: SadModel) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Shared synthetic fixtures for segmentation and recognition tests."""
+"""Shared synthetic fixtures for segmentation and recognition tests, and
+random corruptions of files for parser tests."""
 
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from imsk.audio import Waveform, extract_mfcc
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
@@ -185,3 +187,13 @@ def write_tone_corpus(dirpath, n_utts, rng, min_words=2, max_words=4):
         "".join(f"{u}\t{p}\t{t}\n" for u, p, t in rows), encoding="utf-8"
     )
     return manifest, rows
+
+
+def corrupt(data, blob: bytes) -> bytes:
+    """A random strict prefix of `blob`, or `blob` with one byte changed;
+    `data` is a Hypothesis `st.data()` object."""
+    if data.draw(st.booleans()):
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    flip = data.draw(st.integers(1, 255))
+    return blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1 :]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from imsk.asr import (
     AsrModel,
@@ -82,7 +83,69 @@ class TestEncoder:
         assert np.all(np.isfinite(h.data)) and np.all(np.isfinite(logp.data))
 
 
+def attend_reference(m, a_prev, q, h):
+    """One location-aware attention step for (R, T) weights, (R, U) queries
+    and (R or 1, T, D) encodings, as plain loops over rows, frames and taps."""
+    p = {name: t.data for name, t in m.named_params()}
+    K, C = p["att_conv"].shape
+    R, T = a_prev.shape
+    a, ctx = np.zeros((R, T)), np.zeros((R, h.shape[2]))
+    for i in range(R):
+        hi = h[i % h.shape[0]]
+        wq = q[i] @ p["att_dec.w"] + p["att_dec.b"]
+        e = np.zeros(T)
+        for t in range(T):
+            f = np.zeros(C)
+            for k in range(K):
+                if 0 <= t + k - K // 2 < T:
+                    f += a_prev[i, t + k - K // 2] * p["att_conv"][k]
+            key = hi[t] @ p["att_enc.w"] + p["att_enc.b"]
+            loc = f @ p["att_loc.w"] + p["att_loc.b"]
+            e[t] = np.tanh(key + loc + wq) @ p["att_vec"]
+        w = np.exp(e - e.max())
+        a[i] = w / w.sum()
+        for t in range(T):
+            ctx[i] += a[i, t] * hi[t]
+    return a, ctx
+
+
 class TestAttention:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(1, 40),
+        R=st.integers(1, 4),
+        conv_filters=st.sampled_from([1, 3, 5, 11, 41]),
+        conv_channels=st.integers(1, 3),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(T=2, R=3, conv_filters=11, conv_channels=2, shared=True, seed=0)
+    @example(T=7, R=2, conv_filters=1, conv_channels=1, shared=False, seed=1)
+    @example(T=1, R=1, conv_filters=41, conv_channels=3, shared=True, seed=2)
+    def test_matches_loop_reference(self, T, R, conv_filters, conv_channels, shared, seed):
+        att = AttentionConfig(attn_dim=5, conv_channels=conv_channels, conv_filters=conv_filters)
+        m = AsrModel(VOCAB, TINY_ENC, att, TINY_DEC, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        for _, p in m.named_params():  # biases too, which start at zero
+            p.data = rng.normal(0, 0.5, p.data.shape)
+        h = rng.normal(0, 1, (1 if shared else R, T, 2 * TINY_ENC.blstm_units))
+        a_prev = rng.dirichlet(np.ones(T), size=R)
+        q = rng.normal(0, 1, (R, TINY_DEC.units))
+        a, r = m.attend(tt.Tensor(a_prev), tt.Tensor(q), tt.Tensor(h))
+        for got, ref in zip((a.data, r.data), attend_reference(m, a_prev, q, h)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_shared_encodings_equal_per_row_copies(self):
+        m = tiny_model()
+        h = RNG.normal(0, 1, (1, 9, 8))
+        a0 = tt.Tensor(RNG.dirichlet(np.ones(9), size=5))
+        q = tt.Tensor(RNG.normal(0, 1, (5, TINY_DEC.units)))
+        shared = m.attend(a0, q, tt.Tensor(h))
+        copies = m.attend(a0, q, tt.Tensor(np.repeat(h, 5, axis=0)))
+        for s, c in zip(shared, copies):
+            assert np.array_equal(s.data, c.data)
+
     def test_single_frame_gives_unit_weight(self):
         m = tiny_model()
         h = tt.Tensor(RNG.normal(0, 1, (1, 1, 8)))
@@ -115,6 +178,9 @@ class TestAttention:
         h = tt.Tensor(RNG.normal(0, 1, (1, 4, 8)))
         with pytest.raises(ValueError):
             m.attend(tt.Tensor(np.ones((1, 3)) / 3), tt.Tensor(np.zeros((1, 6))), h)
+        with pytest.raises(ValueError):
+            rows = tt.Tensor(np.ones((3, 4)) / 4)
+            m.attend(rows, tt.Tensor(np.zeros((3, 6))), tt.Tensor(RNG.normal(0, 1, (2, 4, 8))))
 
     def test_gradients_through_attend(self):
         m = tiny_model()

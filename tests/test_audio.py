@@ -5,7 +5,9 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import corrupt
 from imsk import audio
 from imsk.audio import (
     CmvnStats,
@@ -247,6 +249,54 @@ class TestDumps:
         assert back.dim == 3 and back.frame_count == 123
         assert np.array_equal(back.mean, s.mean)
         assert np.array_equal(back.variance, s.variance)
+
+    def test_feature_dump_invalid_utf8_id(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        audio.write_feature_dump(path, [("utt-é", np.zeros((2, 3), dtype=np.float32))])
+        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xff\xff"))
+        with pytest.raises(DumpError, match="UTF-8"):
+            audio.read_feature_dump(path)
+
+    @pytest.mark.parametrize(
+        "mean, variance, count",
+        [
+            ([0.0, 1.0], [1.0, -0.5], 10),
+            ([0.0, 1.0], [1.0, 2.0], 0),
+            ([np.nan, 1.0], [1.0, 2.0], 10),
+            ([0.0, 1.0], [np.inf, 2.0], 10),
+            ([0.0, -np.inf], [1.0, 2.0], 10),
+            ([0.0, 1.0], [1.0, np.nan], 10),
+        ],
+    )
+    def test_cmvn_invalid_statistics(self, tmp_path, mean, variance, count):
+        path = tmp_path / "cmvn.bin"
+        body = np.array(mean + variance, dtype="<f8").tobytes()
+        path.write_bytes(audio.CMVN_MAGIC + struct.pack("<IQ", 2, count) + body)
+        with pytest.raises(DumpError):
+            audio.load_cmvn(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cmvn_corruptions_raise_only_dump_error(self, tmp_path, data):
+        path = tmp_path / "cmvn.bin"
+        audio.save_cmvn(path, CmvnStats(3, np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 4.0]), 123))
+        path.write_bytes(corrupt(data, path.read_bytes()))
+        try:
+            audio.load_cmvn(path)
+        except DumpError:
+            pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_feature_dump_corruptions_raise_only_dump_error(self, tmp_path, data):
+        path = tmp_path / "feats.bin"
+        items = [("utt-é", np.ones((2, 3), dtype=np.float32)), ("b", np.zeros((1, 3), dtype=np.float32))]
+        audio.write_feature_dump(path, items)
+        path.write_bytes(corrupt(data, path.read_bytes()))
+        try:
+            audio.read_feature_dump(path)
+        except DumpError:
+            pass
 
     def test_cmvn_bad_magic(self, tmp_path):
         path = tmp_path / "cmvn.bin"

@@ -8,10 +8,6 @@ from imsk.asr import AsrModel, AttentionConfig, DecoderConfig, EncoderConfig
 from imsk.beam import (
     DecodeConfig,
     Hypothesis,
-    _AsrKernel,
-    _f64,
-    _rows_linear,
-    _rows_log_softmax,
     decode,
     decode_batch,
     decode_nbest,
@@ -236,29 +232,37 @@ def tied_model():
     return m
 
 
+def float64_copy(m):
+    m64 = AsrModel(m.vocab_size, m.enc_cfg, m.att_cfg, m.dec_cfg, dtype=np.float64)
+    m64.load_state_dict(m.state_dict())
+    return m64
+
+
 def brute_force_search(m, f, cfg):
     """LM-free search that scores every extension of every live hypothesis
     and sorts all of them by (-score, tokens). Returns the finished
     (score, tokens) pairs best first, and whether a tie fell across the
     beam boundary."""
-    kern = _AsrKernel(m)
-    h = _f64(m.encode(f))
-    T = h.shape[0]
-    vh = _rows_linear(h, kern.enc_w, kern.enc_b)
-    ctc_logp = _rows_log_softmax(_rows_linear(h, kern.ctc_w, kern.ctc_b))
+    m64 = float64_copy(m)
+    h = tt.Tensor(m.encode(f).data[None].astype(np.float64))
+    T = h.shape[1]
+    vh = m64.precompute_attention(h)
+    ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
     lam, cap = cfg.ctc_weight, int(T * cfg.max_ratio)
 
     def total(p_ctc, att):
         return (lam * p_ctc if lam > 0.0 else 0.0) + (1.0 - lam) * att + 0.0
 
     start = ctc_prefix_initial(ctc_logp, BLANK_ID)
-    live = [((SOS_EOS_ID,), 0.0, 0.0, start, np.full((1, T), 1.0 / T), kern.zero_dec_state(1))]
+    a0 = tt.Tensor(np.full((1, T), 1.0 / T))
+    live = [((SOS_EOS_ID,), 0.0, 0.0, start, a0, m64.initial_decoder_state(1))]
     finished, tie_at_cut = [], False
     while live:
         cands = []
         for tokens, _, att, ctc, a, state in live:
-            a2, r = kern.attend(a, state[-1][0], h, vh)
-            logp, state2 = kern.decode_rows(r, state, np.array([tokens[-1]]))
+            a2, r = m64.attend(a, m64.decoder_query(state), h, vh)
+            logp, state2 = m64.decode_step(r, state, np.array([tokens[-1]]))
+            logp = logp.data
             att_eos = att + logp[0, SOS_EOS_ID]
             cands.append((total(ctc.final_log_prob(), att_eos), tokens, att_eos, None, None, None))
             if len(tokens) - 1 < cap:
@@ -315,60 +319,84 @@ class TestTieBreak:
         assert self._check(m, cfg, feats(4, seed=3, lo=5, hi=9))
 
 
-class TestKernels:
-    """The search kernels against the float64 model, and row stability."""
+def random_rows(rng, R):
+    """A random subset of range(R), in random order."""
+    return rng.permutation(R)[: rng.integers(1, R + 1)]
 
-    @staticmethod
-    def _inputs(rng, R, T, kern):
-        h = rng.normal(0, 1, (T, kern.enc_w.shape[0]))
-        a_prev = rng.dirichlet(np.ones(T), size=R)
-        q = rng.normal(0, 1, (R, kern.units))
-        return a_prev, q, h, _rows_linear(h, kern.enc_w, kern.enc_b)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        T=st.integers(1, 40),
-        R=st.integers(1, 5),
-        conv_filters=st.sampled_from([1, 3, 5, 11]),
-        conv_channels=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-    )
-    @example(T=2, R=3, conv_filters=11, conv_channels=2, seed=0)
-    @example(T=7, R=2, conv_filters=1, conv_channels=1, seed=1)
-    def test_attend_matches_float64_model(self, T, R, conv_filters, conv_channels, seed):
-        m = tiny_model(seed, AttentionConfig(5, conv_channels, conv_filters))
-        m64 = AsrModel(m.vocab_size, m.enc_cfg, m.att_cfg, m.dec_cfg, dtype=np.float64)
-        m64.load_state_dict(m.state_dict())
-        kern = _AsrKernel(m)
-        a_prev, q, h, vh = self._inputs(np.random.default_rng(seed), R, T, kern)
-        a, r = kern.attend(a_prev, q, h, vh)
-        h_rows = tt.Tensor(np.broadcast_to(h, (R,) + h.shape).copy())
-        a_ref, r_ref = m64.attend(tt.Tensor(a_prev), tt.Tensor(q), h_rows)
-        for got, ref in ((a, a_ref.data), (r, r_ref.data)):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @settings(max_examples=25, deadline=None)
-    @given(R=st.integers(1, 12), T=st.integers(1, 60), seed=st.integers(0, 2**16), data=st.data())
-    def test_attend_rows_do_not_depend_on_other_rows(self, R, T, seed, data):
-        kern = _AsrKernel(tiny_model(seed, AttentionConfig(attn_dim=64)))
-        a_prev, q, h, vh = self._inputs(np.random.default_rng(seed), R, T, kern)
-        rows = data.draw(st.permutations(range(R)))[: data.draw(st.integers(1, R))]
-        full = kern.attend(a_prev, q, h, vh)
-        part = kern.attend(a_prev[rows], q[rows], h, vh)
-        for f, p in zip(full, part):
-            assert np.array_equal(f[rows], p)
+class TestRowStability:
+    """A row's search-step results are bit-equal whatever other rows share
+    the call: what keeps batched decoding equal to sequential decoding."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         R=st.integers(1, 12),
-        n_in=st.integers(1, 600),
-        n_out=st.integers(1, 1100),
+        T=st.integers(1, 60),
+        conv_filters=st.sampled_from([1, 11, 31, 201]),
+        conv_channels=st.sampled_from([1, 4, 10]),
         seed=st.integers(0, 2**16),
-        data=st.data(),
     )
-    def test_rows_linear_rows_do_not_depend_on_other_rows(self, R, n_in, n_out, seed, data):
+    @example(R=9, T=57, conv_filters=201, conv_channels=10, seed=0)
+    def test_attend(self, R, T, conv_filters, conv_channels, seed):
+        att = AttentionConfig(attn_dim=64, conv_channels=conv_channels, conv_filters=conv_filters)
+        m64 = float64_copy(tiny_model(seed, att))
         rng = np.random.default_rng(seed)
-        x, w, b = rng.normal(size=(R, n_in)), rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)
-        rows = data.draw(st.permutations(range(R)))[: data.draw(st.integers(1, R))]
-        assert np.array_equal(_rows_linear(x, w, b)[rows], _rows_linear(x[rows], w, b))
+        h = tt.Tensor(rng.normal(0, 1, (1, T, 2 * m64.enc_cfg.blstm_units)))
+        vh = m64.precompute_attention(h)
+        a_prev = rng.dirichlet(np.ones(T), size=R)
+        q = rng.normal(0, 1, (R, m64.dec_cfg.units))
+        rows = random_rows(rng, R)
+        full = m64.attend(tt.Tensor(a_prev), tt.Tensor(q), h, vh)
+        part = m64.attend(tt.Tensor(a_prev[rows]), tt.Tensor(q[rows]), h, vh)
+        for f, p in zip(full, part):
+            assert np.array_equal(f.data[rows], p.data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        R=st.integers(1, 12),
+        vocab=st.integers(3, 600),
+        units=st.integers(1, 300),
+        layers=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decode_step(self, R, vocab, units, layers, seed):
+        enc = EncoderConfig(input_dim=8, vgg_channels=(2, 3), blstm_layers=1, blstm_units=4)
+        dec = DecoderConfig(layers=layers, units=units, embed_dim=16)
+        rng = np.random.default_rng(seed)
+        m = AsrModel(vocab, enc, AttentionConfig(), dec, rng, dtype=np.float64)
+        r = rng.normal(0, 1, (R, 8))
+        state = [tuple(rng.normal(0, 1, (R, units)) for _ in "hc") for _ in range(layers)]
+        y = rng.integers(0, vocab, R)
+        rows = random_rows(rng, R)
+        full = m.decode_step(tt.Tensor(r), [tuple(map(tt.Tensor, s)) for s in state], y)
+        part = m.decode_step(
+            tt.Tensor(r[rows]), [tuple(tt.Tensor(x[rows]) for x in s) for s in state], y[rows]
+        )
+        assert_rows_equal(full, part, rows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        R=st.integers(1, 12),
+        vocab=st.integers(2, 600),
+        units=st.integers(1, 300),
+        layers=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lm_step(self, R, vocab, units, layers, seed):
+        rng = np.random.default_rng(seed)
+        lm = LstmLm(vocab, layers, units, rng, dtype=np.float64)
+        state = [tuple(rng.normal(0, 1, (R, units)) for _ in "hc") for _ in range(layers)]
+        y = rng.integers(0, vocab, R)
+        rows = random_rows(rng, R)
+        full = lm.lm_step([tuple(map(tt.Tensor, s)) for s in state], y)
+        part = lm.lm_step([tuple(tt.Tensor(x[rows]) for x in s) for s in state], y[rows])
+        assert_rows_equal(full, part, rows)
+
+
+def assert_rows_equal(full, part, rows):
+    """(log-probs, [(h, c), ...]) of a row subset equal the full call's rows."""
+    (logp, state), (logp_part, state_part) = full, part
+    assert np.array_equal(logp.data[rows], logp_part.data)
+    for layer, layer_part in zip(state, state_part):
+        for x, x_part in zip(layer, layer_part):
+            assert np.array_equal(x.data[rows], x_part.data)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import corrupt
+from imsk.asr import load_asr
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from imsk.nn.optim import (
@@ -172,6 +175,53 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _saved(path, config=None):
+        config = {"kind": "asr", "vocab_size": 5} if config is None else config
+        save_checkpoint(path, config, {"enc.wé": np.ones((2, 3), dtype=np.float32)})
+        return path.read_bytes()
+
+    def test_rejects_invalid_utf8_in_config(self, tmp_path):
+        path = tmp_path / "model.nnk"
+        blob = bytearray(self._saved(path))
+        blob[10] = 0xFF  # inside the config JSON
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_rejects_malformed_config(self, tmp_path):
+        path = tmp_path / "model.nnk"
+        blob = self._saved(path)
+        path.write_bytes(blob.replace(b'"kind"', b'"kind', 1))
+        with pytest.raises(CheckpointError, match="malformed config"):
+            load_checkpoint(path)
+
+    def test_rejects_invalid_utf8_in_parameter_name(self, tmp_path):
+        path = tmp_path / "model.nnk"
+        blob = self._saved(path)
+        path.write_bytes(blob.replace("é".encode(), b"\xff\xff"))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_rejects_config_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "model.nnk"
+        self._saved(path, config=[1])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            load_asr(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corruptions_raise_only_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "model.nnk"
+        blob = self._saved(path, {"kind": "lm", "vocab_hash": "ab", "units": [64, 2]})
+        path.write_bytes(corrupt(data, blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_gradcheck_catches_corrupted_backward():

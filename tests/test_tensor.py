@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
@@ -37,9 +38,47 @@ def test_matmul_grads():
     check(lambda: tt.sum_(tt.mul(tt.matmul(a, w), tt.matmul(a, w))), [a, w])
 
 
+@pytest.mark.parametrize("w_shape", [(4, 2), (3, 4, 2), (1, 4, 2)])
+def test_stacked_matmul_grads(w_shape):
+    a = t64((3, 5, 4))
+    w = t64(w_shape)
+    check(lambda: tt.sum_(tt.mul(tt.matmul(a, w), tt.matmul(a, w))), [a, w])
+
+
 def test_matmul_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        tt.matmul(t64((3, 4)), t64((3, 4)))
+    bad = [
+        ((3, 4), (3, 4)),
+        ((3, 4), (1, 4, 2)),
+        ((2, 3, 4), (3, 4, 2)),
+        ((2, 3, 4), (2, 5, 2)),
+        ((4,), (4, 2)),
+        ((3, 4), (4,)),
+        ((1, 2, 3, 4), (4, 2)),
+    ]
+    for a_shape, b_shape in bad:
+        with pytest.raises(ValueError):
+            tt.matmul(t64(a_shape), t64(b_shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    m=st.integers(0, 6),
+    i=st.integers(1, 300),
+    o=st.integers(1, 600),
+    per_item=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_matmul_items_do_not_depend_on_other_items(n, m, i, o, per_item, seed, data):
+    # m = 0 draws 2-D (N, I) rows, otherwise (N, M, I) items
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, m, i) if m else (n, i))
+    b = rng.normal(size=(n, i, o) if m and per_item else (i, o))
+    items = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    full = tt.matmul(tt.Tensor(a), tt.Tensor(b)).data
+    part = tt.matmul(tt.Tensor(a[items]), tt.Tensor(b[items] if b.ndim == 3 else b)).data
+    assert np.array_equal(full[items], part)
 
 
 @pytest.mark.parametrize("op", [tt.tanh, tt.sigmoid, tt.exp])
@@ -139,6 +178,23 @@ def test_conv1d_grads():
     x = t64((2, 7))
     w = t64((5, 3), scale=0.5)
     check(lambda: tt.sum_(tt.mul(tt.conv1d_single_channel(x, w), tt.conv1d_single_channel(x, w))), [x, w])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    T=st.integers(1, 80),
+    K=st.sampled_from([1, 11, 31, 201]),
+    C=st.sampled_from([1, 4, 10]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_conv1d_rows_do_not_depend_on_other_rows(n, T, K, C, seed, data):
+    rng = np.random.default_rng(seed)
+    x, w = tt.Tensor(rng.dirichlet(np.ones(T), size=n)), tt.Tensor(rng.normal(size=(K, C)))
+    rows = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    full = tt.conv1d_single_channel(x, w).data
+    assert np.array_equal(full[rows], tt.conv1d_single_channel(tt.take(x, rows), w).data)
 
 
 def test_windowed_sum_values_and_grads():
