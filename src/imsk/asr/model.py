@@ -59,6 +59,8 @@ class AttentionConfig:
     def __post_init__(self):
         if min(self.attn_dim, self.conv_channels, self.conv_filters) < 1:
             raise ValueError("attention dimensions must be positive")
+        if self.conv_filters % 2 == 0:
+            raise ValueError(f"conv_filters must be odd, got {self.conv_filters}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,8 @@ class AsrModel(Module):
                 raise ValueError(f"feature dim {f.shape[1]} does not match input_dim {d}")
         lengths = np.array([f.shape[0] for f in feats])
         t_max = int(lengths.max())
-        x = np.zeros((len(feats), t_max, d, 1), dtype=self.dtype)
+        # in the encoder's own dtype, which a decoding copy may not share
+        x = np.zeros((len(feats), t_max, d, 1), dtype=self.block1.w1.dtype)
         for b, f in enumerate(feats):
             x[b, : f.shape[0], :, 0] = f
         y, le = self.block1(tt.Tensor(x), lengths)

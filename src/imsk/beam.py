@@ -20,23 +20,27 @@ enter it. Every score is the same floating-point expression, in the same
 order, as a loop over single candidates would compute.
 
 The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
-`LstmLm.lm_step`), run on float64 copies of their weights that build no
-autograd graph; the float32 encoder runs as trained. Each utterance (a
-lane) owns its encoder frames and the attention weights, decoder states
-and LM states of its live hypotheses, and gathers them by parent row
-when the beam moves on. Attention runs once per lane over the lane's own
-frames; the decoder and LM steps stack the rows of all lanes.
+`LstmLm.lm_step`), run on constant copies of the model and LM made once
+per call by `nn.layers.frozen`, so decoding builds no autograd graph.
+The copies compute in float64, except the encoder, which keeps the
+model's float32 arrays. Each utterance (a lane) is encoded on its own
+and owns its float64 encoder frames and the attention weights, decoder
+states and LM states of its live hypotheses, and gathers them by parent
+row when the beam moves on. Attention runs once per lane over the lane's
+own frames; the decoder and LM steps stack the rows of all lanes.
 
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
 never on how many other rows share a call: every product goes through
 `tt.matmul`, which multiplies each row, or each lane's item, on its own,
-and every other operation is elementwise or reduces within a row.
+and every other operation is elementwise or reduces within a row. The
+encoder is not batched for the same reason: its convolutions are one
+product over all frames of a padded batch, and BLAS may round a row
+differently when the padded length changes.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ from .ctc import (
 )
 from .lm import sequence_log_prob
 from .nn import tensor as tt
+from .nn.layers import frozen
 from .tokenizer import BLANK_ID, SOS_EOS_ID
 
 
@@ -88,37 +93,18 @@ class Hypothesis:
         return self.tokens[1:]
 
 
-# the float32 encoder runs as trained; only the parts after it are cast
+# attributes of the encoder, which decodes in float32 on the model's arrays
 _ENCODER = ("block1", "block2", "blstms")
-
-
-def _float64(module, share=()):
-    """A copy of `module` that computes in float64: its parameters become
-    float64 constants, so its calls build no autograd graph. The
-    attributes named in `share` are not copied; the copy uses the
-    module's own."""
-    memo = {id(getattr(module, name)): getattr(module, name) for name in share}
-    for path, p in module.named_params():
-        if path.split(".")[0] not in share:
-            memo[id(p)] = tt.Tensor(p.data.astype(np.float64))
-    twin = copy.deepcopy(module, memo)
-    twin.dtype = np.float64
-    return twin
-
-
-def _encode64(model, feat: np.ndarray) -> tt.Tensor:
-    """(1, T, D) float64 copy of one utterance's encodings."""
-    h, _ = model.encode_batch([feat])
-    return tt.Tensor(h.data.astype(np.float64))
 
 
 class _Lane:
     """Per-utterance search context: encodings, caps, live and done sets,
     and the (rows, .) attention, decoder and LM states of the live rows."""
 
-    def __init__(self, h: tt.Tensor, m64, lm64, cfg: DecodeConfig):
+    def __init__(self, feat: np.ndarray, m64, lm64, cfg: DecodeConfig):
+        h, _ = m64.encode_batch([feat])
+        h = self.h = tt.Tensor(h.data.astype(np.float64))
         self.T = h.shape[1]
-        self.h = h
         self.vh = m64.precompute_attention(h)
         self.ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
         self.cap = int(self.T * cfg.max_ratio)
@@ -306,8 +292,11 @@ def decode_nbest(
     """Top-n finished hypotheses of each utterance, best first.
 
     Ranking follows the (score, token sequence) order the search itself
-    uses. Up to `batch_size` utterances share each search; every list is
-    identical to the one decoding its utterance alone gives.
+    uses. Up to `batch_size` utterances share each search step, but each
+    is encoded alone; every list is identical to the one decoding its
+    utterance alone gives. The model and LM are used through constant
+    copies (`nn.layers.frozen`), so no autograd graph is built and their
+    parameters and gradients are left as they are.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -315,12 +304,12 @@ def decode_nbest(
         raise ValueError("batch_size must be >= 1")
     cfg = cfg or DecodeConfig()
     _check_vocab(model, lm)
-    m64 = _float64(model, _ENCODER)
-    lm64 = _float64(lm) if lm is not None and cfg.lm_weight > 0.0 else None
+    m64 = frozen(model, np.float64, keep=_ENCODER)
+    lm64 = frozen(lm, np.float64) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]
     results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
-        lanes = [_Lane(_encode64(model, a), m64, lm64, cfg) for a in arrs[i : i + batch_size]]
+        lanes = [_Lane(a, m64, lm64, cfg) for a in arrs[i : i + batch_size]]
         results.extend(ranked[:n] for ranked in _search(lanes, m64, lm64, cfg))
     return results
 
@@ -347,8 +336,8 @@ def rescore(feat, model, tokens, lm=None):
     sos/eos), replayed step by step through the calls the search makes,
     independent of any search state.
     """
-    m64 = _float64(model, _ENCODER)
-    lane = _Lane(_encode64(model, _frames(feat)), m64, None, DecodeConfig())
+    m64 = frozen(model, np.float64, keep=_ENCODER)
+    lane = _Lane(_frames(feat), m64, None, DecodeConfig())
     a, state, att, prev = lane.a, lane.dec, 0.0, SOS_EOS_ID
     for t in list(tokens) + [SOS_EOS_ID]:
         a, r = m64.attend(a, m64.decoder_query(state), lane.h, lane.vh)
@@ -359,5 +348,5 @@ def rescore(feat, model, tokens, lm=None):
     ctc = lane.active[0].ctc_state
     for t in tokens:
         _, ctc = ctc_prefix_score(ctc, int(t), lane.ctc_logp, BLANK_ID)
-    lm_score = sequence_log_prob(_float64(lm), tokens) if lm is not None else 0.0
+    lm_score = sequence_log_prob(frozen(lm, np.float64), tokens) if lm is not None else 0.0
     return att, ctc.final_log_prob(), lm_score

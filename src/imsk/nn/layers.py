@@ -7,6 +7,8 @@ generator passed in, so a fixed seed reproduces a model bit for bit.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .tensor import (
@@ -77,6 +79,20 @@ class Module:
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
+
+
+def frozen(module: Module, dtype, keep=()) -> Module:
+    """A deep copy of `module` for inference: every parameter becomes a
+    constant `Tensor` cast to `dtype`, so calls on the copy build no
+    autograd graph. Parameters under the attributes named in `keep` keep
+    their own dtype and share the module's arrays."""
+    memo = {}
+    for path, p in module.named_params():
+        kept = path.split(".")[0] in keep
+        memo[id(p)] = Tensor(p.data if kept else p.data.astype(dtype))
+    twin = copy.deepcopy(module, memo)
+    twin.dtype = dtype
+    return twin
 
 
 class Linear(Module):

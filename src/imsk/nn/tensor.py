@@ -125,13 +125,6 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x) if dtype is None else np.asarray(x, dtype=dtype)
-    return Tensor(arr)
-
-
 def _toposort(root: Tensor) -> list[Tensor]:
     # iterative DFS: graph depth grows with sequence length, so no recursion
     order: list[Tensor] = []
@@ -418,21 +411,6 @@ def take(a: Tensor, idx) -> Tensor:
     return Tensor._result(a.data[idx], (a,), backward)
 
 
-def pad_time(a: Tensor, before: int, after: int, axis: int = 0, value: float = 0.0) -> Tensor:
-    """Constant-pad a single axis."""
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (before, after)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(before, before + a.data.shape[axis])
-    sl = tuple(sl)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g[sl])
-
-    return Tensor._result(np.pad(a.data, widths, constant_values=value), (a,), backward)
-
-
 # -- convolution and pooling --------------------------------------------------
 
 
@@ -557,7 +535,6 @@ def window_counts(T: int, radius: int) -> np.ndarray:
 __all__ = [
     "Tensor",
     "Parameter",
-    "as_tensor",
     "add",
     "sub",
     "neg",
@@ -579,7 +556,6 @@ __all__ = [
     "concat",
     "stack",
     "take",
-    "pad_time",
     "conv2d",
     "maxpool2d_ceil",
     "conv1d_single_channel",

@@ -182,6 +182,11 @@ class TestAttention:
             rows = tt.Tensor(np.ones((3, 4)) / 4)
             m.attend(rows, tt.Tensor(np.zeros((3, 6))), tt.Tensor(RNG.normal(0, 1, (2, 4, 8))))
 
+    def test_even_conv_filters_rejected(self):
+        # an even width would give the location conv T + 1 frames
+        with pytest.raises(ValueError, match="conv_filters must be odd, got 4"):
+            AttentionConfig(attn_dim=5, conv_channels=2, conv_filters=4)
+
     def test_gradients_through_attend(self):
         m = tiny_model()
         h = tt.Tensor(RNG.normal(0, 1, (1, 4, 8)), requires_grad=True)

@@ -16,6 +16,7 @@ from imsk.beam import (
 from imsk.ctc import ctc_prefix_initial, ctc_prefix_score
 from imsk.lm import LstmLm
 from imsk.nn import tensor as tt
+from imsk.nn.layers import frozen
 from imsk.tokenizer import BLANK_ID, SOS_EOS_ID
 
 VOCAB = 9
@@ -217,9 +218,90 @@ class TestBatched:
         got = decode_batch(fs, m, lm, cfg, batch_size=batch_size)
         assert [_fields(h) for h in got] == [_fields(h) for h in seq]
 
+    def test_desk_scale_batches_equal_sequential(self):
+        # At the desk encoder's size (80-dim input, VGG (8, 16)) a padded
+        # batch changes the bits of short utterances' conv products, which
+        # the tiny model's never do: this catches a batched encoder.
+        m, lm = AsrModel(VOCAB, rng=np.random.default_rng(5)), tiny_lm()
+        rng = np.random.default_rng(8)
+        fs = [rng.normal(0, 1, (n, 80)) for n in (3, 12, 20, 90)]
+        cfg = DecodeConfig(beam=4, ctc_weight=0.5, lm_weight=0.3)
+        for n in (1, 3):
+            seq = [decode_nbest([f], m, lm, cfg, n)[0] for f in fs]
+            got = decode_nbest(fs, m, lm, cfg, n, batch_size=4)
+            assert [list(map(_fields, hs)) for hs in got] == [list(map(_fields, hs)) for hs in seq]
+
 
 def _fields(h):
     return h.tokens, h.score, h.score_ctc, h.score_att, h.score_lm
+
+
+def _leaf(module, path):
+    for part in path.split("."):
+        module = module[int(part)] if part.isdigit() else getattr(module, part)
+    return module
+
+
+class TestFrozen:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        length=st.one_of(st.integers(1, 4), st.integers(5, 40)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(length=1, seed=0)
+    @example(length=4, seed=1)
+    def test_encodings_equal_the_model(self, length, seed):
+        m = tiny_model(seed)
+        f = np.random.default_rng(seed).normal(0, 0.5, (length, 8))
+        h, lengths = m.encode_batch([f])
+        h2, lengths2 = frozen(m, m.dtype).encode_batch([f])
+        assert np.array_equal(h2.data, h.data) and np.array_equal(lengths2, lengths)
+        assert h.requires_grad
+        assert not h2.requires_grad and h2._parents == ()
+
+    def test_keep_shares_arrays_and_casts_the_rest(self):
+        m = tiny_model()
+        keep = ("block1", "blstms")
+        twin = frozen(m, np.float64, keep)
+        assert twin.params() == [] and twin.dtype == np.float64
+        for path, p in m.named_params():
+            q = _leaf(twin, path)
+            assert type(q) is tt.Tensor and not q.requires_grad
+            if path.split(".")[0] in keep:
+                assert q.data.dtype == np.float32 and np.shares_memory(q.data, p.data)
+            else:
+                assert q.data.dtype == np.float64 and not np.shares_memory(q.data, p.data)
+                assert np.array_equal(q.data, p.data)
+
+    def test_decoding_leaves_the_models_as_they_are(self):
+        m, lm = tiny_model(), tiny_lm()
+        rng = np.random.default_rng(2)
+        params = m.named_params() + lm.named_params()
+        for _, p in params:
+            p.grad = rng.normal(0, 1, p.shape).astype(p.dtype)
+        before = [(p, p.data, p.data.copy(), p.grad.copy()) for _, p in params]
+        fs = feats(3, seed=4)
+        decode_nbest(fs, m, lm, DecodeConfig(beam=3), n=2, batch_size=2)
+        rescore(fs[0], m, (3, 4), lm)
+        assert [p for _, p in m.named_params() + lm.named_params()] == [b[0] for b in before]
+        for p, data, values, grad in before:
+            assert p.requires_grad and p.data is data
+            assert np.array_equal(p.data, values) and np.array_equal(p.grad, grad)
+
+    def test_decoding_builds_no_graph(self, monkeypatch):
+        made = []
+        result = tt.Tensor._result
+
+        def recording(data, parents, backward):
+            out = result(data, parents, backward)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(tt.Tensor, "_result", staticmethod(recording))
+        fs = feats(3, seed=5)
+        decode_nbest(fs, tiny_model(), tiny_lm(), DecodeConfig(beam=3), n=2, batch_size=2)
+        rescore(fs[0], tiny_model(), (3, 4), tiny_lm())
+        assert made and not any(made)
 
 
 def tied_model():
@@ -232,18 +314,12 @@ def tied_model():
     return m
 
 
-def float64_copy(m):
-    m64 = AsrModel(m.vocab_size, m.enc_cfg, m.att_cfg, m.dec_cfg, dtype=np.float64)
-    m64.load_state_dict(m.state_dict())
-    return m64
-
-
 def brute_force_search(m, f, cfg):
     """LM-free search that scores every extension of every live hypothesis
     and sorts all of them by (-score, tokens). Returns the finished
     (score, tokens) pairs best first, and whether a tie fell across the
     beam boundary."""
-    m64 = float64_copy(m)
+    m64 = frozen(m, np.float64)
     h = tt.Tensor(m.encode(f).data[None].astype(np.float64))
     T = h.shape[1]
     vh = m64.precompute_attention(h)
@@ -339,7 +415,7 @@ class TestRowStability:
     @example(R=9, T=57, conv_filters=201, conv_channels=10, seed=0)
     def test_attend(self, R, T, conv_filters, conv_channels, seed):
         att = AttentionConfig(attn_dim=64, conv_channels=conv_channels, conv_filters=conv_filters)
-        m64 = float64_copy(tiny_model(seed, att))
+        m64 = frozen(tiny_model(seed, att), np.float64)
         rng = np.random.default_rng(seed)
         h = tt.Tensor(rng.normal(0, 1, (1, T, 2 * m64.enc_cfg.blstm_units)))
         vh = m64.precompute_attention(h)

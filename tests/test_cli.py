@@ -339,6 +339,19 @@ def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):
     assert np.isfinite(norm) and norm > 0.0
 
 
+def test_train_asr_rejects_even_conv_filters(world, tmp_path, capsys):
+    man = tmp_path / "man.tsv"
+    write_tsv(man, world["tone_rows"][:3])
+    assert run_cli(["train-asr", "--manifest", str(man), "--vocab", str(world["root"] / "vocab.tsv"),
+                    "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "cmvn.bin"),
+                    "--epochs", "1", "--seed", "3", "--enc-layers", "1", "--enc-units", "4",
+                    "--vgg-channels", "2,2", "--attn-dim", "4", "--conv-filters", "4",
+                    "--dec-units", "4", "--embed-dim", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: conv_filters must be odd, got 4\n"
+    assert not (tmp_path / "asr.ckpt").exists()
+
+
 def test_transcript_validation_and_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="invalid entry times"):
         Transcript("r", ((1.0, 0.5, "x"),))
