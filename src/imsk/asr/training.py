@@ -9,7 +9,7 @@ import numpy as np
 
 from ..nn.optim import AdaDelta, DivergedError, clip_gradients
 from ..util import make_rng, resolve_seed
-from .model import AsrModel
+from .model import AsrModel, HybridLossConfig
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,13 @@ class AsrTrainConfig:
     clip: float = 5.0
     ctc_weight: float = 0.5
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        HybridLossConfig(self.ctc_weight)  # checks the weight lies in [0, 1]
 
 
 @dataclass(frozen=True)

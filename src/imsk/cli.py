@@ -4,7 +4,9 @@ Subcommands cover every stage: tokenizer, recognizer, language-model and
 speech-activity training, plus segmentation, decoding, scoring and the
 full transcribe pipeline (segment a recording, decode each segment,
 assemble a time-stamped transcript). A flat INI config file mirrors the
-transcribe flags; command-line values override the file.
+transcribe flags; command-line values override the file. Defaults and
+types live only in the config dataclasses: a flag left unset keeps its
+field's default, and an INI value takes the type of that default.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import configparser
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .asr import (
 )
 from .audio import (
     LOGMEL_DEFAULT,
+    MFCC_DEFAULT,
     Waveform,
     apply_cmvn,
     compute_cmvn,
@@ -59,6 +62,9 @@ from .sad import (
 )
 from .scoring import align, corpus_score, rt_factor
 from .tokenizer import (
+    DEFAULT_PRUNE_FRACTION,
+    DEFAULT_SEED_MAX_LEN,
+    DEFAULT_TARGET_SIZE,
     decode as detokenize,
     encode as encode_text,
     load_vocab,
@@ -66,7 +72,7 @@ from .tokenizer import (
     train_unigram,
     vocab_fingerprint,
 )
-from .util import make_rng, read_tsv, resolve_seed, write_tsv
+from .util import make_rng, read_tsv, write_tsv
 
 
 class PipelineError(Exception):
@@ -119,25 +125,6 @@ def read_transcript(path) -> list[tuple[float, float, str]]:
 
 # -- configuration -------------------------------------------------------------
 
-_SCHEMA = {
-    "pipeline": {
-        "sad_model": str,
-        "asr_model": str,
-        "lm_model": str,
-        "tokenizer": str,
-        "cmvn": str,
-    },
-    "decode": {
-        "beam": int,
-        "ctc_weight": float,
-        "lm_weight": float,
-        "max_ratio": float,
-        "batch_size": int,
-    },
-    "sad": {"p_stay": float, "max_speech": float, "merge_max": float},
-}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Artifact paths plus decoding and segmentation settings.
@@ -151,14 +138,29 @@ class PipelineConfig:
     lm_model: str = ""
     tokenizer: str = ""
     cmvn: str = ""
-    beam: int = 20
-    ctc_weight: float = 0.5
-    lm_weight: float = 0.5
-    max_ratio: float = 1.0
+    beam: int = DecodeConfig.beam
+    ctc_weight: float = DecodeConfig.ctc_weight
+    lm_weight: float = DecodeConfig.lm_weight
+    max_ratio: float = DecodeConfig.max_ratio
     batch_size: int = 8
     p_stay: float = 0.99
     max_speech: float = 30.0
     merge_max: float = 10.0
+
+
+# the INI sections and the PipelineConfig fields each one holds
+_SECTIONS = {
+    "pipeline": ("sad_model", "asr_model", "lm_model", "tokenizer", "cmvn"),
+    "decode": ("beam", "ctc_weight", "lm_weight", "max_ratio", "batch_size"),
+    "sad": ("p_stay", "max_speech", "merge_max"),
+}
+
+
+def _config(cls, source, **fixed):
+    """A `cls` built from the attributes of `source` named like its fields,
+    then `fixed`; a missing or None attribute keeps the field's default."""
+    values = {f.name: getattr(source, f.name, None) for f in fields(cls)}
+    return cls(**{**{k: v for k, v in values.items() if v is not None}, **fixed})
 
 
 def read_pipeline_config(path=None, overrides: dict | None = None) -> PipelineConfig:
@@ -170,13 +172,13 @@ def read_pipeline_config(path=None, overrides: dict | None = None) -> PipelineCo
             with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh)
         for section in cp.sections():
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise PipelineError(f"config: unknown section [{section}]")
             for key, raw in cp.items(section):
-                if key not in _SCHEMA[section]:
+                if key not in _SECTIONS[section]:
                     raise PipelineError(f"config: unknown key {key!r} in [{section}]")
                 with _stage("config", f"[{section}] {key}"):
-                    values[key] = _SCHEMA[section][key](raw)
+                    values[key] = type(getattr(PipelineConfig, key))(raw)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
@@ -254,13 +256,7 @@ def load_artifacts(cfg: PipelineConfig) -> Artifacts:
     )
     with _stage("config", cfg.sad_model):
         sad, priors, _ = load_sad(cfg.sad_model)
-    dcfg = DecodeConfig(
-        beam=cfg.beam,
-        ctc_weight=cfg.ctc_weight,
-        lm_weight=cfg.lm_weight,
-        max_ratio=cfg.max_ratio,
-    )
-    return Artifacts(vocab, asr, lm, sad, priors, stats, dcfg)
+    return Artifacts(vocab, asr, lm, sad, priors, stats, _config(DecodeConfig, cfg))
 
 
 # -- pipeline stages -----------------------------------------------------------
@@ -400,21 +396,16 @@ def _cmd_train_tokenizer(args) -> int:
 
 
 def _cmd_train_lm(args) -> int:
-    with _stage("train-lm", args.corpus):
+    cfg = _config(LmConfig, args)
+    with _stage("config", args.vocab):
         vocab = load_vocab(args.vocab)
+    with _stage("train-lm", args.corpus):
         lines = [
             ln
             for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()
             if ln.strip()
         ]
         corpus = [encode_text(ln, vocab) for ln in lines]
-        cfg = LmConfig(
-            layers=args.layers,
-            units=args.units,
-            optimizer=args.optimizer,
-            batch=args.batch_size,
-            epochs=args.epochs,
-        )
         res = train_lm(
             corpus,
             vocab.size,
@@ -429,7 +420,13 @@ def _cmd_train_lm(args) -> int:
 
 
 def _cmd_train_asr(args) -> int:
-    vocab = load_vocab(args.vocab)
+    # every config is checked before the vocabulary or any audio is read
+    enc = _config(EncoderConfig, args, input_dim=LOGMEL_DEFAULT.n_mels)
+    att = _config(AttentionConfig, args)
+    dec = _config(DecoderConfig, args)
+    train_cfg = _config(AsrTrainConfig, args)
+    with _stage("config", args.vocab):
+        vocab = load_vocab(args.vocab)
     rows = _read_manifest(args.manifest, with_text=True)
     if len(rows) < 2:
         raise PipelineError("train-asr: need at least 2 utterances for a validation split")
@@ -454,37 +451,10 @@ def _cmd_train_asr(args) -> int:
     valid_set = [data[i] for i in order[:n_valid]]
     train_set = [data[i] for i in order[n_valid:]]
 
-    model = AsrModel(
-        vocab.size,
-        enc=EncoderConfig(
-            input_dim=80,
-            vgg_channels=_parse_ints(args.vgg_channels),
-            blstm_layers=args.enc_layers,
-            blstm_units=args.enc_units,
-        ),
-        att=AttentionConfig(
-            attn_dim=args.attn_dim,
-            conv_channels=args.conv_channels,
-            conv_filters=args.conv_filters,
-        ),
-        dec=DecoderConfig(
-            layers=args.dec_layers, units=args.dec_units, embed_dim=args.embed_dim
-        ),
-        rng=rng,
-    )
+    model = AsrModel(vocab.size, enc=enc, att=att, dec=dec, rng=rng)
     model.vocab_hash = vocab_fingerprint(vocab)
     with _stage("train-asr", args.manifest):
-        res = train_asr(
-            model,
-            train_set,
-            valid_set,
-            AsrTrainConfig(
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                ctc_weight=args.ctc_weight,
-                seed=args.seed,
-            ),
-        )
+        res = train_asr(model, train_set, valid_set, train_cfg)
         model.load_state_dict(res.best_state)
         save_asr(args.out, model)
     for st in res.history:
@@ -497,6 +467,8 @@ def _cmd_train_asr(args) -> int:
 
 
 def _cmd_train_sad(args) -> int:
+    arch = _config(SadConfig, args, input_dim=MFCC_DEFAULT.n_mels)
+    cfg = _config(SadTrainConfig, args, arch=arch)
     rows = _read_manifest(args.manifest, with_text=True)
     feats = []
     labels = []
@@ -514,17 +486,6 @@ def _cmd_train_sad(args) -> int:
             )
         feats.append(f)
         labels.append(y)
-    cfg = SadTrainConfig(
-        arch=SadConfig(
-            input_dim=40,
-            context=args.context,
-            hidden=_parse_ints(args.hidden),
-            pool_radius=args.pool_radius,
-        ),
-        epochs=args.epochs,
-        optimizer=args.optimizer,
-        seed=resolve_seed(args.seed),
-    )
     with _stage("train-sad", args.manifest):
         res = train_sad(feats, labels, cfg)
         save_sad(args.out, res.model, res.priors)
@@ -535,6 +496,7 @@ def _cmd_train_sad(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    cfg = _config(PipelineConfig, args)
     with _stage("config", args.sad_model):
         sad, priors, _ = load_sad(args.sad_model)
     if args.wav is not None:
@@ -548,7 +510,7 @@ def _cmd_segment(args) -> int:
             wav = load_audio(path)
         with _stage("segmentation", rec):
             segs, _ = segment_recording(
-                wav, sad, priors, args.p_stay, args.max_speech, args.merge_max
+                wav, sad, priors, cfg.p_stay, cfg.max_speech, cfg.merge_max
             )
         items.append((rec, segs))
         total += len(segs)
@@ -558,15 +520,10 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    dcfg = _config(DecodeConfig, args)
     vocab, model, lm, stats = _load_decoding(args.model, args.tokenizer, args.cmvn, args.lm)
 
     rows = _read_manifest(args.manifest, with_text=False)
-    dcfg = DecodeConfig(
-        beam=args.beam,
-        ctc_weight=args.ctc_weight,
-        lm_weight=args.lm_weight,
-        max_ratio=args.max_ratio,
-    )
     started = time.perf_counter()
     audio_s = 0.0
     feats = []
@@ -640,21 +597,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_transcribe(args) -> int:
-    overrides = {
-        "sad_model": args.sad_model,
-        "asr_model": args.asr_model,
-        "lm_model": args.lm,
-        "tokenizer": args.tokenizer,
-        "cmvn": args.cmvn,
-        "beam": args.beam,
-        "ctc_weight": args.ctc_weight,
-        "lm_weight": args.lm_weight,
-        "max_ratio": args.max_ratio,
-        "batch_size": args.batch_size,
-        "p_stay": args.p_stay,
-        "max_speech": args.max_speech,
-        "merge_max": args.merge_max,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     cfg = read_pipeline_config(args.config, overrides)
     t = transcribe(args.wav, cfg, keep_dir=args.keep_intermediates)
     write_transcript(args.out, t)
@@ -666,6 +609,8 @@ def _cmd_transcribe(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags that set a config field have the field's name (or `dest=` it)
+    and no default of their own; see `_config`."""
     parser = argparse.ArgumentParser(
         prog="imsk", description="speech transcription toolkit"
     )
@@ -674,9 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-tokenizer", help="learn a subword vocabulary")
     p.add_argument("--corpus", required=True, help="UTF-8 text, one line per utterance")
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.add_argument("--target-size", type=int, default=100)
-    p.add_argument("--seed-max-len", type=int, default=8)
-    p.add_argument("--prune-fraction", type=float, default=0.2)
+    p.add_argument("--target-size", type=int, default=DEFAULT_TARGET_SIZE)
+    p.add_argument("--seed-max-len", type=int, default=DEFAULT_SEED_MAX_LEN)
+    p.add_argument("--prune-fraction", type=float, default=DEFAULT_PRUNE_FRACTION)
     p.set_defaults(func=_cmd_train_tokenizer)
 
     p = sub.add_parser("train-asr", help="train the recognizer")
@@ -685,31 +630,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--cmvn-out", required=True, help="feature stats file to write")
     p.add_argument("--valid-fraction", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--ctc-weight", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--enc-units", type=int, default=64)
-    p.add_argument("--vgg-channels", default="8,16")
-    p.add_argument("--attn-dim", type=int, default=64)
-    p.add_argument("--conv-channels", type=int, default=4)
-    p.add_argument("--conv-filters", type=int, default=11)
-    p.add_argument("--dec-layers", type=int, default=1)
-    p.add_argument("--dec-units", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=64)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--ctc-weight", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--enc-layers", type=int, dest="blstm_layers")
+    p.add_argument("--enc-units", type=int, dest="blstm_units")
+    p.add_argument("--vgg-channels", type=_parse_ints)
+    p.add_argument("--attn-dim", type=int)
+    p.add_argument("--conv-channels", type=int)
+    p.add_argument("--conv-filters", type=int)
+    p.add_argument("--dec-layers", type=int, dest="layers")
+    p.add_argument("--dec-units", type=int, dest="units")
+    p.add_argument("--embed-dim", type=int)
     p.set_defaults(func=_cmd_train_asr)
 
     p = sub.add_parser("train-lm", help="train the token language model")
     p.add_argument("--corpus", required=True, help="UTF-8 text, one line per sentence")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--units", type=int, default=64)
-    p.add_argument("--optimizer", default="sgd", choices=("sgd", "adam", "adadelta"))
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--units", type=int)
+    p.add_argument("--optimizer", choices=("sgd", "adam", "adadelta"))
+    p.add_argument("--batch-size", type=int, dest="batch")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train_lm)
 
     p = sub.add_parser("train-sad", help="train speech activity detection")
@@ -717,12 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", required=True, help="utt-id TAB wav TAB frame-labels file"
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--context", type=int, default=2)
-    p.add_argument("--hidden", default="32")
-    p.add_argument("--pool-radius", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--optimizer", default="adam", choices=("sgd", "adam", "adadelta"))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--context", type=int)
+    p.add_argument("--hidden", type=_parse_ints)
+    p.add_argument("--pool-radius", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--optimizer", choices=("sgd", "adam", "adadelta"))
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train_sad)
 
     p = sub.add_parser("segment", help="detect speech intervals")
@@ -731,24 +676,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--wav")
     g.add_argument("--manifest", help="utt-id TAB wav")
     p.add_argument("--out", required=True, help="segments TSV to write")
-    p.add_argument("--p-stay", type=float, default=0.99)
-    p.add_argument("--max-speech", type=float, default=30.0)
-    p.add_argument("--merge-max", type=float, default=10.0)
+    p.add_argument("--p-stay", type=float)
+    p.add_argument("--max-speech", type=float)
+    p.add_argument("--merge-max", type=float)
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("decode", help="recognize prepared utterances")
     p.add_argument("--model", required=True)
-    p.add_argument("--lm", default=None)
+    p.add_argument("--lm")
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--cmvn", required=True)
     p.add_argument("--manifest", required=True, help="utt-id TAB wav")
     p.add_argument("--out", required=True, help="hypothesis TSV to write")
-    p.add_argument("--beam", type=int, default=20)
-    p.add_argument("--ctc-weight", type=float, default=0.5)
-    p.add_argument("--lm-weight", type=float, default=0.5)
-    p.add_argument("--max-ratio", type=float, default=1.0)
+    p.add_argument("--beam", type=int)
+    p.add_argument("--ctc-weight", type=float)
+    p.add_argument("--lm-weight", type=float)
+    p.add_argument("--max-ratio", type=float)
     p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--dump-nbest", default=None, help="per-hypothesis score TSV")
+    p.add_argument("--dump-nbest", help="per-hypothesis score TSV")
     p.add_argument("--nbest", type=int, default=5)
     p.set_defaults(func=_cmd_decode)
 
@@ -759,23 +704,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("transcribe", help="segment and decode one recording")
-    p.add_argument("--config", default=None, help="INI file mirroring these flags")
+    p.add_argument("--config", help="INI file mirroring these flags")
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True, help="transcript TSV to write")
-    p.add_argument("--keep-intermediates", default=None, help="directory for stage dumps")
-    p.add_argument("--sad-model", default=None)
-    p.add_argument("--asr-model", default=None)
-    p.add_argument("--lm", default=None)
-    p.add_argument("--tokenizer", default=None)
-    p.add_argument("--cmvn", default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--ctc-weight", type=float, default=None)
-    p.add_argument("--lm-weight", type=float, default=None)
-    p.add_argument("--max-ratio", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--p-stay", type=float, default=None)
-    p.add_argument("--max-speech", type=float, default=None)
-    p.add_argument("--merge-max", type=float, default=None)
+    p.add_argument("--keep-intermediates", help="directory for stage dumps")
+    p.add_argument("--sad-model")
+    p.add_argument("--asr-model")
+    p.add_argument("--lm", dest="lm_model")
+    p.add_argument("--tokenizer")
+    p.add_argument("--cmvn")
+    p.add_argument("--beam", type=int)
+    p.add_argument("--ctc-weight", type=float)
+    p.add_argument("--lm-weight", type=float)
+    p.add_argument("--max-ratio", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--p-stay", type=float)
+    p.add_argument("--max-speech", type=float)
+    p.add_argument("--merge-max", type=float)
     p.set_defaults(func=_cmd_transcribe)
 
     return parser

@@ -2,9 +2,9 @@
 
 The model reads sos-prefixed token sequences and emits a log-probability
 distribution over the next token at every step. During beam search these
-per-step scores are added to the recognizer scores with a weight gamma;
-standalone, exp of the mean negative log-likelihood per token gives
-perplexity.
+per-step scores are added to the recognizer scores with the weight
+`beam.DecodeConfig.lm_weight`; standalone, exp of the mean negative
+log-likelihood per token gives perplexity.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .nn import tensor as tt
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.layers import Embedding, Linear, LstmCell, Module
+from .nn.layers import Embedding, Linear, LstmCell, Module, frozen
 from .nn.optim import DivergedError, clip_gradients, make_optimizer
 from .tokenizer import SOS_EOS_ID
 from .util import make_rng
@@ -48,21 +48,6 @@ class LmConfig:
 # published recipes: plain SGD for the English LM, Adam for the German one
 LM_ENGLISH = LmConfig(layers=2, units=650, optimizer="sgd")
 LM_GERMAN = LmConfig(layers=2, units=3000, optimizer="adam")
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Weight on LM log-probabilities added during beam search."""
-
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-
-
-FUSION_ENGLISH = FusionConfig(gamma=0.5)
-FUSION_GERMAN = FusionConfig(gamma=1.1)
 
 
 class LstmLm(Module):
@@ -170,10 +155,12 @@ def _batch_nll(model, lines):
 
 
 def perplexity(corpus, lm, chunk: int = 64) -> float:
-    """exp of the mean negative log-likelihood per token, eos included."""
+    """exp of the mean negative log-likelihood per token, eos included;
+    evaluated on a constant copy of `lm`, so no autograd graph is built."""
     lines = list(corpus)
     if not lines:
         raise ValueError("empty corpus")
+    lm = frozen(lm, lm.dtype)
     total = 0.0
     count = 0
     for i in range(0, len(lines), chunk):

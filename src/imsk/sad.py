@@ -18,7 +18,7 @@ import numpy as np
 
 from .nn import tensor as tt
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.layers import Linear, Module, StatsPooling
+from .nn.layers import Linear, Module, StatsPooling, frozen
 from .nn.optim import DivergedError, clip_gradients, make_optimizer
 from .util import make_rng
 
@@ -80,9 +80,10 @@ class SadModel(Module):
 def sad_posteriors(f, model: SadModel) -> np.ndarray:
     """(T, 3) class probabilities; rows sum to 1.
 
-    `f` is a FeatureMatrix or a plain (T, input_dim) array.
+    `f` is a FeatureMatrix or a plain (T, input_dim) array. The network
+    runs on a constant copy of `model`, so no autograd graph is built.
     """
-    return np.exp(model.log_posteriors(f).data)
+    return np.exp(frozen(model, model.dtype).log_posteriors(f).data)
 
 
 @dataclass(frozen=True)

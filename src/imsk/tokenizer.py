@@ -55,8 +55,9 @@ class SubwordVocab:
             raise ValueError("empty piece")
         if len(set(self.pieces)) != len(self.pieces):
             raise ValueError("duplicate piece")
-        total = float(np.sum(np.exp(np.asarray(self.log_probs, dtype=np.float64))))
-        if abs(total - 1.0) > 1e-9:
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+            total = float(np.sum(np.exp(np.asarray(self.log_probs, dtype=np.float64))))
+        if not abs(total - 1.0) <= 1e-9:  # also rejects a NaN log-probability
             raise ValueError(f"piece probabilities sum to {total!r}, not 1")
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.pieces)}
@@ -380,20 +381,24 @@ def save_vocab(path, vocab: SubwordVocab) -> None:
 
 
 def load_vocab(path) -> SubwordVocab:
+    """Read a save_vocab file. Any malformed content raises ValueError; a
+    malformed row names its path and line."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-    if len(lines) < N_SPECIALS:
+        rows = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.rstrip("\n")]
+    if len(rows) < N_SPECIALS:
         raise ValueError(f"{path}: vocabulary file too short")
     expected = [UNK_GLYPH, SOS_EOS_GLYPH, BLANK_GLYPH]
-    for i, glyph in enumerate(expected):
-        piece = lines[i].split("\t")[0]
-        if piece != glyph:
-            raise ValueError(f"{path}: line {i + 1} must be special {glyph!r}")
+    for (lineno, line), glyph in zip(rows, expected):
+        if line.split("\t")[0] != glyph:
+            raise ValueError(f"{path}:{lineno}: must be special {glyph!r}")
     pieces, log_probs = [], []
-    for line in lines[N_SPECIALS:]:
-        piece, lp = line.split("\t")
+    for lineno, line in rows[N_SPECIALS:]:
+        try:
+            piece, lp = line.split("\t")
+            log_probs.append(float(lp))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: expected 'piece TAB log-probability': {e}") from None
         pieces.append(piece)
-        log_probs.append(float(lp))
     return SubwordVocab(pieces=tuple(pieces), log_probs=tuple(log_probs))
 
 

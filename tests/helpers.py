@@ -1,5 +1,5 @@
-"""Shared synthetic fixtures for segmentation and recognition tests, and
-random corruptions of files for parser tests."""
+"""Shared synthetic fixtures for segmentation and recognition tests,
+random corruptions of files for parser tests, and an autograd-graph spy."""
 
 from pathlib import Path
 
@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from imsk.audio import Waveform, extract_mfcc
+from imsk.nn.tensor import Tensor
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
 
 
@@ -197,3 +198,18 @@ def corrupt(data, blob: bytes) -> bytes:
     pos = data.draw(st.integers(0, len(blob) - 1))
     flip = data.draw(st.integers(1, 255))
     return blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1 :]
+
+
+def record_requires_grad(monkeypatch) -> list:
+    """Make every tensor operation append whether its result requires
+    gradients (so would join an autograd graph) to the returned list."""
+    made = []
+    result = Tensor._result
+
+    def spy(data, parents, backward):
+        out = result(data, parents, backward)
+        made.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+    return made

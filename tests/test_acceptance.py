@@ -341,13 +341,16 @@ def test_batched_decoding_identical_and_faster(toy):
 
     audio_s = sum(f.shape[0] for f in feats) * 0.01  # 10 ms frame shift
 
-    def measured_rt(bs):
-        best = math.inf
-        for _ in range(2):
+    # the two batch sizes take turns, so a slow spell of the host hits both
+    best = {1: math.inf, 8: math.inf}
+    for _ in range(5):
+        for bs in best:
             started = time.perf_counter()
             decode_batch(feats, model, lm, cfg, batch_size=bs)
-            best = min(best, time.perf_counter() - started)
-        return rt_factor(best, audio_s)
+            best[bs] = min(best[bs], time.perf_counter() - started)
+
+    def measured_rt(bs):
+        return rt_factor(best[bs], audio_s)
 
     assert measured_rt(8) < measured_rt(1)
 

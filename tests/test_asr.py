@@ -393,6 +393,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_asr(tiny_model(), [], [], AsrTrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch_size": 0}, {"ctc_weight": 1.5},
+                                     {"ctc_weight": -0.1}])
+    def test_config_validation(self, bad):
+        with pytest.raises(ValueError):
+            AsrTrainConfig(**bad)
+
     def test_make_batches_sorted_by_length(self):
         data = [(feat(t), [3]) for t in [30, 10, 20, 40]]
         batches = make_batches(data, 2)

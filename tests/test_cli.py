@@ -1,10 +1,21 @@
 """End-to-end checks for the command-line front end and pipeline."""
 
+import argparse
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from helpers import sad_recording, tone_utterance
-from imsk.asr import load_asr, save_asr
+from imsk import cli
+from imsk.asr import (
+    AsrTrainConfig,
+    AttentionConfig,
+    DecoderConfig,
+    EncoderConfig,
+    load_asr,
+    save_asr,
+)
 from imsk.audio import (
     Waveform,
     apply_cmvn,
@@ -18,13 +29,14 @@ from imsk.beam import DecodeConfig, decode, decode_nbest
 from imsk.cli import (
     PipelineConfig,
     Transcript,
+    build_parser,
     read_pipeline_config,
     read_transcript,
     run_cli,
     write_transcript,
 )
-from imsk.lm import load_lm
-from imsk.sad import load_sad, read_segments
+from imsk.lm import LmConfig, load_lm
+from imsk.sad import SadConfig, SadTrainConfig, load_sad, read_segments
 from imsk.tokenizer import decode as detokenize, load_vocab, vocab_fingerprint
 from imsk.util import make_rng, read_tsv, write_tsv
 
@@ -367,3 +379,187 @@ def test_stage_errors_name_stage_and_item(world, tmp_path, capsys):
     bad.write_bytes(b"this is not audio")
     assert _transcribe(world, bad, tmp_path / "out.tsv") == 1
     assert capsys.readouterr().err.startswith("error: audio: bad:")
+
+
+# -- flags and config fields ---------------------------------------------------
+
+# per subcommand: its required flags, the fields those set, the config
+# classes its flags build, and its optional flags that belong to no config
+_COMMANDS = {
+    "train-asr": (
+        ["--manifest", "m", "--vocab", "v", "--out", "o", "--cmvn-out", "c"], {},
+        (EncoderConfig, AttentionConfig, DecoderConfig, AsrTrainConfig), {"--valid-fraction"},
+    ),
+    "train-lm": (["--corpus", "c", "--vocab", "v", "--out", "o"], {}, (LmConfig,), {"--seed"}),
+    "train-sad": (["--manifest", "m", "--out", "o"], {}, (SadConfig, SadTrainConfig), set()),
+    "segment": (
+        ["--sad-model", "s", "--wav", "w", "--out", "o"], {"sad_model": "s"},
+        (PipelineConfig,), {"--manifest"},
+    ),
+    "decode": (
+        ["--model", "a", "--tokenizer", "t", "--cmvn", "c", "--manifest", "m", "--out", "o"], {},
+        (DecodeConfig,), {"--lm", "--batch-size", "--dump-nbest", "--nbest"},
+    ),
+    "transcribe": (
+        ["--wav", "w", "--out", "o"], {}, (PipelineConfig,), {"--config", "--keep-intermediates"},
+    ),
+}
+
+# (subcommand, flag, value, config class, field, parsed non-default value)
+_FLAGS = [
+    ("train-asr", "--epochs", "3", AsrTrainConfig, "epochs", 3),
+    ("train-asr", "--batch-size", "3", AsrTrainConfig, "batch_size", 3),
+    ("train-asr", "--ctc-weight", "0.25", AsrTrainConfig, "ctc_weight", 0.25),
+    ("train-asr", "--seed", "7", AsrTrainConfig, "seed", 7),
+    ("train-asr", "--enc-layers", "3", EncoderConfig, "blstm_layers", 3),
+    ("train-asr", "--enc-units", "3", EncoderConfig, "blstm_units", 3),
+    ("train-asr", "--vgg-channels", "2,3", EncoderConfig, "vgg_channels", (2, 3)),
+    ("train-asr", "--attn-dim", "3", AttentionConfig, "attn_dim", 3),
+    ("train-asr", "--conv-channels", "3", AttentionConfig, "conv_channels", 3),
+    ("train-asr", "--conv-filters", "3", AttentionConfig, "conv_filters", 3),
+    ("train-asr", "--dec-layers", "3", DecoderConfig, "layers", 3),
+    ("train-asr", "--dec-units", "3", DecoderConfig, "units", 3),
+    ("train-asr", "--embed-dim", "3", DecoderConfig, "embed_dim", 3),
+    ("train-lm", "--layers", "3", LmConfig, "layers", 3),
+    ("train-lm", "--units", "3", LmConfig, "units", 3),
+    ("train-lm", "--optimizer", "adam", LmConfig, "optimizer", "adam"),
+    ("train-lm", "--batch-size", "3", LmConfig, "batch", 3),
+    ("train-lm", "--epochs", "3", LmConfig, "epochs", 3),
+    ("train-sad", "--context", "3", SadConfig, "context", 3),
+    ("train-sad", "--hidden", "4,5", SadConfig, "hidden", (4, 5)),
+    ("train-sad", "--pool-radius", "3", SadConfig, "pool_radius", 3),
+    ("train-sad", "--epochs", "3", SadTrainConfig, "epochs", 3),
+    ("train-sad", "--optimizer", "sgd", SadTrainConfig, "optimizer", "sgd"),
+    ("train-sad", "--seed", "7", SadTrainConfig, "seed", 7),
+    ("segment", "--p-stay", "0.5", PipelineConfig, "p_stay", 0.5),
+    ("segment", "--max-speech", "3.5", PipelineConfig, "max_speech", 3.5),
+    ("segment", "--merge-max", "3.5", PipelineConfig, "merge_max", 3.5),
+    ("decode", "--beam", "3", DecodeConfig, "beam", 3),
+    ("decode", "--ctc-weight", "0.25", DecodeConfig, "ctc_weight", 0.25),
+    ("decode", "--lm-weight", "0.25", DecodeConfig, "lm_weight", 0.25),
+    ("decode", "--max-ratio", "0.25", DecodeConfig, "max_ratio", 0.25),
+    ("transcribe", "--sad-model", "x", PipelineConfig, "sad_model", "x"),
+    ("transcribe", "--asr-model", "x", PipelineConfig, "asr_model", "x"),
+    ("transcribe", "--lm", "x", PipelineConfig, "lm_model", "x"),
+    ("transcribe", "--tokenizer", "x", PipelineConfig, "tokenizer", "x"),
+    ("transcribe", "--cmvn", "x", PipelineConfig, "cmvn", "x"),
+    ("transcribe", "--beam", "3", PipelineConfig, "beam", 3),
+    ("transcribe", "--ctc-weight", "0.25", PipelineConfig, "ctc_weight", 0.25),
+    ("transcribe", "--lm-weight", "0.25", PipelineConfig, "lm_weight", 0.25),
+    ("transcribe", "--max-ratio", "0.25", PipelineConfig, "max_ratio", 0.25),
+    ("transcribe", "--batch-size", "3", PipelineConfig, "batch_size", 3),
+    ("transcribe", "--p-stay", "0.5", PipelineConfig, "p_stay", 0.5),
+    ("transcribe", "--max-speech", "3.5", PipelineConfig, "max_speech", 3.5),
+    ("transcribe", "--merge-max", "3.5", PipelineConfig, "merge_max", 3.5),
+]
+
+
+def _configs(command, *flags) -> dict:
+    required, _, classes, _ = _COMMANDS[command]
+    args = build_parser().parse_args([command, *required, *flags])
+    return {cls: cli._config(cls, args) for cls in classes}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_no_optional_flags_gives_default_configs(command):
+    _, set_by_required, classes, _ = _COMMANDS[command]
+    assert _configs(command) == {cls: replace(cls(), **set_by_required) for cls in classes}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, cls, name, parsed", _FLAGS, ids=[f"{r[0]}{r[1]}" for r in _FLAGS]
+)
+def test_flag_sets_exactly_its_field(command, flag, value, cls, name, parsed):
+    base = _configs(command)
+    assert getattr(base[cls], name) != parsed
+    assert _configs(command, flag, value) == {**base, cls: replace(base[cls], **{name: parsed})}
+
+
+def test_every_config_flag_is_in_the_table():
+    (choices,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, (required, _, _, other) in _COMMANDS.items():
+        optional = {
+            flag
+            for action in choices[command]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag not in required and flag != "--help"
+        }
+        assert optional - other == {f for c, f, *_ in _FLAGS if c == command}, command
+
+
+def test_ini_sections_hold_every_pipeline_field_once():
+    keys = [key for section in cli._SECTIONS.values() for key in section]
+    assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+
+
+def test_ini_values_take_their_field_types(tmp_path):
+    ini = tmp_path / "p.ini"
+    ini.write_text(
+        "[pipeline]\ncmvn = 7\n[decode]\nbeam = 4\nlm_weight = 1\n[sad]\nmerge_max = 2\n",
+        encoding="utf-8",
+    )
+    cfg = read_pipeline_config(ini)
+    assert cfg == replace(PipelineConfig(), cmvn="7", beam=4, lm_weight=1.0, merge_max=2.0)
+    assert type(cfg.cmvn) is str and type(cfg.lm_weight) is float
+
+
+def test_malformed_int_list_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["train-sad", "--manifest", str(tmp_path / "m.tsv"),
+                    "--out", str(tmp_path / "sad.ckpt"), "--hidden", "8,x"]) == 2
+    assert "--hidden" in capsys.readouterr().err
+
+
+def _missing_audio_manifest(tmp_path, third):
+    man = tmp_path / "man.tsv"
+    write_tsv(man, [(f"u{i}", tmp_path / f"missing{i}.wav", third) for i in range(3)])
+    return str(man)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+    (["--ctc-weight", "1.5"], "ctc weight must lie in [0, 1]"),
+    (["--enc-units", "0"], "encoder layers and units must be >= 1"),
+])
+def test_train_asr_checks_configs_before_reading_input(tmp_path, capsys, flags, message):
+    # neither the vocabulary nor any audio file exists: the config fails first
+    assert run_cli(["train-asr", "--manifest", _missing_audio_manifest(tmp_path, "da re"),
+                    "--vocab", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "asr.ckpt"),
+                    "--cmvn-out", str(tmp_path / "cmvn.bin"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cmvn.bin").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--hidden", "0"], "hidden widths must be positive"),
+])
+def test_train_sad_checks_configs_before_reading_input(tmp_path, capsys, flags, message):
+    assert run_cli(["train-sad", "--manifest", _missing_audio_manifest(tmp_path, "labels.txt"),
+                    "--out", str(tmp_path / "sad.ckpt"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_lm_checks_configs_before_reading_input(tmp_path, capsys):
+    assert run_cli(["train-lm", "--corpus", str(tmp_path / "missing.txt"),
+                    "--vocab", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "lm.ckpt"),
+                    "--batch-size", "0"]) == 1
+    assert capsys.readouterr().err == "error: batch must be >= 1\n"
+
+
+def test_bad_vocabulary_is_reported_as_config(world, tmp_path, capsys):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("<unk>\t-23\n<sos/eos>\t0\n<blank>\t0\na\t0\nb\n", encoding="utf-8")
+    text = tmp_path / "c.txt"
+    text.write_text("a b\n", encoding="utf-8")
+    expected = f"error: config: {vocab}: {vocab}:5: expected 'piece TAB log-probability'"
+    assert run_cli(["train-lm", "--corpus", str(text), "--vocab", str(vocab),
+                    "--out", str(tmp_path / "lm.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith(expected)
+    man = tmp_path / "man.tsv"
+    write_tsv(man, world["tone_rows"][:3])
+    assert run_cli(["train-asr", "--manifest", str(man), "--vocab", str(vocab),
+                    "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "c.bin")]) == 1
+    assert capsys.readouterr().err.startswith(expected)

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import record_requires_grad
 from imsk.lm import (
-    FUSION_ENGLISH,
-    FUSION_GERMAN,
     LM_ENGLISH,
     LM_GERMAN,
-    FusionConfig,
     LmConfig,
     LstmLm,
     load_lm,
@@ -20,6 +18,7 @@ from imsk.lm import (
     train_lm,
 )
 from imsk.nn import tensor as tt
+from imsk.nn.layers import Module
 from imsk.tokenizer import SOS_EOS_ID
 
 A, B_TOK = 3, 4  # ids after the three specials
@@ -49,13 +48,6 @@ class TestConfigs:
     def test_language_presets(self):
         assert (LM_ENGLISH.layers, LM_ENGLISH.units, LM_ENGLISH.optimizer) == (2, 650, "sgd")
         assert (LM_GERMAN.layers, LM_GERMAN.units, LM_GERMAN.optimizer) == (2, 3000, "adam")
-
-    def test_fusion_weights(self):
-        assert FUSION_ENGLISH.gamma == 0.5
-        assert FUSION_GERMAN.gamma == 1.1
-        assert FusionConfig(0.0).gamma == 0.0
-        with pytest.raises(ValueError):
-            FusionConfig(-0.1)
 
 
 class TestLmStep:
@@ -116,8 +108,9 @@ class TestLmStep:
         assert no_eos > sequence_log_prob(lm, ids)
 
 
-class _TableLm:
-    """Scores depend only on the input token, via a fixed row table."""
+class _TableLm(Module):
+    """Scores depend only on the input token, via a fixed row table; a
+    Module with no parameters, so `perplexity` can take a constant copy."""
 
     dtype = np.float64
 
@@ -145,6 +138,14 @@ class TestPerplexity:
         lm.out.b.data[:] = 0.0
         pp = perplexity([[3, 4, 5], [6]], lm)
         assert pp == pytest.approx(7.0, abs=1e-9)
+
+    def test_builds_no_graph(self, monkeypatch):
+        lm = tiny_lm(vocab=7)
+        corpus = [[3, 4, 5, 6], [4, 4]]
+        expected = perplexity(corpus, lm)
+        made = record_requires_grad(monkeypatch)
+        assert perplexity(corpus, lm) == expected
+        assert made and not any(made)
 
     def test_untrained_model_is_roughly_uniform(self):
         lm = tiny_lm(vocab=7)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import frame_accuracy, sad_corpus
+from helpers import frame_accuracy, record_requires_grad, sad_corpus
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
 from imsk.sad import (
@@ -56,6 +56,17 @@ def test_posterior_rows_normalized():
     assert post.shape == (13, 3)
     assert np.all(post > 0)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_posteriors_build_no_graph(monkeypatch):
+    rng = make_rng(0)
+    m = SadModel(TINY, rng)
+    f = rng.standard_normal((13, 5))
+    expected = np.exp(m.log_posteriors(f).data)
+    made = record_requires_grad(monkeypatch)
+    assert np.array_equal(sad_posteriors(f, m), expected)
+    assert made and not any(made)
+    assert all(p.requires_grad for p in m.params())
 
 
 def test_posterior_dim_mismatch():

@@ -3,11 +3,14 @@
 import inspect
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import corrupt
 from imsk import tokenizer as tok
 from imsk.tokenizer import (
     BLANK_ID,
@@ -303,6 +306,9 @@ class TestTraining:
         assert any(len(p) > 1 for p in v.pieces)
 
 
+_CORRUPTIBLE = train_unigram(["abab abba"] * 10, target_size=8)
+
+
 class TestVocabFile:
     def test_round_trip_exact(self, tmp_path):
         v = train_unigram(["abab abba"] * 10, target_size=8)
@@ -327,6 +333,36 @@ class TestVocabFile:
         path.write_text("a\t0\nb\t0\nc\t0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             tok.load_vocab(path)
+
+    def test_nan_log_probability_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        tok.save_vocab(path, make_vocab({"a": 1.0}))
+        path.write_text(path.read_text(encoding="utf-8") + "b\tnan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="sum to nan"):
+            tok.load_vocab(path)
+        with pytest.raises(ValueError):
+            SubwordVocab(pieces=("a", "b"), log_probs=(0.0, math.nan))
+
+    @pytest.mark.parametrize("row", ["b", "b\t0\t0", "b\tzero"])
+    def test_row_errors_name_path_and_line(self, tmp_path, row):
+        path = tmp_path / "vocab.tsv"
+        tok.save_vocab(path, make_vocab({"a": 1.0}))
+        # the blank line still counts toward the reported line number
+        path.write_text(path.read_text(encoding="utf-8") + f"\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: expected 'piece TAB"):
+            tok.load_vocab(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corruptions_raise_only_value_error(self, tmp_path, data):
+        path = tmp_path / "vocab.tsv"
+        tok.save_vocab(path, _CORRUPTIBLE)
+        path.write_bytes(corrupt(data, path.read_bytes()))
+        try:
+            tok.load_vocab(path)
+        except ValueError:
+            pass
 
     def test_fingerprint_distinguishes_vocabs(self):
         v1 = make_vocab({"a": 0.5, "b": 0.5})
