@@ -211,19 +211,37 @@ def _frame_geometry(wav: Waveform, cfg: FeatureConfig) -> tuple[int, int, int]:
     return frame, shift, n_frames
 
 
+# frames per block of mel_spectrogram; working memory is bounded by this,
+# not by the recording's length
+_BLOCK = 2048
+
+
 def mel_spectrogram(wav: Waveform, cfg: FeatureConfig) -> np.ndarray:
-    """(T, n_mels) Mel-weighted power spectrum before the log."""
+    """(T, n_mels) Mel-weighted power spectrum before the log.
+
+    Frames are processed in blocks of `_BLOCK`. The last block ends flush
+    with the last frame and overlaps the one before it, so every filterbank
+    product has `_BLOCK` rows (T rows when T < `_BLOCK`): a ragged tail
+    would take another BLAS path and change the last bits.
+    """
     frame, shift, n_frames = _frame_geometry(wav, cfg)
-    x = wav.samples.astype(np.float64)
-    y = np.empty_like(x)
-    y[0] = x[0] - cfg.preemphasis * x[0]
-    y[1:] = x[1:] - cfg.preemphasis * x[:-1]
-    idx = np.arange(n_frames)[:, None] * shift + np.arange(frame)[None, :]
-    frames = y[idx] * np.hamming(frame)[None, :]
-    spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    n = min(n_frames, _BLOCK)
+    window = np.hamming(frame)
     bank = mel_filterbank(cfg.n_mels, cfg.n_fft, wav.sample_rate)
-    return power @ bank.T
+    out = np.empty((n_frames, cfg.n_mels))
+    for t0 in [*range(0, n_frames - n, n), n_frames - n]:
+        lo = t0 * shift
+        # pre-emphasis needs the sample before the block; the recording's
+        # first sample is its own predecessor
+        x = wav.samples[max(lo - 1, 0) : lo + (n - 1) * shift + frame].astype(np.float64)
+        if lo == 0:
+            x = np.concatenate([x[:1], x])
+        y = x[1:] - cfg.preemphasis * x[:-1]
+        frames = np.lib.stride_tricks.sliding_window_view(y, frame)[::shift] * window
+        spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+        power = spectrum.real**2 + spectrum.imag**2
+        out[t0 : t0 + n] = power @ bank.T
+    return out
 
 
 def extract_logmel(wav: Waveform, cfg: FeatureConfig = LOGMEL_DEFAULT) -> FeatureMatrix:

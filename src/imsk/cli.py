@@ -147,6 +147,16 @@ class PipelineConfig:
     max_speech: float = 30.0
     merge_max: float = 10.0
 
+    def __post_init__(self):
+        if not 0.0 < self.p_stay < 1.0:
+            raise ValueError("p_stay must lie strictly between 0 and 1")
+        if self.max_speech <= 0:
+            raise ValueError("max_speech must be > 0")
+        if self.merge_max < 0:
+            raise ValueError("merge_max must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
 
 # the INI sections and the PipelineConfig fields each one holds
 _SECTIONS = {
@@ -182,7 +192,8 @@ def read_pipeline_config(path=None, overrides: dict | None = None) -> PipelineCo
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
-    return PipelineConfig(**values)
+    with _stage("config"):
+        return PipelineConfig(**values)
 
 
 @dataclass
@@ -235,7 +246,7 @@ def _load_decoding(asr_model, tokenizer, cmvn, lm_model, required=()):
         if not p:
             raise PipelineError(f"config: {name} is required")
 
-    with _stage("config", tokenizer):
+    with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(tokenizer)
     with _stage("config", asr_model):
         asr, _ = load_asr(asr_model)
@@ -397,7 +408,7 @@ def _cmd_train_tokenizer(args) -> int:
 
 def _cmd_train_lm(args) -> int:
     cfg = _config(LmConfig, args)
-    with _stage("config", args.vocab):
+    with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(args.vocab)
     with _stage("train-lm", args.corpus):
         lines = [
@@ -425,7 +436,7 @@ def _cmd_train_asr(args) -> int:
     att = _config(AttentionConfig, args)
     dec = _config(DecoderConfig, args)
     train_cfg = _config(AsrTrainConfig, args)
-    with _stage("config", args.vocab):
+    with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(args.vocab)
     rows = _read_manifest(args.manifest, with_text=True)
     if len(rows) < 2:
@@ -496,7 +507,8 @@ def _cmd_train_sad(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    cfg = _config(PipelineConfig, args)
+    with _stage("config"):
+        cfg = _config(PipelineConfig, args)
     with _stage("config", args.sad_model):
         sad, priors, _ = load_sad(args.sad_model)
     if args.wav is not None:

@@ -140,35 +140,48 @@ class SegmentList:
         return self.spans[i]
 
 
-def viterbi_path(lik: np.ndarray, p_stay: float = 0.99) -> np.ndarray:
+def viterbi_path(lik: np.ndarray, p_stay: float) -> np.ndarray:
     """Most probable 2-state path; uniform initial distribution.
 
     Among equally probable paths the lexicographically smallest state
     sequence wins (Silence preferred at the first differing frame).
+    Likelihoods must be finite and >= 0; a zero scores as log 0 = -inf.
     """
     lik = np.asarray(lik, dtype=np.float64)
     if lik.ndim != 2 or lik.shape[1] != 2 or lik.shape[0] == 0:
         raise ValueError("likelihoods must have shape (T, 2) with T >= 1")
     if not 0.0 < p_stay < 1.0:
         raise ValueError("p_stay must lie strictly between 0 and 1")
+    bad = np.flatnonzero(~(np.isfinite(lik) & (lik >= 0.0)).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"likelihoods must be finite and >= 0; frame {bad[0]} has {lik[bad[0]].tolist()}"
+        )
     T = lik.shape[0]
     with np.errstate(divide="ignore"):
         ll = np.log(lik)
-    lt = np.log(np.array([[p_stay, 1.0 - p_stay], [1.0 - p_stay, p_stay]]))
+    lt = np.log(np.array([[p_stay, 1.0 - p_stay], [1.0 - p_stay, p_stay]])).tolist()
+    # two states: Python floats beat numpy's per-call overhead
+    ll0, ll1 = ll[:, 0].tolist(), ll[:, 1].tolist()
+    (l00, l01), (l10, l11) = lt
 
     # best score of any suffix starting at t in state s
-    suffix = np.zeros((T, 2))
+    suf0, suf1 = [0.0] * T, [0.0] * T
     for t in range(T - 2, -1, -1):
-        cont = lt + (ll[t + 1] + suffix[t + 1])[None, :]
-        suffix[t] = cont.max(axis=1)
+        c0 = ll0[t + 1] + suf0[t + 1]
+        c1 = ll1[t + 1] + suf1[t + 1]
+        suf0[t] = max(l00 + c0, l01 + c1)
+        suf1[t] = max(l10 + c0, l11 + c1)
 
-    path = np.empty(T, dtype=np.int64)
-    start = math.log(0.5) + ll[0] + suffix[0]
-    path[0] = int(np.argmax(start))  # argmax takes the lower index on ties
+    # ties go to Silence (state 0)
+    half = math.log(0.5)
+    s = 0 if (half + ll0[0]) + suf0[0] >= (half + ll1[0]) + suf1[0] else 1
+    path = [s]
     for t in range(1, T):
-        step = lt[path[t - 1]] + ll[t] + suffix[t]
-        path[t] = int(np.argmax(step))
-    return path
+        r0, r1 = lt[s]
+        s = 0 if (r0 + ll0[t]) + suf0[t] >= (r1 + ll1[t]) + suf1[t] else 1
+        path.append(s)
+    return np.array(path, dtype=np.int64)
 
 
 def path_to_segments(path: np.ndarray, frame_shift_ms: float = 10.0) -> SegmentList:
@@ -188,15 +201,15 @@ def path_to_segments(path: np.ndarray, frame_shift_ms: float = 10.0) -> SegmentL
 
 
 def viterbi_segments(
-    lik: np.ndarray, p_stay: float = 0.99, frame_shift_ms: float = 10.0
+    lik: np.ndarray, p_stay: float, frame_shift_ms: float = 10.0
 ) -> SegmentList:
     return path_to_segments(viterbi_path(lik, p_stay), frame_shift_ms)
 
 
 def postprocess(
     segs: SegmentList,
-    max_speech: float = 30.0,
-    merge_max: float = 10.0,
+    max_speech: float,
+    merge_max: float,
     speech_lik: np.ndarray | None = None,
     frame_shift_ms: float = 10.0,
 ) -> SegmentList:

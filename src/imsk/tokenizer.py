@@ -381,10 +381,14 @@ def save_vocab(path, vocab: SubwordVocab) -> None:
 
 
 def load_vocab(path) -> SubwordVocab:
-    """Read a save_vocab file. Any malformed content raises ValueError; a
-    malformed row names its path and line."""
-    with open(path, "r", encoding="utf-8") as f:
-        rows = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.rstrip("\n")]
+    """Read a save_vocab file. Any malformed content raises ValueError
+    whose message starts with the path, or with `path:line` for a
+    malformed row."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            rows = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.rstrip("\n")]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     if len(rows) < N_SPECIALS:
         raise ValueError(f"{path}: vocabulary file too short")
     expected = [UNK_GLYPH, SOS_EOS_GLYPH, BLANK_GLYPH]
@@ -399,7 +403,10 @@ def load_vocab(path) -> SubwordVocab:
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: expected 'piece TAB log-probability': {e}") from None
         pieces.append(piece)
-    return SubwordVocab(pieces=tuple(pieces), log_probs=tuple(log_probs))
+    try:
+        return SubwordVocab(pieces=tuple(pieces), log_probs=tuple(log_probs))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def vocab_fingerprint(vocab: SubwordVocab) -> str:

@@ -1,7 +1,12 @@
 """Audio loading, feature extraction and normalization tests."""
 
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +143,67 @@ class TestLogmel:
         got = audio.mel_spectrogram(wav, audio.LOGMEL_DEFAULT)[5]
         assert np.allclose(got, expected, rtol=1e-8, atol=1e-12)
         assert np.argmax(expected) == k
+
+
+def _unblocked_mel_spectrogram(wav, cfg):
+    """The whole-recording mel_spectrogram that the blocked one replaced,
+    kept as its oracle."""
+    frame, shift, n_frames = audio._frame_geometry(wav, cfg)
+    x = wav.samples.astype(np.float64)
+    y = np.empty_like(x)
+    y[0] = x[0] - cfg.preemphasis * x[0]
+    y[1:] = x[1:] - cfg.preemphasis * x[:-1]
+    idx = np.arange(n_frames)[:, None] * shift + np.arange(frame)[None, :]
+    frames = y[idx] * np.hamming(frame)[None, :]
+    spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    bank = audio.mel_filterbank(cfg.n_mels, cfg.n_fft, wav.sample_rate)
+    return power @ bank.T
+
+
+def check_blocked_mel_equals_unblocked():
+    """Every frame count around the block edges, plus random ones, with and
+    without a partial frame of trailing samples; raises on a mismatch."""
+    rng = np.random.default_rng(5)
+    counts = [1, 2, 2047, 2048, 2049, 4095, 4096, 4097, *rng.integers(3, 9000, size=4)]
+    for n_frames in counts:
+        for tail in (0, 97):
+            size = 400 + (int(n_frames) - 1) * 160 + tail
+            wav = Waveform(rng.uniform(-1.0, 1.0, size).astype(np.float32), 16000)
+            for cfg in (audio.LOGMEL_DEFAULT, audio.MFCC_DEFAULT):
+                got = audio.mel_spectrogram(wav, cfg)
+                assert got.shape == (n_frames, cfg.n_mels)
+                assert np.array_equal(got, _unblocked_mel_spectrogram(wav, cfg)), (n_frames, tail, cfg)
+
+
+class TestBlockedFrontEnd:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blocked_equals_unblocked(self, threads):
+        # the BLAS reads its thread count at load time, so each count runs
+        # in its own interpreter
+        here = Path(__file__).parent
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+        }
+        code = "import test_audio; test_audio.check_blocked_mel_equals_unblocked()"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+
+    def test_memory_does_not_grow_with_length(self):
+        # 600 s of noise: the whole-recording version peaked near 1 GB
+        noise = np.random.default_rng(6).uniform(-0.5, 0.5, 600 * 16000)
+        wav = Waveform(noise.astype(np.float32), 16000)
+        del noise
+        tracemalloc.start()
+        try:
+            audio.extract_mfcc(wav)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestMfcc:

@@ -245,6 +245,35 @@ def test_config_file_and_override_precedence(world):
     assert read_pipeline_config() == PipelineConfig()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p_stay", 0.0, "p_stay must lie strictly between 0 and 1"),
+    ("p_stay", 1.0, "p_stay must lie strictly between 0 and 1"),
+    ("max_speech", 0.0, "max_speech must be > 0"),
+    ("merge_max", -0.5, "merge_max must be >= 0"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+])
+def test_pipeline_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**{field: value})
+
+
+def test_bad_segmentation_settings_fail_before_any_audio(world, tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("load_audio", "extract_mfcc"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    wav = tmp_path / "rec.wav"
+    save_audio(wav, sad_recording(make_rng(7), ["da"])[0])
+    expected = "error: config: p_stay must lie strictly between 0 and 1\n"
+    assert run_cli(["segment", "--sad-model", str(world["root"] / "sad.ckpt"), "--wav", str(wav),
+                    "--out", str(tmp_path / "s.tsv"), "--p-stay", "1.5"]) == 1
+    assert capsys.readouterr().err == expected
+    assert _transcribe(world, wav, tmp_path / "t.tsv", "--p-stay", "1.5") == 1
+    assert capsys.readouterr().err == expected
+    assert calls == []
+    assert not (tmp_path / "s.tsv").exists() and not (tmp_path / "t.tsv").exists()
+
+
 def test_config_errors(world, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
 
@@ -554,7 +583,7 @@ def test_bad_vocabulary_is_reported_as_config(world, tmp_path, capsys):
     vocab.write_text("<unk>\t-23\n<sos/eos>\t0\n<blank>\t0\na\t0\nb\n", encoding="utf-8")
     text = tmp_path / "c.txt"
     text.write_text("a b\n", encoding="utf-8")
-    expected = f"error: config: {vocab}: {vocab}:5: expected 'piece TAB log-probability'"
+    expected = f"error: config: {vocab}:5: expected 'piece TAB log-probability'"
     assert run_cli(["train-lm", "--corpus", str(text), "--vocab", str(vocab),
                     "--out", str(tmp_path / "lm.ckpt")]) == 1
     assert capsys.readouterr().err.startswith(expected)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import frame_accuracy, record_requires_grad, sad_corpus
 from imsk.nn import tensor as tt
@@ -165,7 +166,7 @@ def _exhaustive_best(lik, p_stay):
 
 def test_dominant_state_single_segment():
     lik = np.array([[0.1, 10.0]] * 25)
-    segs = viterbi_segments(lik, frame_shift_ms=10.0)
+    segs = viterbi_segments(lik, 0.99, frame_shift_ms=10.0)
     assert segs.spans == ((0.0, 0.25),)
 
 
@@ -199,11 +200,67 @@ def test_higher_p_stay_never_adds_switches():
 
 def test_viterbi_errors():
     with pytest.raises(ValueError, match="shape"):
-        viterbi_path(np.zeros((0, 2)))
+        viterbi_path(np.zeros((0, 2)), 0.99)
     with pytest.raises(ValueError, match="shape"):
-        viterbi_path(np.zeros((4, 3)))
+        viterbi_path(np.zeros((4, 3)), 0.99)
     with pytest.raises(ValueError, match="p_stay"):
         viterbi_path(np.ones((4, 2)), p_stay=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_viterbi_rejects_unscorable_likelihoods(bad):
+    lik = np.ones((6, 2))
+    lik[3, 1] = bad
+    lik[5, 0] = bad
+    with pytest.raises(ValueError, match=r"finite and >= 0; frame 3 has"):
+        viterbi_path(lik, 0.9)
+
+
+def test_viterbi_zero_likelihood_is_log_zero():
+    lik = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    assert tuple(viterbi_path(lik, 0.9)) == _exhaustive_best(lik, 0.9)
+
+
+def _numpy_viterbi(lik, p_stay):
+    """The vectorised recursion viterbi_path replaced, kept as its oracle."""
+    T = lik.shape[0]
+    with np.errstate(divide="ignore"):
+        ll = np.log(lik)
+    lt = np.log(np.array([[p_stay, 1.0 - p_stay], [1.0 - p_stay, p_stay]]))
+    suffix = np.zeros((T, 2))
+    for t in range(T - 2, -1, -1):
+        cont = lt + (ll[t + 1] + suffix[t + 1])[None, :]
+        suffix[t] = cont.max(axis=1)
+    path = np.empty(T, dtype=np.int64)
+    start = math.log(0.5) + ll[0] + suffix[0]
+    path[0] = int(np.argmax(start))
+    for t in range(1, T):
+        step = lt[path[t - 1]] + ll[t] + suffix[t]
+        path[t] = int(np.argmax(step))
+    return path
+
+
+# a small value pool makes ties and zero likelihoods frequent
+_LIK_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-300, 1e300]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_LIK_VALUES, _LIK_VALUES), min_size=1, max_size=300),
+    p_stay=st.one_of(
+        st.sampled_from([1e-12, 1e-6, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    tied=st.booleans(),
+)
+def test_viterbi_equals_numpy_recursion(rows, p_stay, tied):
+    lik = np.array(rows, dtype=np.float64)
+    if tied:
+        lik[:, 1] = lik[:, 0]
+    assert np.array_equal(viterbi_path(lik, p_stay), _numpy_viterbi(lik, p_stay))
 
 
 def test_path_to_segments():
@@ -232,17 +289,17 @@ def test_segment_list_validation():
 
 
 def test_postprocess_merges_close_neighbours():
-    out = postprocess(SegmentList(((0.0, 4.0), (5.0, 9.0))))
+    out = postprocess(SegmentList(((0.0, 4.0), (5.0, 9.0))), 30.0, 10.0)
     assert out.spans == ((0.0, 9.0),)
 
 
 def test_postprocess_leaves_wide_gap_alone():
-    out = postprocess(SegmentList(((0.0, 6.0), (7.0, 12.0))))
+    out = postprocess(SegmentList(((0.0, 6.0), (7.0, 12.0))), 30.0, 10.0)
     assert out.spans == ((0.0, 6.0), (7.0, 12.0))
 
 
 def test_postprocess_splits_long_segment():
-    out = postprocess(SegmentList(((0.0, 40.0),)))
+    out = postprocess(SegmentList(((0.0, 40.0),)), 30.0, 10.0)
     assert out.spans == ((0.0, 20.0), (20.0, 40.0))
     assert all(e - s <= 30.0 for s, e in out)
     assert out[0][0] == 0.0 and out[-1][1] == 40.0
@@ -253,7 +310,7 @@ def test_postprocess_splits_long_segment():
 def test_postprocess_splits_at_likelihood_minimum():
     lik = np.full(4000, 5.0)
     lik[1700] = 0.01
-    out = postprocess(SegmentList(((0.0, 40.0),)), speech_lik=lik, frame_shift_ms=10.0)
+    out = postprocess(SegmentList(((0.0, 40.0),)), 30.0, 10.0, speech_lik=lik, frame_shift_ms=10.0)
     assert out.spans == ((0.0, 17.0), (17.0, 40.0))
 
 
@@ -261,7 +318,7 @@ def test_postprocess_minimum_outside_middle_half_ignored():
     lik = np.full(4000, 5.0)
     lik[100] = 0.01  # deepest dip, but outside the middle half of (0, 40)
     lik[2500] = 1.0
-    out = postprocess(SegmentList(((0.0, 40.0),)), speech_lik=lik, frame_shift_ms=10.0)
+    out = postprocess(SegmentList(((0.0, 40.0),)), 30.0, 10.0, speech_lik=lik, frame_shift_ms=10.0)
     assert out.spans == ((0.0, 25.0), (25.0, 40.0))
 
 
@@ -269,16 +326,16 @@ def test_postprocess_idempotent():
     rng = make_rng(2)
     lik = rng.uniform(0.1, 4.0, size=9000)
     segs = SegmentList(((0.0, 3.0), (3.5, 8.0), (9.0, 14.0), (20.0, 65.0), (80.0, 90.0)))
-    once = postprocess(segs, speech_lik=lik)
-    twice = postprocess(once, speech_lik=lik)
+    once = postprocess(segs, 30.0, 10.0, speech_lik=lik)
+    twice = postprocess(once, 30.0, 10.0, speech_lik=lik)
     assert once.spans == twice.spans
     assert all(e - s <= 30.0 for s, e in once)
 
 
 def test_postprocess_without_likelihoods_idempotent():
     segs = SegmentList(((0.0, 2.0), (2.5, 6.0), (10.0, 75.0)))
-    once = postprocess(segs)
-    assert once.spans == postprocess(once).spans
+    once = postprocess(segs, 30.0, 10.0)
+    assert once.spans == postprocess(once, 30.0, 10.0).spans
 
 
 # -- training ------------------------------------------------------------------

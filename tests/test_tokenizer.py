@@ -352,6 +352,15 @@ class TestVocabFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: expected 'piece TAB"):
             tok.load_vocab(path)
 
+    @pytest.mark.parametrize("tail", [b"b\t0\n", b"\xff\xfe\n"])
+    def test_content_errors_name_the_path(self, tmp_path, tail):
+        # probabilities that no longer sum to 1, and bytes that are not UTF-8
+        path = tmp_path / "vocab.tsv"
+        tok.save_vocab(path, make_vocab({"a": 1.0}))
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            tok.load_vocab(path)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
