@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ctc import ctc_loss_op
 from ..nn import tensor as tt
-from ..nn.checkpoint import load_checkpoint, save_checkpoint
+from ..nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from ..nn.layers import (
     NEG_FILL,
     Blstm,
@@ -334,15 +334,16 @@ def load_asr(path) -> tuple[AsrModel, dict]:
     config, params = load_checkpoint(path)
     if config.get("kind") != "asr":
         raise ValueError(f"{path} is not a recognizer checkpoint")
-    enc = dict(config["encoder"])
-    enc["vgg_channels"] = tuple(enc["vgg_channels"])
-    model = AsrModel(
-        vocab_size=config["vocab_size"],
-        enc=EncoderConfig(**enc),
-        att=AttentionConfig(**config["attention"]),
-        dec=DecoderConfig(**config["decoder"]),
-        rng=np.random.default_rng(0),
-    )
-    model.load_state_dict(params)
+    with building_from(path):
+        enc = dict(config["encoder"])
+        enc["vgg_channels"] = tuple(enc["vgg_channels"])
+        model = AsrModel(
+            vocab_size=config["vocab_size"],
+            enc=EncoderConfig(**enc),
+            att=AttentionConfig(**config["attention"]),
+            dec=DecoderConfig(**config["decoder"]),
+            rng=np.random.default_rng(0),
+        )
+        model.load_state_dict(params)
     model.vocab_hash = config.get("vocab_hash", "")
     return model, config

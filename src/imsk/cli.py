@@ -246,16 +246,11 @@ def _load_decoding(asr_model, tokenizer, cmvn, lm_model, required=()):
         if not p:
             raise PipelineError(f"config: {name} is required")
 
-    with _stage("config"):  # load_vocab names the file in its errors
+    with _stage("config"):  # the loaders name the file in their errors
         vocab = load_vocab(tokenizer)
-    with _stage("config", asr_model):
         asr, _ = load_asr(asr_model)
-    with _stage("config", cmvn):
         stats = load_cmvn(cmvn)
-    lm = None
-    if lm_model:
-        with _stage("config", lm_model):
-            lm, _ = load_lm(lm_model)
+        lm = load_lm(lm_model)[0] if lm_model else None
     _check_vocabularies(vocab, asr, lm)
     return vocab, asr, lm, stats
 
@@ -265,7 +260,7 @@ def load_artifacts(cfg: PipelineConfig) -> Artifacts:
     vocab, asr, lm, stats = _load_decoding(
         cfg.asr_model, cfg.tokenizer, cfg.cmvn, cfg.lm_model, [("sad_model", cfg.sad_model)]
     )
-    with _stage("config", cfg.sad_model):
+    with _stage("config"):  # load_sad names the file in its errors
         sad, priors, _ = load_sad(cfg.sad_model)
     return Artifacts(vocab, asr, lm, sad, priors, stats, _config(DecodeConfig, cfg))
 
@@ -509,7 +504,7 @@ def _cmd_train_sad(args) -> int:
 def _cmd_segment(args) -> int:
     with _stage("config"):
         cfg = _config(PipelineConfig, args)
-    with _stage("config", args.sad_model):
+    with _stage("config"):  # load_sad names the file in its errors
         sad, priors, _ = load_sad(args.sad_model)
     if args.wav is not None:
         recs = [(Path(args.wav).stem, args.wav)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import tensor as tt
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Embedding, Linear, LstmCell, Module, frozen
 from .nn.optim import DivergedError, clip_gradients, make_optimizer
 from .tokenizer import SOS_EOS_ID
@@ -238,12 +238,13 @@ def load_lm(path, expected_hash: str | None = None) -> tuple[LstmLm, dict]:
             f"vocabulary mismatch: checkpoint hash {config.get('vocab_hash')!r} "
             f"!= expected {expected_hash!r}"
         )
-    lm = LstmLm(
-        vocab_size=config["vocab_size"],
-        layers=config["layers"],
-        units=config["units"],
-        rng=np.random.default_rng(0),
-        vocab_hash=config.get("vocab_hash", ""),
-    )
-    lm.load_state_dict(params)
+    with building_from(path):
+        lm = LstmLm(
+            vocab_size=config["vocab_size"],
+            layers=config["layers"],
+            units=config["units"],
+            rng=np.random.default_rng(0),
+            vocab_hash=config.get("vocab_hash", ""),
+        )
+        lm.load_state_dict(params)
     return lm, config

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,19 @@ MAGIC = b"NNK1"
 
 class CheckpointError(ValueError):
     """Raised for malformed or truncated checkpoint files."""
+
+
+@contextmanager
+def building_from(path):
+    """Re-raise an error met while a model is built from the config and
+    parameters of checkpoint `path` (a missing field, a wrong shape) as a
+    CheckpointError that names the path."""
+    try:
+        yield
+    except KeyError as e:
+        raise CheckpointError(f"{path}: checkpoint config lacks {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: {e}") from e
 
 
 def save_checkpoint(path, config: dict, params: dict[str, np.ndarray]):

@@ -15,6 +15,7 @@ from .tensor import (
     Parameter,
     Tensor,
     concat,
+    constant,
     conv2d,
     matmul,
     maxpool2d_ceil,
@@ -84,12 +85,13 @@ class Module:
 def frozen(module: Module, dtype, keep=()) -> Module:
     """A deep copy of `module` for inference: every parameter becomes a
     constant `Tensor` cast to `dtype`, so calls on the copy build no
-    autograd graph. Parameters under the attributes named in `keep` keep
-    their own dtype and share the module's arrays."""
+    autograd graph; a large cast matrix comes in column blocks (see
+    `tensor.constant`). Parameters under the attributes named in `keep`
+    keep their own dtype and share the module's arrays."""
     memo = {}
     for path, p in module.named_params():
         kept = path.split(".")[0] in keep
-        memo[id(p)] = Tensor(p.data if kept else p.data.astype(dtype))
+        memo[id(p)] = Tensor(p.data) if kept else constant(p.data.astype(dtype))
     twin = copy.deepcopy(module, memo)
     twin.dtype = dtype
     return twin

@@ -119,6 +119,44 @@ class Parameter(Tensor):
         self.name = name
 
 
+# Column-block width and size threshold of `BlockedMatrix`: constants, so a
+# row's product depends only on the row and on the matrix shapes.
+BLOCK_COLUMNS = 128
+BLOCK_MIN_BYTES = 2 << 20
+
+
+class BlockedMatrix(Tensor):
+    """A constant (I, O) matrix, O a multiple of BLOCK_COLUMNS, that also
+    holds its columns as one contiguous (O / BLOCK_COLUMNS, I, BLOCK_COLUMNS)
+    array of blocks, which `matmul` multiplies rows by."""
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, data):
+        super().__init__(data)
+        self._blocks = None
+
+    @property
+    def blocks(self) -> np.ndarray:
+        # copied at the first product, so a matrix only indexed (an
+        # embedding table) costs no second copy
+        if self._blocks is None:
+            I, O = self.data.shape
+            self._blocks = np.ascontiguousarray(
+                self.data.reshape(I, O // BLOCK_COLUMNS, BLOCK_COLUMNS).transpose(1, 0, 2)
+            )
+        return self._blocks
+
+
+def constant(data: np.ndarray) -> Tensor:
+    """A tensor outside any graph; an (I, O) matrix of more than
+    BLOCK_MIN_BYTES whose O is a multiple of BLOCK_COLUMNS is a
+    `BlockedMatrix`."""
+    if data.ndim == 2 and data.nbytes > BLOCK_MIN_BYTES and data.shape[1] % BLOCK_COLUMNS == 0:
+        return BlockedMatrix(data)
+    return Tensor(data)
+
+
 def _wrap(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -214,16 +252,26 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Row-stable product: each item along the leading axis is multiplied
-    on its own.
+    on its own, so a row's bits depend only on the row and on the matrix
+    shapes.
 
     `a` is (N, I), taken row by row, or (N, M, I), taken item by item; `b`
     is a shared (I, O), or (N, I, O) or (1, I, O) with one matrix per item
     or one shared by all. np.matmul computes every leading-axis slice of
-    stacked operands with its own BLAS call, so an item's bits depend only
-    on that item and on the core matrix shapes, never on how many items
-    share the call; a single 2-D product would not give that, since BLAS
-    may sum an M=1 product differently from an M>1 one. This is what keeps
-    batched decoding bit-identical to sequential decoding.
+    stacked operands with its own BLAS call, so an item's result never
+    depends on how many items share the call; a single 2-D product would
+    not give that, since BLAS may sum an M=1 product differently from an
+    M>1 one. This is what keeps batched decoding bit-identical to
+    sequential decoding.
+
+    Rows against a `BlockedMatrix` are multiplied block by block, so each
+    block stays in cache while every row passes over it; a row still gets
+    its own BLAS call per block. OpenBLAS sums each output column from the
+    row and that column alone, in a kernel picked by the column's offset in
+    the call and in the call's thread chunk. Blocks start at multiples of
+    BLOCK_COLUMNS and O is a multiple of it, so at one or two BLAS threads
+    every column meets the kernel, and so gets the bits, of one call over
+    all O columns (tests/test_tensor.py holds the two products equal).
     """
     A, B = a.data, b.data
     shared = B.ndim == 2 or B.shape[0] == 1
@@ -242,7 +290,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.matmul(np.swapaxes(A, 1, 2), g)
             b._accumulate(gb.reshape(B.shape))
 
-    out = np.matmul(A[:, None, :], B)[:, 0] if A.ndim == 2 else np.matmul(A, B)
+    if A.ndim == 3:
+        out = np.matmul(A, B)
+    elif isinstance(b, BlockedMatrix):
+        # (O / w, N, 1, w): each block in turn meets every row
+        out = np.matmul(A[None, :, None, :], b.blocks[:, None])
+        out = out.transpose(1, 0, 2, 3).reshape(A.shape[0], -1)
+    else:
+        out = np.matmul(A[:, None, :], B)[:, 0]
     return Tensor._result(out, (a, b), backward)
 
 
@@ -535,6 +590,8 @@ def window_counts(T: int, radius: int) -> np.ndarray:
 __all__ = [
     "Tensor",
     "Parameter",
+    "BlockedMatrix",
+    "constant",
     "add",
     "sub",
     "neg",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import tensor as tt
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Linear, Module, StatsPooling, frozen
 from .nn.optim import DivergedError, clip_gradients, make_optimizer
 from .util import make_rng
@@ -338,15 +338,16 @@ def load_sad(path) -> tuple[SadModel, tuple[float, float, float], dict]:
     config, params = load_checkpoint(path)
     if config.get("kind") != "sad":
         raise ValueError(f"{path} is not a speech activity detection checkpoint")
-    cfg = SadConfig(
-        input_dim=config["input_dim"],
-        context=config["context"],
-        hidden=tuple(config["hidden"]),
-        pool_radius=config["pool_radius"],
-    )
-    model = SadModel(cfg, np.random.default_rng(0))
-    model.load_state_dict(params)
-    priors = tuple(float(p) for p in config["priors"])
+    with building_from(path):
+        cfg = SadConfig(
+            input_dim=config["input_dim"],
+            context=config["context"],
+            hidden=tuple(config["hidden"]),
+            pool_radius=config["pool_radius"],
+        )
+        model = SadModel(cfg, np.random.default_rng(0))
+        model.load_state_dict(params)
+        priors = tuple(float(p) for p in config["priors"])
     return model, priors, config
 
 

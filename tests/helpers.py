@@ -1,6 +1,10 @@
 """Shared synthetic fixtures for segmentation and recognition tests,
-random corruptions of files for parser tests, and an autograd-graph spy."""
+random corruptions of files for parser tests, an autograd-graph spy, and
+a runner for checks at a fixed BLAS thread count."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,3 +217,24 @@ def record_requires_grad(monkeypatch) -> list:
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
     return made
+
+
+def run_at_blas_threads(threads: int, check: str) -> None:
+    """Call `check`, a "module.function" of the test directory, in a fresh
+    interpreter with OpenBLAS at `threads` threads (the BLAS reads its
+    thread count when it loads). A failure names the BLAS numpy was built
+    with, the thread count and the check's error output."""
+    here = Path(__file__).parent
+    module, _ = check.rsplit(".", 1)
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+    }
+    run = subprocess.run([sys.executable, "-c", f"import {module}; {check}()"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert run.returncode == 0, (
+        f"{check} fails with {blas['name']} {blas.get('version', '')} at {threads} BLAS "
+        f"threads:\n{run.stderr}"
+    )

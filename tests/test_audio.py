@@ -1,18 +1,14 @@
 """Audio loading, feature extraction and normalization tests."""
 
-import os
 import struct
-import subprocess
-import sys
 import tracemalloc
 import wave
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import corrupt
+from helpers import corrupt, run_at_blas_threads
 from imsk import audio
 from imsk.audio import (
     CmvnStats,
@@ -177,20 +173,9 @@ def check_blocked_mel_equals_unblocked():
 
 
 class TestBlockedFrontEnd:
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_blocked_equals_unblocked(self, threads):
-        # the BLAS reads its thread count at load time, so each count runs
-        # in its own interpreter
-        here = Path(__file__).parent
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
-        }
-        code = "import test_audio; test_audio.check_blocked_mel_equals_unblocked()"
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
+        run_at_blas_threads(threads, "test_audio.check_blocked_mel_equals_unblocked")
 
     def test_memory_does_not_grow_with_length(self):
         # 600 s of noise: the whole-recording version peaked near 1 GB
@@ -222,12 +207,26 @@ class TestMfcc:
         assert np.all(np.abs(coeffs[1:]) < 1e-12)
 
     def test_inverse_dct_recovers_logmel(self):
-        wav = Waveform(RNG.normal(0, 0.1, 4000).astype(np.float32), 16000)
+        rng = np.random.default_rng(0)
+        wav = Waveform(rng.normal(0, 0.1, 4000).astype(np.float32), 16000)
         cfg = audio.MFCC_DEFAULT
         logmel = audio.extract_logmel(wav, cfg)
-        mfcc = audio.extract_mfcc(wav, cfg)
-        back = mfcc.frames.astype(np.float64) @ audio.dct_matrix(40)
-        assert np.allclose(back, logmel.frames, atol=1e-8)
+        mfcc = audio.extract_mfcc(wav, cfg).frames.astype(np.float64)
+        d = audio.dct_matrix(40)
+        back = mfcc @ d
+        # A frame's MFCC is c = fl32(m) with m = L d^T taken in float64, so
+        # |c - m| <= u32 |m| entrywise (u32 = 2**-24, float32 unit roundoff)
+        # and ||c - m||_2 <= u32 ||m||_2 <= u32 (1 + u32) ||c||_2. Since
+        # d^T d = I, back - L = (c - m) d plus float64 rounding, and by
+        # Cauchy-Schwarz entry j of (c - m) d is at most ||c - m||_2 times
+        # the norm of d's column j. The float64 rounding of both 40-term
+        # products and d's departure from orthonormality stay below
+        # 40 * 40 * u64 * ||c||_2 (u64 = 2**-53), with a wide margin.
+        u32, u64 = 2.0**-24, 2.0**-53
+        norm_c = np.linalg.norm(mfcc, axis=1, keepdims=True)
+        cols = np.linalg.norm(d, axis=0)[None, :]
+        bound = (u32 * (1 + u32) * cols + 40 * 40 * u64) * norm_c
+        assert np.all(np.abs(back - logmel.frames) <= bound)
 
 
 def fm(arr):

@@ -36,6 +36,7 @@ from imsk.cli import (
     write_transcript,
 )
 from imsk.lm import LmConfig, load_lm
+from imsk.nn.checkpoint import load_checkpoint, save_checkpoint
 from imsk.sad import SadConfig, SadTrainConfig, load_sad, read_segments
 from imsk.tokenizer import decode as detokenize, load_vocab, vocab_fingerprint
 from imsk.util import make_rng, read_tsv, write_tsv
@@ -364,6 +365,32 @@ def test_decode_names_a_missing_lm_file(world, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: lm_model file not found: {missing}")
     assert not (tmp_path / "hyp.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--asr-model", "--cmvn", "--lm", "--sad-model"])
+def test_a_corrupt_artifact_is_named_once(world, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"XXXXX" + bytes(40))
+    commands = [["transcribe", "--config", str(world["ini"]), "--wav", str(tmp_path / "w.wav"),
+                 "--out", str(tmp_path / "t.tsv"), flag, str(bad)]]
+    if flag == "--sad-model":
+        commands.append(["segment", "--wav", str(tmp_path / "w.wav"),
+                         "--out", str(tmp_path / "s.tsv"), flag, str(bad)])
+    for command in commands:
+        assert run_cli(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count(str(bad)) == 1, err
+
+
+@pytest.mark.parametrize("flag,name", [("--asr-model", "asr.ckpt"), ("--lm", "lm.ckpt"),
+                                       ("--sad-model", "sad.ckpt")])
+def test_a_checkpoint_without_its_parameters_is_named_once(world, tmp_path, capsys, flag, name):
+    config, _ = load_checkpoint(world["root"] / name)
+    bad = tmp_path / name
+    save_checkpoint(bad, config, {})
+    assert _transcribe(world, tmp_path / "w.wav", tmp_path / "t.tsv", flag, str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {bad}: state mismatch: missing=") and err.count(str(bad)) == 1
 
 
 def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import run_at_blas_threads
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
 
@@ -79,6 +80,66 @@ def test_matmul_items_do_not_depend_on_other_items(n, m, i, o, per_item, seed, d
     full = tt.matmul(tt.Tensor(a), tt.Tensor(b)).data
     part = tt.matmul(tt.Tensor(a[items]), tt.Tensor(b[items] if b.ndim == 3 else b)).data
     assert np.array_equal(full[items], part)
+
+
+def test_constant_blocks_only_large_matrices():
+    w = tt.BLOCK_COLUMNS
+    rng = np.random.default_rng(4)
+    for shape, dtype, blocks in [
+        ((256, 1024), np.float64, None),  # exactly BLOCK_MIN_BYTES
+        ((257, 1024), np.float64, (8, 257, w)),
+        ((832, 3 * w), np.float64, (3, 832, w)),
+        ((1024, 1024), np.float32, (8, 1024, w)),
+        ((512, 1024), np.float32, None),
+        ((832, 500), np.float64, None),  # O not a multiple of the width
+        ((4, 512, 1024), np.float64, None),
+    ]:
+        data = rng.normal(size=shape).astype(dtype)
+        t = tt.constant(data)
+        assert t.data is data and not t.requires_grad
+        if blocks is None:
+            assert type(t) is tt.Tensor
+            continue
+        assert isinstance(t, tt.BlockedMatrix) and t._blocks is None  # until first used
+        assert t.blocks.shape == blocks and t.blocks is t.blocks
+        assert t.blocks.flags.c_contiguous and t.blocks.dtype == dtype
+        assert np.array_equal(np.concatenate(t.blocks, axis=1), data)
+        # stacked items go through the item path, not the blocks
+        items = rng.normal(size=(3, 2, shape[0])).astype(dtype)
+        assert np.array_equal(tt.matmul(tt.Tensor(items), t).data, np.matmul(items, data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 100),
+    i=st.sampled_from([1, 5, 64, 255, 256, 257, 512, 832]),
+    o=st.sampled_from([128, 256, 384, 500, 1000, 1023, 1024, 1025, 1100, 1152]),
+    direct=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=80, i=832, o=1024, direct=False, seed=0)
+@example(n=80, i=512, o=1024, direct=False, seed=1)
+@example(n=37, i=832, o=500, direct=False, seed=2)
+@example(n=100, i=257, o=1152, direct=False, seed=3)
+@example(n=1, i=256, o=1024, direct=False, seed=4)
+def check_blocked_product_equals_per_row(n, i, o, direct, seed):
+    """Rows against a matrix from `constant` (in column blocks above the
+    size threshold) or, with `direct`, against any BlockedMatrix equal the
+    per-row product bit for bit; subsets and permutations of the rows give
+    the same rows. Run at fixed BLAS thread counts by the test below."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, i)), rng.normal(size=(i, o))
+    per_row = np.matmul(a[:, None, :], b)[:, 0]
+    w = tt.BlockedMatrix(b) if direct and o % tt.BLOCK_COLUMNS == 0 else tt.constant(b)
+    full = tt.matmul(tt.Tensor(a), w).data
+    assert np.array_equal(full, per_row), (n, i, o, type(w).__name__)
+    rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+    assert np.array_equal(tt.matmul(tt.Tensor(a[rows]), w).data, full[rows])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_product_equals_per_row(threads):
+    run_at_blas_threads(threads, "test_tensor.check_blocked_product_equals_per_row")
 
 
 @pytest.mark.parametrize("op", [tt.tanh, tt.sigmoid, tt.exp])
