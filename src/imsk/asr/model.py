@@ -141,7 +141,32 @@ class AsrModel(Module):
     # -- encoder --------------------------------------------------------------
 
     def encode_batch(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
-        """(B, T', 2H) encodings and per-utterance output lengths."""
+        """(B, T', 2H) encodings of one zero-padded batch and per-utterance
+        output lengths; frames past an utterance's length hold no encoding."""
+        y, le = self._vgg(feats)
+        for layer in self.blstms:
+            y = layer(y, le)
+        return y, le
+
+    def encode_each(self, feats: list) -> list[tt.Tensor]:
+        """(1, T'_b, 2H) encodings, each equal bit for bit to
+        `encode_batch([f])` of its utterance alone. A padded batch would
+        change that: BLAS may round a row of the convolution and projection
+        products differently when the padded length changes. So the
+        convolutional blocks and each BLSTM's input projections run per
+        utterance, and only the row-stable recurrences run once for all."""
+        # a copy of each output of the blocks, made once their temporaries
+        # are freed, sits low on the C heap; the output itself, allocated
+        # among them, would hold the heap's top up while the next
+        # utterance's blocks run (4 MB more peak RSS on a minute of audio)
+        ys = [tt.concat([self._vgg([f])[0]]) for f in feats]
+        for layer in self.blstms:
+            ys = layer.each(ys)
+        return ys
+
+    def _vgg(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
+        """(B, T', F) output of the convolutional blocks over a zero-padded
+        batch, and per-utterance output lengths."""
         d = self.enc_cfg.input_dim
         for f in feats:
             if f.shape[1] != d:
@@ -155,10 +180,7 @@ class AsrModel(Module):
         y, le = self.block1(tt.Tensor(x), lengths)
         y, le = self.block2(y, le)
         B, t2, f2, c = y.shape
-        y = tt.reshape(y, (B, t2, f2 * c))
-        for layer in self.blstms:
-            y = layer(y, le)
-        return y, le
+        return tt.reshape(y, (B, t2, f2 * c)), le
 
     def encode(self, feat: np.ndarray) -> tt.Tensor:
         """(T', 2H) encoding of a single utterance."""

@@ -121,7 +121,8 @@ def load_audio(path) -> Waveform:
     """Read a linear-PCM 16-bit mono WAV file.
 
     Raises UnsupportedEncodingError, MultichannelAudioError or
-    TruncatedAudioError so callers can report the exact problem.
+    TruncatedAudioError, each naming the file, so callers can report the
+    exact problem.
     """
     try:
         with wave.open(str(path), "rb") as f:
@@ -141,12 +142,21 @@ def load_audio(path) -> Waveform:
         raise TruncatedAudioError(f"{path}: file ends inside the header") from exc
     except wave.Error as exc:
         raise UnsupportedEncodingError(f"{path}: {exc}") from exc
+    except RuntimeError as exc:
+        # wave's chunk reader raises a bare RuntimeError when a chunk's
+        # declared size runs past the RIFF chunk that holds it
+        raise UnsupportedEncodingError(
+            f"{path}: malformed header: a chunk runs past the RIFF chunk"
+        ) from exc
     if len(raw) != 2 * n:
         raise TruncatedAudioError(
             f"{path}: header declares {n} samples but only {len(raw) // 2} present"
         )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    try:
+        return Waveform(samples=samples, sample_rate=rate)
+    except ValueError as exc:  # no samples, or a rate below 8000 Hz
+        raise UnsupportedEncodingError(f"{path}: {exc}") from exc
 
 
 def save_audio(path, wav: Waveform) -> None:

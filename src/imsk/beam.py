@@ -14,29 +14,31 @@ ever decrease along an extension) or at the output-length cap.
 
 A step works on arrays per utterance: one reduction over frames gives
 the CTC prefix scores of every live hypothesis and label, each hypothesis
-keeps its best `beam` labels, the beam is ranked from those by (-score,
-tokens), and CTC frame states are built only for the extensions that
-enter it. Every score is the same floating-point expression, in the same
-order, as a loop over single candidates would compute.
+keeps its best `beam` labels, and the beam is ranked from those by
+(-score, tokens). Every score is the same floating-point expression, in
+the same order, as a loop over single candidates would compute. Then
+one CTC frame recursion builds the states of the extensions that entered
+the beams of all utterances.
 
 The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
 `LstmLm.lm_step`), run on constant copies of the model and LM made once
 per call by `nn.layers.frozen`, so decoding builds no autograd graph.
 The copies compute in float64, except the encoder, which keeps the
-model's float32 arrays. Each utterance (a lane) is encoded on its own
-and owns its float64 encoder frames and the attention weights, decoder
-states and LM states of its live hypotheses, and gathers them by parent
-row when the beam moves on. Attention runs once per lane over the lane's
-own frames; the decoder and LM steps stack the rows of all lanes.
+model's float32 arrays. Each utterance (a lane) owns its float64 encoder
+frames and the attention weights, decoder states and LM states of its
+live hypotheses, and gathers them by parent row when the beam moves on.
+Attention runs once per lane over the lane's own frames; the decoder and
+LM steps stack the rows of all lanes.
 
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
 never on how many other rows share a call: every product goes through
 `tt.matmul`, which multiplies each row, or each lane's item, on its own,
 and every other operation is elementwise or reduces within a row. The
-encoder is not batched for the same reason: its convolutions are one
-product over all frames of a padded batch, and BLAS may round a row
-differently when the padded length changes.
+encoder (`AsrModel.encode_each`) runs its recurrences once for all lanes
+but its convolutions and input projections per utterance: those are
+products over all frames, and BLAS may round a row of a padded batch's
+product differently when the padded length changes.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ class _Lane:
     """Per-utterance search context: encodings, caps, live and done sets,
     and the (rows, .) attention, decoder and LM states of the live rows."""
 
-    def __init__(self, feat: np.ndarray, m64, lm64, cfg: DecodeConfig):
-        h, _ = m64.encode_batch([feat])
+    def __init__(self, h: tt.Tensor, m64, lm64, cfg: DecodeConfig):
         h = self.h = tt.Tensor(h.data.astype(np.float64))
         self.T = h.shape[1]
         self.vh = m64.precompute_attention(h)
@@ -187,8 +188,8 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             logp_lm, new_lm = lm64.lm_step(_stack_states([lane.lm for lane in live]), y_prev)
             logp_lm = logp_lm.data
 
-        lo = 0
-        for lane, (a_new, _) in zip(live, attended):
+        lo, picks = 0, []
+        for lane in live:
             hyps = lane.active
             sl = slice(lo, lo + len(hyps))
             lo += len(hyps)
@@ -196,7 +197,7 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             # scores of every (row, label) extension; the end-of-sequence
             # column carries the complete-sequence CTC probability
             att = np.array([hy.score_att for hy in hyps])[:, None] + logp_att[sl]
-            lm = None
+            lm = ctc = None
             if logp_lm is not None:
                 lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
             if run_ctc:
@@ -223,20 +224,24 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             cand = sub[row_of, pos]
             parent_rank = np.argsort(sorted(range(len(hyps)), key=lambda i: hyps[i].tokens))
             keep = np.lexsort((pos, parent_rank[row_of], -cand))[: cfg.beam]
-
             picked = [(int(row_of[k]), int(labels[pos[k]]), float(cand[k])) for k in keep]
-            grown = [(ri, c) for ri, c, _ in picked if c != SOS_EOS_ID]
-            if run_ctc and grown:
-                # frame states only for the extensions that entered the beam
-                new_states = iter(
-                    ctc_prefix_extend(
-                        [hyps[ri].ctc_state for ri, _ in grown],
-                        [c for _, c in grown],
-                        [ctc[ri, c] for ri, c in grown],
-                        lane.ctc_logp,
-                        BLANK_ID,
-                    )
-                )
+            picks.append((sl, att, lm, ctc, picked))
+
+        if run_ctc:
+            # frame states only for the extensions that entered a beam, of
+            # all lanes in one recursion
+            grown = [
+                (lane.ctc_logp, lane.active[ri].ctc_state, c, ctc[ri, c])
+                for lane, (_, _, _, ctc, picked) in zip(live, picks)
+                for ri, c, _ in picked
+                if c != SOS_EOS_ID
+            ]
+            if grown:
+                logps, states, cs, psi = zip(*grown)
+                new_states = iter(ctc_prefix_extend(states, cs, psi, logps, BLANK_ID))
+
+        for lane, (a_new, _), (sl, att, lm, ctc, picked) in zip(live, attended, picks):
+            hyps = lane.active
             new_active, parents = [], []
             for ri, c, s in picked:
                 hyp = hyps[ri]
@@ -292,9 +297,9 @@ def decode_nbest(
     """Top-n finished hypotheses of each utterance, best first.
 
     Ranking follows the (score, token sequence) order the search itself
-    uses. Up to `batch_size` utterances share each search step, but each
-    is encoded alone; every list is identical to the one decoding its
-    utterance alone gives. The model and LM are used through constant
+    uses. Up to `batch_size` utterances share the encoder's recurrences
+    and each search step, yet every list is identical to the one decoding
+    its utterance alone gives. The model and LM are used through constant
     copies (`nn.layers.frozen`), so no autograd graph is built and their
     parameters and gradients are left as they are.
     """
@@ -309,7 +314,7 @@ def decode_nbest(
     arrs = [_frames(f) for f in feats]
     results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
-        lanes = [_Lane(a, m64, lm64, cfg) for a in arrs[i : i + batch_size]]
+        lanes = [_Lane(h, m64, lm64, cfg) for h in m64.encode_each(arrs[i : i + batch_size])]
         results.extend(ranked[:n] for ranked in _search(lanes, m64, lm64, cfg))
     return results
 
@@ -337,7 +342,8 @@ def rescore(feat, model, tokens, lm=None):
     independent of any search state.
     """
     m64 = frozen(model, np.float64, keep=_ENCODER)
-    lane = _Lane(_frames(feat), m64, None, DecodeConfig())
+    (h,) = m64.encode_each([_frames(feat)])
+    lane = _Lane(h, m64, None, DecodeConfig())
     a, state, att, prev = lane.a, lane.dec, 0.0, SOS_EOS_ID
     for t in list(tokens) + [SOS_EOS_ID]:
         a, r = m64.attend(a, m64.decoder_query(state), lane.h, lane.vh)

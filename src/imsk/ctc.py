@@ -11,7 +11,8 @@ Prefix scoring keeps, per hypothesis, the log probability of every frame
 being the end of the prefix with a blank and with the last label. The
 prefix probabilities of every one-label extension of R hypotheses come
 from one (T, R, V) reduction over frames, with no frame recursion; the
-O(T) recursion to a new state runs only for the extensions a search keeps.
+O(T) recursion to a new state runs only for the extensions a search keeps,
+those of several utterances in one frame loop.
 Accumulated to the end of a hypothesis, the state matches the full ctc
 loss on the same sequence.
 """
@@ -19,6 +20,7 @@ loss on the same sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -213,38 +215,53 @@ def ctc_prefix_score_all(states, log_posteriors: np.ndarray, blank: int) -> np.n
 
 
 def ctc_prefix_extend(
-    states, labels, log_psi, log_posteriors: np.ndarray, blank: int
+    states, labels, log_psi, log_posteriors, blank: int
 ) -> list[CtcPrefixState]:
     """States of K prefixes, states[k] extended by labels[k].
 
     log_psi[k] is the extension's prefix probability from
-    ctc_prefix_score_all. The frame recursion runs once over all K
-    columns; its operations are elementwise, so each column equals the
-    recursion of that prefix alone.
+    ctc_prefix_score_all. log_posteriors is one (T, V) array that every
+    prefix shares, or a list of K arrays, states[k]'s (T_k, V) array
+    at k; the prefixes of one utterance are adjacent and share one array
+    object. The frame recursion runs once over all K columns, each padded
+    with -inf to the longest T_k; its operations are elementwise, so each
+    column equals the recursion of that prefix alone.
     """
+    K = len(states)
+    if isinstance(log_posteriors, np.ndarray):
+        log_posteriors = [log_posteriors] * K
     labels = np.asarray(labels, dtype=np.int64)
-    prev_b, prev_any = _prefix_ends(states)
-    last = np.array([s.last_label for s in states])
-    phi = np.where(labels == last, prev_b, prev_any)
-    T, K = phi.shape
+    T = max(lp.shape[0] for lp in log_posteriors)
+    phi, lp_label, lp_blank = (np.full((T, K), NEG_INF) for _ in range(3))
+    # fill the padded inputs one utterance (run of one shared array) at a time
+    lo = 0
+    for _, run in groupby(log_posteriors, key=id):
+        lp = next(run)
+        k = slice(lo, lo + 1 + sum(1 for _ in run))
+        prev_b, prev_any = _prefix_ends(states[k])
+        last = np.array([s.last_label for s in states[k]])
+        t = lp.shape[0]
+        phi[:t, k] = np.where(labels[k] == last, prev_b, prev_any)
+        lp_label[:t, k] = lp[:, labels[k]]
+        lp_blank[:t, k] = lp[:, blank, None]
+        lo = k.stop
     r_nb = np.empty((T, K))
     r_b = np.empty((T, K))
     nb_prev = b_prev = np.full(K, NEG_INF)
-    rows = zip(r_nb, r_b, phi, log_posteriors[:, labels], log_posteriors[:, blank])
-    for nb, b, phi_t, lp_t, lp_blank in rows:
+    for nb, b, phi_t, lp_t, lp_blank_t in zip(r_nb, r_b, phi, lp_label, lp_blank):
         np.logaddexp(nb_prev, phi_t, out=nb)
         np.add(nb, lp_t, out=nb)
         np.logaddexp(b_prev, nb_prev, out=b)
-        np.add(b, lp_blank, out=b)
+        np.add(b, lp_blank_t, out=b)
         nb_prev, b_prev = nb, b
     return [
         CtcPrefixState(
-            r_nb=r_nb[:, k].copy(),
-            r_b=r_b[:, k].copy(),
+            r_nb=r_nb[: lp.shape[0], k].copy(),
+            r_b=r_b[: lp.shape[0], k].copy(),
             last_label=int(labels[k]),
             log_psi=float(log_psi[k]),
         )
-        for k in range(K)
+        for k, lp in enumerate(log_posteriors)
     ]
 
 

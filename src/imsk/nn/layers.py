@@ -146,43 +146,66 @@ def _reverse_index(lengths: np.ndarray, T: int) -> np.ndarray:
 
 
 class Lstm(Module):
-    """Unidirectional LSTM over padded (B, T, n_in) sequences."""
+    """Unidirectional LSTM; the backward direction reads each sequence
+    reversed and returns its outputs in input order.
+
+    The input projection `x @ wx` is taken out of the frame loop, which
+    then recurs only through the hidden term, one step for all rows.
+    """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32, reverse: bool = False):
         self.cell = LstmCell(n_in, n_hidden, rng, dtype)
         self.reverse = reverse
 
     def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
-        B, T, n_in = x.shape
-        H = self.cell.n_hidden
-        dtype = x.dtype
-        bidx = np.arange(B)[:, None]
-        if self.reverse:
-            ridx = _reverse_index(lengths, T)
-            x = take(x, (bidx, ridx))
-        # project all inputs at once; recur only through the hidden term
-        wx = take(self.cell.w, (slice(0, n_in), slice(None)))
-        wh = take(self.cell.w, (slice(n_in, n_in + H), slice(None)))
-        xw = matmul(x, wx)
-        full = bool(np.all(lengths == T))
-        h, c = self.cell.zero_state(B, dtype)
+        """Padded (B, T, n_in) -> (B, T, H), projected as one batch. Outputs
+        past a row's length carry no meaning; callers ignore them
+        (attention masks those frames, CTC slices them off)."""
+        return self._flip(self._recur(self._project(self._flip(x, lengths))), lengths)
+
+    def each(self, xs: list[Tensor]) -> list[Tensor]:
+        """(1, T_b, n_in) sequences -> (1, T_b, H) outputs, each equal bit
+        for bit to `self(x, [T_b])`: every sequence is projected alone at its
+        own length, and one frame loop then runs all of them, zero-padded to
+        the longest. A row's recurrence never reads another row (`matmul`
+        multiplies each row alone, the gates are elementwise), and a row's
+        frames past its length are dropped."""
+        xws = [self._project(self._flip(x, [x.shape[1]])) for x in xs]
+        T = max(xw.shape[1] for xw in xws)
+        padded = [
+            concat([xw, Tensor(np.zeros((1, T - xw.shape[1], xw.shape[2]), xw.dtype))], axis=1)
+            for xw in xws
+        ]
+        y = self._recur(concat(padded))
+        return [
+            self._flip(take(y, (slice(b, b + 1), slice(0, xw.shape[1]))), [xw.shape[1]])
+            for b, xw in enumerate(xws)
+        ]
+
+    def _flip(self, x: Tensor, lengths) -> Tensor:
+        """Reverse each row's first `length` frames if this is the backward
+        direction; an involution."""
+        if not self.reverse:
+            return x
+        B, T = x.shape[:2]
+        return take(x, (np.arange(B)[:, None], _reverse_index(lengths, T)))
+
+    def _project(self, x: Tensor) -> Tensor:
+        return matmul(x, take(self.cell.w, (slice(0, self.cell.n_in), slice(None))))
+
+    def _recur(self, xw: Tensor) -> Tensor:
+        """(B, T, 4H) input projections -> (B, T, H) hidden states."""
+        B, T, _ = xw.shape
+        n_in = self.cell.n_in
+        wh = take(self.cell.w, (slice(n_in, n_in + self.cell.n_hidden), slice(None)))
+        h, c = self.cell.zero_state(B, xw.dtype)
         outs = []
         with np.errstate(over="ignore"):
             for t in range(T):
                 z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
-                h_new, c_new = self.cell._apply_gates(z, c)
-                if full:
-                    h, c = h_new, c_new
-                else:
-                    m = Tensor((t < lengths)[:, None].astype(dtype))
-                    keep = Tensor((1.0 - m.data).astype(dtype))
-                    h = h_new * m + h * keep
-                    c = c_new * m + c * keep
+                h, c = self.cell._apply_gates(z, c)
                 outs.append(h)
-        y = stack(outs, axis=1)
-        if self.reverse:
-            y = take(y, (bidx, ridx))
-        return y
+        return stack(outs, axis=1)
 
 
 class Blstm(Module):
@@ -192,6 +215,11 @@ class Blstm(Module):
 
     def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
         return concat([self.fw(x, lengths), self.bw(x, lengths)], axis=2)
+
+    def each(self, xs: list[Tensor]) -> list[Tensor]:
+        """Per-sequence outputs, one joint frame loop per direction (see
+        `Lstm.each`)."""
+        return [concat([f, b], axis=2) for f, b in zip(self.fw.each(xs), self.bw.each(xs))]
 
 
 class VggBlock(Module):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import run_at_blas_threads
 from imsk.asr import (
     AsrModel,
     AsrTrainConfig,
@@ -20,7 +21,9 @@ from imsk.asr import (
     train_asr,
 )
 import imsk.asr.training as training
+from imsk.beam import _ENCODER
 from imsk.nn import tensor as tt
+from imsk.nn.layers import frozen
 from imsk.nn.gradcheck import check_gradients
 from imsk.nn.optim import DivergedError
 from imsk.tokenizer import SOS_EOS_ID
@@ -81,6 +84,44 @@ class TestEncoder:
             r = tt.Tensor(np.ones((1, h.shape[1]), dtype=np.float32))
             logp, _ = m.decode_step(r, m.initial_decoder_state(1), np.array([3]))
         assert np.all(np.isfinite(h.data)) and np.all(np.isfinite(logp.data))
+
+
+@st.composite
+def length_mixes(draw):
+    """1-8 utterance lengths: all equal, or a mix of 1-60 frames with at
+    least one of 1-7, at or below the 4x pooling of the VGG blocks."""
+    if draw(st.booleans()):
+        return [draw(st.integers(1, 60))] * draw(st.integers(1, 8))
+    mix = draw(st.lists(st.integers(1, 60), min_size=0, max_size=6))
+    short = draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))
+    return draw(st.permutations(mix + short))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=length_mixes(), seed=st.integers(0, 2**16))
+@example(lengths=[3, 12, 20, 90], seed=8)
+@example(lengths=[1, 60, 4, 7, 33, 2], seed=0)
+@example(lengths=[41] * 5, seed=1)
+def check_encode_each_equals_alone(lengths, seed):
+    """Each row of the joint decode-time encoder equals the utterance
+    encoded alone, bit for bit, at the desk encoder's size (80-dim input,
+    VGG (8, 16)), where a padded batch changes short utterances' bits. On
+    the float32 model and on a float64 decoding copy that keeps the
+    encoder. Run at fixed BLAS thread counts by the test below."""
+    m = AsrModel(VOCAB, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(seed)
+    fs = [rng.normal(0, 1, (n, 80)) for n in lengths]
+    for enc in (m, frozen(m, np.float64, keep=_ENCODER)):
+        got = enc.encode_each(fs)
+        assert len(got) == len(fs)
+        for f, h in zip(fs, got):
+            alone, _ = enc.encode_batch([f])
+            assert h.shape == alone.shape and np.array_equal(h.data, alone.data), len(f)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_encode_each_equals_alone(threads):
+    run_at_blas_threads(threads, "test_asr.check_encode_each_equals_alone")
 
 
 def attend_reference(m, a_prev, q, h):

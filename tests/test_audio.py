@@ -68,6 +68,35 @@ class TestLoadAudio:
         with pytest.raises(UnsupportedEncodingError):
             audio.load_audio(path)
 
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (16, 0x0000E010, "runs past the RIFF chunk"),  # fmt chunk size
+            (24, 128, "sample rate 128 below 8000 Hz"),  # sample rate
+            (40, 0, "waveform must be non-empty"),  # data chunk size
+        ],
+    )
+    def test_bad_header_field_raises_unsupported_encoding(self, tmp_path, offset, value, message):
+        path = tmp_path / "h.wav"
+        write_wav(path, np.ones(1600, dtype="<i2"))
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedEncodingError, match=f"^{path}: .*{message}"):
+            audio.load_audio(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corruptions_raise_only_audio_error(self, tmp_path, data):
+        # 16 samples, so that most byte changes hit the 44-byte header
+        path = tmp_path / "c.wav"
+        write_wav(path, np.arange(16, dtype="<i2"))
+        path.write_bytes(corrupt(data, path.read_bytes()))
+        try:
+            audio.load_audio(path)
+        except audio.AudioError as exc:
+            assert str(exc).startswith(f"{path}: ") and str(exc) != f"{path}: "
+
     def test_save_load_roundtrip(self, tmp_path):
         wav = Waveform(RNG.uniform(-0.9, 0.9, 500).astype(np.float32), 16000)
         path = tmp_path / "r.wav"

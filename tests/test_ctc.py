@@ -306,6 +306,50 @@ class TestLaneBatchedPrefix:
             seen_empty += sum(s.last_label == -1 for s in states)
         assert seen_empty and seen_repeat
 
+    def test_joint_lanes_equal_one_call_per_lane(self):
+        # one call over the survivors of several utterances (lanes) of
+        # different lengths, each with its own posteriors, against one call
+        # per lane; a lane may have no survivor
+        rng = np.random.default_rng(17)
+        seen = {"empty": 0, "repeat": 0, "no survivor": 0, "lengths differ": 0}
+        for _ in range(60):
+            v = int(rng.integers(3, 7))
+            blank = int(rng.integers(0, v))
+            lanes = []
+            for _ in range(int(rng.integers(2, 5))):
+                lp = np.log(random_posteriors(int(rng.integers(1, 9)), v))
+                states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
+                psi = ctc_prefix_score_all(states, lp, blank)
+                grown = []
+                for _ in range(int(rng.integers(0, 6))):
+                    r = int(rng.integers(len(states)))
+                    st = states[r]
+                    if st.last_label >= 0 and rng.random() < 0.5:
+                        c = st.last_label
+                    else:
+                        c = int(rng.choice([c for c in range(v) if c != blank]))
+                    grown.append((st, c, psi[r, c]))
+                    seen["repeat"] += c == st.last_label
+                    seen["empty"] += st.last_label == -1
+                seen["no survivor"] += not grown
+                lanes.append((lp, grown))
+            joint_in = [(lp, st, c, p) for lp, grown in lanes for st, c, p in grown]
+            if not joint_in:
+                continue
+            seen["lengths differ"] += len({lp.shape[0] for lp, _ in lanes}) > 1
+            lps, states, cs, psis = zip(*joint_in)
+            joint = iter(ctc_prefix_extend(states, cs, psis, lps, blank))
+            for lp, grown in lanes:
+                if not grown:
+                    continue
+                alone = ctc_prefix_extend(*map(list, zip(*grown)), lp, blank)
+                for one, both in zip(alone, joint):
+                    assert np.array_equal(both.r_nb, one.r_nb)
+                    assert np.array_equal(both.r_b, one.r_b)
+                    assert both.last_label == one.last_label and both.log_psi == one.log_psi
+            assert next(joint, None) is None
+        assert all(seen.values()), seen
+
     def test_completed_sequences_match_forward_backward(self):
         rng = np.random.default_rng(9)
         checked = infeasible = 0
