@@ -214,7 +214,7 @@ class AsrModel(Module):
         A = self.att_cfg.attn_dim
         f = tt.conv1d_single_channel(a_prev, self.att_conv)  # (B, T, C)
         wq = tt.reshape(self.att_dec(q_prev) + self.att_loc.b, (B, 1, A))
-        pre = tt.tanh(vh + tt.matmul(f, self.att_loc.w) + wq)
+        pre = tt.tanh_addmm(vh, f, self.att_loc.w, wq)
         scores = tt.reshape(tt.matmul(pre, tt.reshape(self.att_vec, (A, 1))), (B, T))
         if mask is not None:
             scores = tt.add(scores, tt.Tensor(((1.0 - mask) * NEG_FILL).astype(self.dtype)))

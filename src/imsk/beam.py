@@ -1,8 +1,8 @@
 """Joint CTC/attention beam search with shallow LM fusion.
 
-Each step every live hypothesis is expanded over the full output
-vocabulary; candidate scores combine the attention decoder, the CTC
-prefix probability, and an optional language model:
+Each step every live hypothesis is a candidate parent of every output
+label; candidate scores combine the attention decoder, the CTC prefix
+probability, and an optional language model:
 
     score = ctc_weight * log p_ctc + (1 - ctc_weight) * log p_att
           + lm_weight * log p_lm
@@ -12,13 +12,21 @@ with their complete-sequence CTC probability. Search stops once no live
 hypothesis can still beat the best finished one (component scores only
 ever decrease along an extension) or at the output-length cap.
 
-A step works on arrays per utterance: one reduction over frames gives
-the CTC prefix scores of every live hypothesis and label, each hypothesis
-keeps its best `beam` labels, and the beam is ranked from those by
-(-score, tokens). Every score is the same floating-point expression, in
-the same order, as a loop over single candidates would compute. Then
-one CTC frame recursion builds the states of the extensions that entered
-the beams of all utterances.
+A step works on arrays per utterance. The attention and LM scores of
+every candidate are cheap; its CTC prefix score is a sum over frames, and
+only candidates that can still enter the beam get one. A prefix's CTC
+probability never rises when it is extended, so the score with the
+parent's CTC probability in place of the candidate's bounds the
+candidate's score. The `beam` candidates best by that bound are scored
+exactly, then every candidate whose bound reaches their beam-th best
+score, less a rounding margin; the rest cannot enter the beam or tie with
+it, and are skipped (`_prefix_scores` derives the margin). Each
+hypothesis keeps its best `beam` labels, and the beam is ranked from
+those by (-score, tokens). Every score is the same floating-point
+expression, in the same order, as a loop over single candidates would
+compute, so pruning changes no result. Then one CTC frame recursion
+builds the states of the extensions that entered the beams of all
+utterances.
 
 The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
 `LstmLm.lm_step`), run on constant copies of the model and LM made once
@@ -48,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import (
+    NEG_INF,
     CtcPrefixState,
     ctc_prefix_extend,
     ctc_prefix_initial,
@@ -123,6 +132,9 @@ class _Lane:
         self.lm = lm64.initial_state(1) if lm64 is not None else None
         self.finished: list[Hypothesis] = []
         self.done = False
+        # pruning attempts in a row that could skip no CTC column, and the
+        # steps left to score in full before the next attempt
+        self.misses = self.full_steps = 0
 
     def best_finished(self) -> Hypothesis:
         return min(self.finished, key=lambda hy: (-hy.score, hy.tokens))
@@ -159,6 +171,91 @@ def _label_order(vocab_size: int) -> np.ndarray:
     extension of them; then the other non-blank labels ascending."""
     rest = [c for c in range(vocab_size) if c not in (BLANK_ID, SOS_EOS_ID)]
     return np.array([SOS_EOS_ID] + rest, dtype=np.int64)
+
+
+# Margin of the pruning bound, in units of T * eps * (1 + |s|); see
+# _prefix_scores.
+_PRUNE_ULPS = 256
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _joint(lam, ctc, att, gam, lm):
+    """The combined score of candidates, or a bound on it: one expression,
+    so that a bound and a score round alike."""
+    return (
+        (lam * ctc if ctc is not None else 0.0)
+        + (1.0 - lam) * att
+        + (gam * lm if lm is not None else 0.0)
+    )
+
+
+def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
+    """(R, V) CTC prefix scores of a lane's candidates: exact for every
+    candidate that can still enter the beam and for end-of-sequence, -inf
+    for the rest. `cols` are the label columns the lane may extend by.
+
+    An alignment that starts with g+c starts with g, so psi(g+c) <= psi(g),
+    and `ub`, the combined score with the parent's stored psi(g) for
+    psi(g+c), bounds the candidate's score: correctly rounded +, * and
+    logaddexp are monotone, so a computed bound stays a bound but for the
+    rounding that can put a computed psi(g+c) above the stored psi(g). The
+    `beam` candidates best by `ub` are scored first; s is the beam-th best
+    of their scores and the end-of-sequence ones. Every other candidate
+    with ub >= s - margin is scored too, and the rest are skipped. When
+    nothing can be skipped, as with a model whose CTC output is nearly
+    flat, the first pass is wasted work, so a lane whose attempts skip
+    nothing backs off and scores some steps in full; either way every
+    score has the same bits.
+
+    The margin covers that rounding. A computed psi is a chain of at most
+    2T frame steps (the extension recursions down to g, then the sum over
+    frames), each a logaddexp and an addition that round by at most 4 ulps
+    of what they combine. A logaddexp passes on its inputs' errors weighted
+    by their shares of its result, and over the T terms of a sum the shares
+    times the terms' magnitudes add up to at most |psi| + ln T. So a psi is
+    within 4 T eps (1 + ln T + |psi|) of its exact value, and psi(g+c) can
+    exceed the stored psi(g) by twice that. With every term a log
+    probability (<= 0) a candidate's score is then at most
+    e (1 + |ub|) over its bound, e = 8 T eps (1 + ln T), and a margin of
+    2e (1 + |s|) skips only candidates scoring strictly below s: at least
+    `beam` scored candidates beat each of them, so their -inf can neither
+    enter the beam nor tie. For T up to 20,000, ln T < 10, so
+    _PRUNE_ULPS = 256 > 2 * 8 * 11 covers the margin in units of
+    T eps (1 + |s|). If s is -inf nothing is skipped, so -inf ties break
+    as before.
+    """
+    states = [hy.ctc_state for hy in hyps]
+    ctc = np.full(att.shape, NEG_INF)
+    ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
+    if cols.size == 0:
+        return ctc
+    rest = None
+    if lane.full_steps:
+        lane.full_steps -= 1
+    elif len(hyps) * cols.size > beam:
+        lm_cols = lm[:, cols] if lm is not None else None
+        ub = _joint(lam, np.array([hy.score_ctc for hy in hyps])[:, None], att[:, cols], gam, lm_cols)
+        rows, at = np.divmod(np.argpartition(-ub, beam - 1, axis=None)[:beam], cols.size)
+        ctc[rows, cols[at]] = ctc_prefix_score_all(states, rows, cols[at], lane.ctc_logp)
+        # the columns not scored yet hold -inf, below every score in s's
+        # place unless fewer than `beam` scores are finite
+        known = _joint(lam, ctc, att, gam, lm)[:, np.append(SOS_EOS_ID, cols)]
+        s = np.partition(known, known.size - beam, axis=None)[known.size - beam]
+        rest = ub >= s - _PRUNE_ULPS * lane.T * _EPS * (1.0 + abs(s))
+        # an attempt that skips nothing only adds work, so after k such
+        # attempts in a row the lane scores 4**k - 1 steps in full first
+        lane.misses = lane.misses + 1 if rest.all() else 0
+        lane.full_steps = 4**lane.misses - 1
+    if rest is None or rest.all():
+        # nothing to skip: one sum over every (row, label), the scored
+        # columns again with the same bits
+        ctc[:, cols] = ctc_prefix_score_all(states, None, cols, lane.ctc_logp)
+        return ctc
+    rest[rows, at] = False
+    rows, at = np.nonzero(rest)
+    if rows.size:
+        ctc[rows, cols[at]] = ctc_prefix_score_all(states, rows, cols[at], lane.ctc_logp)
+    return ctc
 
 
 def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
@@ -200,23 +297,17 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             lm = ctc = None
             if logp_lm is not None:
                 lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
+            emitted = len(hyps[0].tokens) - 1
+            labels = labels_eos if emitted >= lane.cap else labels_all
             if run_ctc:
-                states = [hy.ctc_state for hy in hyps]
-                ctc = ctc_prefix_score_all(states, lane.ctc_logp, BLANK_ID)
-                ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
-            scores = (
-                (lam * ctc if run_ctc else 0.0)
-                + (1.0 - lam) * att
-                + (gam * lm if lm is not None else 0.0)
-            )
+                ctc = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
+            scores = _joint(lam, ctc, att, gam, lm)
 
             # All rows of a lane hold distinct token sequences of one
             # length, so the (-score, tokens) order of candidates equals
             # the order by (-score, rank of the parent's tokens, label
             # position). A candidate in the lane's top `beam` is in its
             # row's top `beam`, so only those are ranked across rows.
-            emitted = len(hyps[0].tokens) - 1
-            labels = labels_eos if emitted >= lane.cap else labels_all
             sub = scores[:, labels]
             top = np.argsort(-sub, axis=1, kind="stable")[:, : cfg.beam]
             row_of = np.repeat(np.arange(len(hyps)), top.shape[1])

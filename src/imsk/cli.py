@@ -72,7 +72,7 @@ from .tokenizer import (
     train_unigram,
     vocab_fingerprint,
 )
-from .util import make_rng, read_tsv, write_tsv
+from .util import make_rng, read_text, read_tsv, write_tsv
 
 
 class PipelineError(Exception):
@@ -117,9 +117,16 @@ def write_transcript(path, t: Transcript) -> None:
 
 
 def read_transcript(path) -> list[tuple[float, float, str]]:
+    """Entries of a transcript TSV. Raises ValueError, naming the file, for
+    text that is not UTF-8, a row of fewer than 3 fields or a time that is
+    not a number."""
     out = []
     for parts in read_tsv(path, 3):
-        out.append((float(parts[0]), float(parts[1]), "\t".join(parts[2:])))
+        try:
+            times = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: times must be numbers, got {parts[0]!r}, {parts[1]!r}") from None
+        out.append((*times, "\t".join(parts[2:])))
     return out
 
 
@@ -174,10 +181,16 @@ def _config(cls, source, **fixed):
 
 
 def read_pipeline_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Merge config-file values and overrides into a PipelineConfig."""
+    """Merge config-file values and overrides into a PipelineConfig.
+
+    Values are read as written (no `%` interpolation). Every error is a
+    PipelineError starting with "config: ": an unreadable or malformed
+    file, an unknown section or key, a value of the wrong type or an
+    invalid setting.
+    """
     values: dict = {}
     if path is not None:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         with _stage("config", str(path)):
             with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh)
@@ -345,26 +358,28 @@ def transcribe_with(audio_path, cfg: PipelineConfig, art: Artifacts, keep_dir=No
 
 
 def _read_manifest(path, with_text: bool) -> list:
-    """Rows "utt-id TAB wav-path[ TAB transcript]"; ids must be unique."""
+    """Rows "utt-id TAB wav-path[ TAB transcript]"; ids must be unique.
+    Raises ValueError for text that is not UTF-8 or a malformed row and
+    PipelineError for a duplicate id, each naming the file."""
     rows = read_tsv(path, 3 if with_text else 2)
     seen = set()
     out = []
     for parts in rows:
         utt = parts[0]
         if utt in seen:
-            raise PipelineError(f"manifest: duplicate utterance id {utt!r}")
+            raise PipelineError(f"{path}: duplicate utterance id {utt!r}")
         seen.add(utt)
         out.append((utt, parts[1], "\t".join(parts[2:]) if with_text else None))
     return out
 
 
 def _read_text_table(path) -> list[tuple[str, str]]:
-    """Rows "utt-id TAB text" in file order; ids must be unique."""
+    """Rows "utt-id TAB text" in file order; ids must be unique. Raises
+    ValueError for text that is not UTF-8 or a malformed line and
+    PipelineError for a duplicate id, each naming the file."""
     seen = set()
     out = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         if "\t" not in line:
@@ -621,6 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imsk", description="speech transcription toolkit"
     )
+    parser.add_argument(
+        "--debug", action="store_true", help="on a failure, raise it with its traceback"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-tokenizer", help="learn a subword vocabulary")
@@ -734,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    """Parse and run; returns the process exit code instead of raising."""
+    """Parse and run; returns the process exit code instead of raising,
+    unless `--debug` asks for a failure's traceback."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -743,10 +762,9 @@ def run_cli(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except Exception as e:  # surface any stage failure as a message, not a trace
+        if args.debug:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -314,6 +314,35 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._result(y, (a,), backward)
 
 
+def tanh_addmm(a: Tensor, x: Tensor, w: Tensor, c: Tensor) -> Tensor:
+    """tanh((a + x @ w) + c), bit for bit as `tanh(add(add(a, matmul(x, w)),
+    c))` computes it, forward and backward, but with one array for the
+    product, both sums and the result: the sums are added in that order in
+    place into the product, which only this op sees (the product's backward
+    reads its operands, never its output), and tanh writes over them. `a`
+    and `c` broadcast to the product's shape and share its dtype.
+    """
+    xw = matmul(x, w)
+    y = xw.data
+    if a.dtype != y.dtype or c.dtype != y.dtype:
+        raise ValueError(f"tanh_addmm dtypes differ: {a.dtype}, {y.dtype}, {c.dtype}")
+    y += a.data
+    y += c.data
+    np.tanh(y, out=y)
+
+    def backward(g):
+        g = g * (1.0 - y * y)
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if xw.requires_grad:
+            xw._accumulate(g)
+        if c.requires_grad:
+            c._accumulate(_unbroadcast(g, c.data.shape))
+
+    # parents in the order the composition's graph visits them
+    return Tensor._result(y, (a, xw, c), backward)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
 

@@ -25,9 +25,20 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(resolve_seed(seed))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; text that is not UTF-8 raises a
+    ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def read_tsv(path, n_fields: int) -> list[list[str]]:
+    """The tab-split non-blank lines of a UTF-8 file; a ValueError naming
+    the file for text that is not UTF-8 or a line of too few fields."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

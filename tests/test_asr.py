@@ -243,6 +243,30 @@ class TestAttention:
         assert report.passed(1e-5), report.per_tensor
 
 
+    def test_fused_op_keeps_every_training_gradient(self, monkeypatch):
+        # a padded float32 batch through the hybrid loss, with attention's
+        # fused tanh(vh + f @ W + wq) and with the composition it replaced:
+        # the loss and every parameter's gradient are bit-equal
+        feats = [feat(t, 80) for t in (37, 12, 60)]
+        labels = [[3, 4, 5], [6], [4, 3, 4, 5]]
+
+        def run():
+            m = AsrModel(VOCAB, rng=np.random.default_rng(3))
+            loss = m.hybrid_loss(feats, labels, 0.3)
+            loss.backward()
+            return loss.data, [p.grad for p in m.params()]
+
+        fused = run()
+        monkeypatch.setattr(
+            tt, "tanh_addmm", lambda a, x, w, c: tt.tanh(tt.add(tt.add(a, tt.matmul(x, w)), c))
+        )
+        composed = run()
+        assert np.array_equal(fused[0], composed[0])
+        assert len(fused[1]) == len(composed[1])
+        for f, c in zip(fused[1], composed[1]):
+            assert np.array_equal(f, c)
+
+
 class TestDecodeStep:
     def test_distribution_normalized(self):
         m = tiny_model()

@@ -339,53 +339,72 @@ def tied_model():
     return m
 
 
-def brute_force_search(m, f, cfg):
-    """LM-free search that scores every extension of every live hypothesis
-    and sorts all of them by (-score, tokens). Returns the finished
-    (score, tokens) pairs best first, and whether a tie fell across the
-    beam boundary."""
+def brute_force_search(m, f, cfg, lm=None):
+    """Search that scores every extension of every live hypothesis, with
+    no pruning, and sorts all of them by (-score, tokens). Returns the
+    finished (score, tokens, ctc, att, lm) tuples best first, and whether a
+    tie fell across the beam boundary."""
     m64 = frozen(m, np.float64)
+    lm64 = frozen(lm, np.float64) if lm is not None and cfg.lm_weight > 0.0 else None
     h = tt.Tensor(m.encode(f).data[None].astype(np.float64))
     T = h.shape[1]
     vh = m64.precompute_attention(h)
     ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
     lam, cap = cfg.ctc_weight, int(T * cfg.max_ratio)
+    gam = cfg.lm_weight if lm64 is not None else 0.0
 
-    def total(p_ctc, att):
-        return (lam * p_ctc if lam > 0.0 else 0.0) + (1.0 - lam) * att + 0.0
+    def total(p_ctc, att, lm_s):
+        return (
+            (lam * p_ctc if lam > 0.0 else 0.0)
+            + (1.0 - lam) * att
+            + (gam * lm_s if lm64 is not None else 0.0)
+        )
 
     start = ctc_prefix_initial(ctc_logp, BLANK_ID)
     a0 = tt.Tensor(np.full((1, T), 1.0 / T))
-    live = [((SOS_EOS_ID,), 0.0, 0.0, start, a0, m64.initial_decoder_state(1))]
+    lm0 = lm64.initial_state(1) if lm64 is not None else None
+    live = [((SOS_EOS_ID,), 0.0, 0.0, start, 0.0, a0, m64.initial_decoder_state(1), lm0)]
     finished, tie_at_cut = [], False
     while live:
         cands = []
-        for tokens, _, att, ctc, a, state in live:
+        for tokens, _, att, ctc, lm_s, a, state, lm_state in live:
             a2, r = m64.attend(a, m64.decoder_query(state), h, vh)
             logp, state2 = m64.decode_step(r, state, np.array([tokens[-1]]))
-            logp = logp.data
-            att_eos = att + logp[0, SOS_EOS_ID]
-            cands.append((total(ctc.final_log_prob(), att_eos), tokens, att_eos, None, None, None))
+            logp = logp.data[0]
+            logp_lm = np.zeros_like(logp)
+            lm_state2 = None
+            if lm64 is not None:
+                logp_lm, lm_state2 = lm64.lm_step(lm_state, np.array([tokens[-1]]))
+                logp_lm = logp_lm.data[0]
+            att_eos, lm_eos = att + logp[SOS_EOS_ID], lm_s + logp_lm[SOS_EOS_ID]
+            ctc_eos = ctc.final_log_prob() if lam > 0.0 else 0.0
+            cands.append((total(ctc_eos, att_eos, lm_eos), tokens, ctc_eos, att_eos, lm_eos,
+                          None, None, None, None))
             if len(tokens) - 1 < cap:
                 for c in range(m.vocab_size):
                     if c not in (BLANK_ID, SOS_EOS_ID):
                         psi, ctc2 = ctc_prefix_score(ctc, c, ctc_logp, BLANK_ID)
-                        att2 = att + logp[0, c]
-                        cands.append((total(psi, att2), tokens + (c,), att2, ctc2, a2, state2))
+                        att2, lm2 = att + logp[c], lm_s + logp_lm[c]
+                        cands.append((total(psi, att2, lm2), tokens + (c,), psi if lam > 0.0 else 0.0,
+                                      att2, lm2, ctc2, a2, state2, lm_state2))
         cands.sort(key=lambda x: (-x[0], x[1]))
         if len(cands) > cfg.beam and cands[cfg.beam - 1][0] == cands[cfg.beam][0]:
             tie_at_cut = True
         live = []
-        for score, tokens, att, ctc, a, state in cands[: cfg.beam]:
+        for score, tokens, p_ctc, att, lm_s, ctc, a, state, lm_state in cands[: cfg.beam]:
             if a is None:
-                finished.append((score, tokens))
+                finished.append((score, tokens, p_ctc, att, lm_s))
             else:
-                live.append((tokens, score, att, ctc, a, state))
+                live.append((tokens, score, att, ctc, lm_s, a, state, lm_state))
         if finished:
             best = min(finished, key=lambda x: (-x[0], x[1]))[0]
             if not live or max(x[1] for x in live) <= best:
                 break
     return sorted(finished, key=lambda x: (-x[0], x[1])), tie_at_cut
+
+
+def _found(h):
+    return h.score, h.tokens, h.score_ctc, h.score_att, h.score_lm
 
 
 class TestTieBreak:
@@ -394,7 +413,7 @@ class TestTieBreak:
         for f in fs:
             ref, tied = brute_force_search(m, f, cfg)
             got = decode_nbest([f], m, None, cfg, n=len(ref) + 1)[0]
-            assert [(h.score, h.tokens) for h in got] == ref
+            assert [_found(h) for h in got] == ref
             ties += tied
         return ties
 
@@ -418,6 +437,81 @@ class TestTieBreak:
         m.out.b.data[0] -= 4.0
         cfg = DecodeConfig(beam=50, ctc_weight=0.5, lm_weight=0.0)
         assert self._check(m, cfg, feats(4, seed=3, lo=5, hi=9))
+
+
+def skewed_model(seed, ties, impossible):
+    """A tiny model whose label biases differ enough that many candidates
+    cannot reach the beam. With `ties`, label 4 is a copy of label 3 in the
+    attention, CTC and LM outputs, so their scores tie exactly; labels in
+    `impossible` get CTC probability 0, so their prefix scores are -inf."""
+    m, lm = tiny_model(seed), tiny_lm(seed)
+    rng = np.random.default_rng(seed)
+    m.out.b.data += rng.normal(0, 5, VOCAB).astype(m.dtype)
+    lm.out.b.data += rng.normal(0, 2.5, VOCAB).astype(lm.dtype)
+    m.ctc_out.w.data *= 4.0
+    if ties:
+        for layer in (m.out, m.ctc_out, lm.out):
+            layer.w.data[:, 4] = layer.w.data[:, 3]
+            layer.b.data[4] = layer.b.data[3]
+    for c in impossible:
+        m.ctc_out.b.data[c] = -np.inf
+    return m, lm
+
+
+class TestPruning:
+    """The search scores only the CTC columns that can still reach the
+    beam; the result must equal the unpruned search's bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        length=st.integers(4, 44),
+        beam=st.integers(1, 12),
+        ctc_weight=st.sampled_from([0.3, 0.5, 1.0]),
+        lm_weight=st.sampled_from([0.0, 0.6]),
+        max_ratio=st.sampled_from([1.0, 0.5, 0.05]),
+        ties=st.booleans(),
+        impossible=st.sampled_from([(), (5,), (2, 7)]),
+    )
+    @example(seed=0, length=30, beam=4, ctc_weight=0.5, lm_weight=0.6, max_ratio=1.0,
+             ties=True, impossible=(5,))
+    @example(seed=1, length=12, beam=3, ctc_weight=0.5, lm_weight=0.6, max_ratio=0.05,
+             ties=False, impossible=())
+    def test_pruned_search_equals_unpruned(
+        self, seed, length, beam, ctc_weight, lm_weight, max_ratio, ties, impossible
+    ):
+        m, lm = skewed_model(seed, ties, impossible)
+        f = np.random.default_rng(seed).normal(0, 0.5, (length, 8))
+        cfg = DecodeConfig(beam=beam, ctc_weight=ctc_weight, lm_weight=lm_weight,
+                           max_ratio=max_ratio)
+        ref, _ = brute_force_search(m, f, cfg, lm)
+        got = decode_nbest([f], m, lm, cfg, n=len(ref) + 1)[0]
+        assert [_found(h) for h in got] == ref
+
+    def test_pruning_skips_columns(self, monkeypatch):
+        # the property above means something only if columns are skipped
+        import imsk.beam as beam_mod
+
+        scored, columns = [], []
+        score_all, prefix_scores = beam_mod.ctc_prefix_score_all, beam_mod._prefix_scores
+
+        def counting(states, rows, labels, *rest):
+            scored.append(len(labels) * (len(states) if rows is None else 1))
+            return score_all(states, rows, labels, *rest)
+
+        def offered(lane, hyps, *rest):
+            columns.append(len(hyps) * rest[-1].size)
+            return prefix_scores(lane, hyps, *rest)
+
+        monkeypatch.setattr(beam_mod, "ctc_prefix_score_all", counting)
+        monkeypatch.setattr(beam_mod, "_prefix_scores", offered)
+        m, lm = skewed_model(5, False, ())
+        f = np.random.default_rng(5).normal(0, 0.5, (44, 8))
+        cfg = DecodeConfig(beam=3, ctc_weight=0.5, lm_weight=0.6)
+        ref, _ = brute_force_search(m, f, cfg, lm)
+        scored.clear()
+        assert [_found(h) for h in decode_nbest([f], m, lm, cfg, n=len(ref) + 1)[0]] == ref
+        assert len(columns) > 3 and sum(scored) < 0.6 * sum(columns)
 
 
 def random_rows(rng, R):

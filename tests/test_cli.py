@@ -1,12 +1,15 @@
 """End-to-end checks for the command-line front end and pipeline."""
 
 import argparse
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import sad_recording, tone_utterance
+from helpers import TONE_WORDS, corrupt, sad_recording, tone_recording, tone_utterance
 from imsk import cli
 from imsk.asr import (
     AsrTrainConfig,
@@ -28,6 +31,7 @@ from imsk.audio import (
 from imsk.beam import DecodeConfig, decode, decode_nbest
 from imsk.cli import (
     PipelineConfig,
+    PipelineError,
     Transcript,
     build_parser,
     read_pipeline_config,
@@ -45,6 +49,36 @@ from imsk.util import make_rng, read_tsv, write_tsv
 def _transcribe(world, wav_path, out_path, *extra):
     return run_cli(["transcribe", "--config", str(world["ini"]),
                     "--wav", str(wav_path), "--out", str(out_path), *extra])
+
+
+def test_a_failure_is_one_line_without_debug(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    assert run_cli(["score", "--ref", missing, "--hyp", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_debug_raises_a_failure_with_its_cause(tmp_path):
+    missing = str(tmp_path / "missing.tsv")
+    with pytest.raises(FileNotFoundError):
+        run_cli(["--debug", "score", "--ref", missing, "--hyp", missing])
+    # a stage failure keeps the error underneath it
+    with pytest.raises(PipelineError, match="config") as info:
+        run_cli(["--debug", "transcribe", "--config", str(tmp_path / "missing.ini"),
+                 "--wav", missing, "--out", str(tmp_path / "out.tsv")])
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+def test_debug_prints_the_traceback(tmp_path):
+    missing = str(tmp_path / "missing.tsv")
+    argv = [sys.executable, "-m", "imsk.cli", "score", "--ref", missing, "--hyp", missing]
+    plain = subprocess.run(argv, capture_output=True, text=True)
+    debug = subprocess.run(argv[:3] + ["--debug"] + argv[3:], capture_output=True, text=True)
+    assert plain.returncode == debug.returncode == 1
+    assert "Traceback" not in plain.stderr and plain.stderr.startswith("error: ")
+    assert "Traceback (most recent call last)" in debug.stderr
+    assert "FileNotFoundError" in debug.stderr
 
 
 def test_help_and_usage_exit_codes(capsys):
@@ -200,6 +234,33 @@ def test_transcribe_is_deterministic(world, tmp_path, monkeypatch):
         assert _transcribe(world, tmp_path / "rec.wav", tmp_path / name) == 0
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    words=st.lists(st.sampled_from(sorted(TONE_WORDS)), min_size=6, max_size=12),
+    max_speech=st.floats(0.2, 0.6),
+    seed=st.integers(0, 2**16),
+)
+def test_transcribe_splits_a_long_speech_run(world, tmp_path, words, max_speech, seed):
+    # one run of 0.96-1.92 s of speech, longer than max_speech: the split
+    # pieces come out in time order, apart, inside the recording, and a
+    # rerun writes the same bytes
+    wav = tone_recording(words, make_rng(seed))
+    save_audio(tmp_path / "long.wav", wav)
+    outs = []
+    for name in ("a.tsv", "b.tsv"):
+        assert _transcribe(world, tmp_path / "long.wav", tmp_path / name,
+                           "--max-speech", repr(max_speech)) == 0
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+    entries = read_transcript(tmp_path / "a.tsv")
+    assert len(entries) >= 2
+    prev_end = 0.0
+    for s, e, _ in entries:
+        assert prev_end <= s < e <= wav.duration + 0.005
+        assert e - s <= max_speech + 0.01  # times are written to 2 decimals
+        prev_end = e
 
 
 def test_keep_intermediates_refeed_matches(world, tmp_path):
@@ -619,3 +680,83 @@ def test_bad_vocabulary_is_reported_as_config(world, tmp_path, capsys):
     assert run_cli(["train-asr", "--manifest", str(man), "--vocab", str(vocab),
                     "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "c.bin")]) == 1
     assert capsys.readouterr().err.startswith(expected)
+
+
+# -- input parsers under corruption ---------------------------------------------
+
+# each parser, a valid file for it, and the errors it documents
+TSV_PARSERS = {
+    "transcript": (read_transcript, "0.00\t1.25\tda re\n2.50\t3.00\tmi\n", ValueError),
+    "manifest": (
+        lambda p: cli._read_manifest(p, with_text=True),
+        "u1\ta.wav\tda re\nu2\tb.wav\tmi fa\n",
+        (ValueError, PipelineError),
+    ),
+    "manifest_no_text": (
+        lambda p: cli._read_manifest(p, with_text=False),
+        "u1\ta.wav\nu2\tb.wav\n",
+        (ValueError, PipelineError),
+    ),
+    "text_table": (cli._read_text_table, "u1\tda re\nu2\tmi\n", (ValueError, PipelineError)),
+}
+CONFIG_TEXT = (
+    "[pipeline]\nasr_model = a.ckpt\nlm_model = \n\n[decode]\nbeam = 3\n"
+    "ctc_weight = 0.4\n\n[sad]\np_stay = 0.9\nmax_speech = 12.5\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(TSV_PARSERS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tsv_corruptions_raise_only_documented_errors(tmp_path, name, data):
+    parse, text, documented = TSV_PARSERS[name]
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(corrupt(data, text.encode("utf-8")))
+    try:
+        parse(path)
+    except documented as exc:
+        # "<path>: message" or "<path>:<line>: message"
+        assert str(exc).startswith(f"{path}:") and len(str(exc)) > len(f"{path}: ")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_corruptions_raise_only_pipeline_error(tmp_path, data):
+    path = tmp_path / "pipeline.ini"
+    path.write_bytes(corrupt(data, CONFIG_TEXT.encode("utf-8")))
+    try:
+        read_pipeline_config(path)
+    except PipelineError as exc:
+        assert str(exc).startswith("config: ")
+
+
+def test_config_values_are_read_as_written(tmp_path):
+    # a % once raised configparser's InterpolationSyntaxError, which is
+    # not the documented PipelineError
+    path = tmp_path / "pipeline.ini"
+    path.write_text("[pipeline]\nasr_model = 100%.ckpt\n[decode]\nbeam = 3%\n")
+    with pytest.raises(PipelineError, match=r"^config: \[decode\] beam: "):
+        read_pipeline_config(path)
+    path.write_text("[pipeline]\nasr_model = 100%.ckpt\nlm_model = a%%b\n")
+    cfg = read_pipeline_config(path)
+    assert (cfg.asr_model, cfg.lm_model) == ("100%.ckpt", "a%%b")
+
+
+@pytest.mark.parametrize("name", sorted(TSV_PARSERS))
+def test_tsv_errors_name_the_file(tmp_path, name):
+    # text that is not UTF-8 and a time that is not a number once raised
+    # errors that did not say which file was at fault
+    parse, text, _ = TSV_PARSERS[name]
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(b"\xff" + text.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"^{path}: not UTF-8 text"):
+        parse(path)
+    lines = text.splitlines()
+    path.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+    if name == "transcript":
+        path.write_text("0.00\t1.2x\tda\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}: times must be numbers"):
+            parse(path)
+    else:
+        with pytest.raises(PipelineError, match=f"^{path}: duplicate utterance id 'u1'"):
+            parse(path)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from imsk import ctc
 from imsk.ctc import (
@@ -185,7 +186,7 @@ class TestPrefixScoring:
         lp = np.log(p)
         state = ctc_prefix_initial(lp, blank=0)
         _, state = ctc_prefix_score(state, 2, lp, blank=0)
-        psi = ctc_prefix_score_all([state], lp, blank=0)[0]
+        psi = full_psi([state], lp, blank=0)[0]
         labels = [1, 2, 3]
         extended = ctc_prefix_extend([state] * 3, labels, psi[labels], lp, blank=0)
         for lab, ext in zip(labels, extended):
@@ -265,6 +266,96 @@ def random_prefix_states(rng, lp, blank, count):
     return states
 
 
+def full_psi(states, lp, blank):
+    """Oracle: the (R, V) prefix scores of every one-label extension, from
+    one (T, R, V) reduction over frames."""
+    r_b = np.stack([s.r_b for s in states], axis=1)
+    r_nb = np.stack([s.r_nb for s in states], axis=1)
+    first = np.array([0.0 if s.last_label == -1 else -np.inf for s in states])
+    prev_b = np.concatenate([first[None], r_b[:-1]])
+    prev_nb = np.concatenate([np.full((1, len(states)), -np.inf), r_nb[:-1]])
+    phi = np.logaddexp(prev_b, prev_nb)[:, :, None] + lp[:, None, :]
+    last = np.array([s.last_label for s in states])
+    rows = np.flatnonzero(last >= 0)
+    phi[:, rows, last[rows]] = prev_b[:, rows] + lp[:, last[rows]]
+    with np.errstate(invalid="ignore"):
+        psi = np.logaddexp.reduce(phi, axis=0)
+    psi[:, blank] = -np.inf
+    return psi
+
+
+def pair_psi(states, lp, blank):
+    """The (R, V) matrix of full_psi, from one pair-scorer call over every
+    (row, non-blank label) pair."""
+    R, V = len(states), lp.shape[1]
+    rows, labels = np.divmod(np.arange(R * V), V)
+    keep = labels != blank
+    psi = np.full((R, V), -np.inf)
+    psi[rows[keep], labels[keep]] = ctc_prefix_score_all(states, rows[keep], labels[keep], lp)
+    return psi
+
+
+class TestPairScorer:
+    """The (row, label) pair scorer, and its (R, L) block form, against the
+    full (T, R, V) reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 60),
+        v=st.integers(3, 30),
+        n_states=st.integers(1, 6),
+        impossible=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @example(t=1, v=3, n_states=1, impossible=0, seed=0, data=None)
+    @example(t=40, v=5, n_states=4, impossible=2, seed=3, data=None)
+    def test_pairs_equal_full_reduction(self, t, v, n_states, impossible, seed, data):
+        # any subset of pairs in any order, repeats and single pairs
+        # included; labels of probability 0 give -inf columns
+        rng = np.random.default_rng(seed)
+        blank = int(rng.integers(0, v))
+        p = rng.uniform(0.05, 1.0, (t, v))
+        p[:, rng.choice([c for c in range(v) if c != blank], impossible, replace=False)] = 0.0
+        with np.errstate(divide="ignore"):
+            lp = np.log(p / p.sum(axis=1, keepdims=True))
+        states = random_prefix_states(rng, lp, blank, n_states)
+        oracle = full_psi(states, lp, blank)
+        assert np.array_equal(pair_psi(states, lp, blank), oracle)
+        pairs = [(r, c) for r in range(n_states) for c in range(v) if c != blank]
+        if data is None:
+            picked = [pairs[-1]]
+        else:
+            picked = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * len(pairs)))
+        rows, labels = map(np.array, zip(*picked))
+        got = ctc_prefix_score_all(states, rows, labels, lp)
+        assert got.shape == (len(picked),)
+        assert np.array_equal(got, oracle[rows, labels])
+        # every prefix by the same labels, as one (R, L) block
+        box = ctc_prefix_score_all(states, None, labels, lp)
+        assert box.shape == (n_states, len(picked))
+        assert np.array_equal(box, oracle[:, labels])
+
+    def test_extensions_stay_within_the_pruning_slack(self):
+        # psi(g+c) <= psi(g) exactly; computed, it may exceed the stored
+        # psi(g) only by the rounding the search's margin allows for:
+        # 8 T eps (1 + ln T + |psi(g)|)
+        rng = np.random.default_rng(13)
+        eps = np.finfo(np.float64).eps
+        for _ in range(80):
+            t, v = int(rng.integers(1, 200)), int(rng.integers(3, 12))
+            blank = int(rng.integers(0, v))
+            lp = np.log(random_posteriors(t, v))
+            states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
+            psi = pair_psi(states, lp, blank)
+            for st_, row in zip(states, psi):
+                if st_.log_psi == -np.inf:
+                    assert np.all(row == -np.inf)
+                    continue
+                slack = 8 * t * eps * (1 + np.log(t) + abs(st_.log_psi))
+                assert np.all(row <= st_.log_psi + slack)
+
+
 class TestLaneBatchedPrefix:
     """Lane-batched scores and survivor-only states against a
     per-hypothesis reference recursion, bit for bit."""
@@ -277,7 +368,7 @@ class TestLaneBatchedPrefix:
             blank = int(rng.integers(0, v))
             lp = np.log(random_posteriors(t, v))
             states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 6)))
-            psi = ctc_prefix_score_all(states, lp, blank)
+            psi = pair_psi(states, lp, blank)
             assert psi.shape == (len(states), v)
             refs = [reference_extend_all(s.r_nb, s.r_b, s.last_label, lp, blank) for s in states]
             for row, (ref_psi, _, _) in zip(psi, refs):
@@ -319,7 +410,7 @@ class TestLaneBatchedPrefix:
             for _ in range(int(rng.integers(2, 5))):
                 lp = np.log(random_posteriors(int(rng.integers(1, 9)), v))
                 states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
-                psi = ctc_prefix_score_all(states, lp, blank)
+                psi = full_psi(states, lp, blank)
                 grown = []
                 for _ in range(int(rng.integers(0, 6))):
                     r = int(rng.integers(len(states)))
@@ -364,11 +455,9 @@ class TestLaneBatchedPrefix:
             states = [ctc_prefix_initial(lp, blank) for _ in seqs]
             for step in range(max(len(s) for s in seqs)):
                 live = [i for i, s in enumerate(seqs) if len(s) > step]
-                psi = ctc_prefix_score_all([states[i] for i in live], lp, blank)
-                grown = ctc_prefix_extend(
-                    [states[i] for i in live], [seqs[i][step] for i in live],
-                    [psi[k, seqs[i][step]] for k, i in enumerate(live)], lp, blank,
-                )
+                labels = [seqs[i][step] for i in live]
+                psi = ctc_prefix_score_all([states[i] for i in live], range(len(live)), labels, lp)
+                grown = ctc_prefix_extend([states[i] for i in live], labels, psi, lp, blank)
                 for i, st in zip(live, grown):
                     states[i] = st
             for seq, st in zip(seqs, states):

@@ -148,6 +148,53 @@ def test_unary_grads(op):
     check(lambda: tt.sum_(tt.mul(op(a), op(a))), [a])
 
 
+def tanh_addmm_composed(a, x, w, c):
+    return tt.tanh(tt.add(tt.add(a, tt.matmul(x, w)), c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    t=st.integers(1, 40),
+    k=st.integers(1, 10),
+    o=st.integers(1, 70),
+    shared=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=20, t=60, k=4, o=64, shared=True, dtype=np.float64, seed=0)
+@example(n=8, t=60, k=4, o=64, shared=False, dtype=np.float32, seed=1)
+def test_tanh_addmm_equals_the_composition(n, t, k, o, shared, dtype, seed):
+    # values and every parent's gradient, bit for bit, with `a` of one
+    # item shared by all (as in decoding) or one per item (training)
+    rng = np.random.default_rng(seed)
+    shapes = ((1 if shared else n, t, o), (n, t, k), (k, o), (n, 1, o))
+    data = [rng.normal(0, 0.5, shape).astype(dtype) for shape in shapes]
+    r = tt.Tensor(rng.normal(0, 1, (n, t, o)).astype(dtype))
+    results = []
+    for op in (tt.tanh_addmm, tanh_addmm_composed):
+        inputs = [tt.Tensor(d.copy(), requires_grad=True) for d in data]
+        out = op(*inputs)
+        tt.sum_(tt.mul(out, r)).backward()
+        results.append([out.data] + [p.grad for p in inputs])
+    fused, composed = results
+    assert fused[0].dtype == dtype
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f, c)
+
+
+def test_tanh_addmm_grads():
+    a, x, w, c = t64((1, 6, 5), 0.5), t64((3, 6, 4), 0.5), t64((4, 5), 0.5), t64((3, 1, 5), 0.5)
+    check(lambda: tt.sum_(tt.mul(tt.tanh_addmm(a, x, w, c), tt.tanh_addmm(a, x, w, c))),
+          [a, x, w, c])
+
+
+def test_tanh_addmm_rejects_mixed_dtypes():
+    a, x, w = t64((1, 3, 2)), t64((2, 3, 4)), t64((4, 2))
+    with pytest.raises(ValueError, match="dtypes"):
+        tt.tanh_addmm(a, x, w, tt.Tensor(np.zeros((2, 1, 2), dtype=np.float32)))
+
+
 def test_log_grads():
     a = tt.Tensor(RNG.uniform(0.2, 3.0, (6,)), requires_grad=True)
     check(lambda: tt.sum_(tt.log(a)), [a])
