@@ -58,6 +58,7 @@ import numpy as np
 from .ctc import (
     NEG_INF,
     CtcPrefixState,
+    ctc_prefix_ends,
     ctc_prefix_extend,
     ctc_prefix_initial,
     ctc_prefix_score,
@@ -132,9 +133,8 @@ class _Lane:
         self.lm = lm64.initial_state(1) if lm64 is not None else None
         self.finished: list[Hypothesis] = []
         self.done = False
-        # pruning attempts in a row that could skip no CTC column, and the
-        # steps left to score in full before the next attempt
-        self.misses = self.full_steps = 0
+        # the output step at which the lane next tries to skip CTC columns
+        self.next_try = 0
 
     def best_finished(self) -> Hypothesis:
         return min(self.finished, key=lambda hy: (-hy.score, hy.tokens))
@@ -201,11 +201,12 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     rounding that can put a computed psi(g+c) above the stored psi(g). The
     `beam` candidates best by `ub` are scored first; s is the beam-th best
     of their scores and the end-of-sequence ones. Every other candidate
-    with ub >= s - margin is scored too, and the rest are skipped. When
+    with ub >= s - margin is scored too, and the rest are skipped. Where
     nothing can be skipped, as with a model whose CTC output is nearly
-    flat, the first pass is wasted work, so a lane whose attempts skip
-    nothing backs off and scores some steps in full; either way every
-    score has the same bits.
+    flat, the first pass is wasted, so a lane tries again only at
+    exponentially spaced steps while its tries skip nothing, and scores
+    every candidate in one pass in between. A score's bits do not depend
+    on the pass that computes it.
 
     The margin covers that rounding. A computed psi is a chain of at most
     2T frame steps (the extension recursions down to g, then the sum over
@@ -229,32 +230,27 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
     if cols.size == 0:
         return ctc
-    rest = None
-    if lane.full_steps:
-        lane.full_steps -= 1
-    elif len(hyps) * cols.size > beam:
+    ends = ctc_prefix_ends(states)
+    rest = np.ones((len(hyps), cols.size), dtype=bool)
+    step = len(hyps[0].tokens) - 1
+    if step >= lane.next_try and rest.size > beam:
         lm_cols = lm[:, cols] if lm is not None else None
         ub = _joint(lam, np.array([hy.score_ctc for hy in hyps])[:, None], att[:, cols], gam, lm_cols)
         rows, at = np.divmod(np.argpartition(-ub, beam - 1, axis=None)[:beam], cols.size)
-        ctc[rows, cols[at]] = ctc_prefix_score_all(states, rows, cols[at], lane.ctc_logp)
+        ctc[rows, cols[at]] = ctc_prefix_score_all(ends, rows, cols[at], lane.ctc_logp)
         # the columns not scored yet hold -inf, below every score in s's
         # place unless fewer than `beam` scores are finite
         known = _joint(lam, ctc, att, gam, lm)[:, np.append(SOS_EOS_ID, cols)]
         s = np.partition(known, known.size - beam, axis=None)[known.size - beam]
         rest = ub >= s - _PRUNE_ULPS * lane.T * _EPS * (1.0 + abs(s))
-        # an attempt that skips nothing only adds work, so after k such
-        # attempts in a row the lane scores 4**k - 1 steps in full first
-        lane.misses = lane.misses + 1 if rest.all() else 0
-        lane.full_steps = 4**lane.misses - 1
-    if rest is None or rest.all():
-        # nothing to skip: one sum over every (row, label), the scored
-        # columns again with the same bits
-        ctc[:, cols] = ctc_prefix_score_all(states, None, cols, lane.ctc_logp)
-        return ctc
-    rest[rows, at] = False
+        if rest.all():
+            # a try that skips nothing costs a pass, so after one at step t
+            # the lane scores every candidate in one pass until step 2t + 1
+            lane.next_try = 2 * step + 1
+        rest[rows, at] = False
     rows, at = np.nonzero(rest)
     if rows.size:
-        ctc[rows, cols[at]] = ctc_prefix_score_all(states, rows, cols[at], lane.ctc_logp)
+        ctc[rows, cols[at]] = ctc_prefix_score_all(ends, rows, cols[at], lane.ctc_logp)
     return ctc
 
 

@@ -21,7 +21,6 @@ loss on the same sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -172,20 +171,6 @@ class CtcPrefixState:
         """log p_ctc of the prefix as a COMPLETE hypothesis."""
         return float(np.logaddexp(self.r_nb[-1], self.r_b[-1]))
 
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(prev_b, prev_any) over frames: log probability that the prefix
-        has ended by frame t-1 with a blank, and with either symbol.
-
-        Starting a new label at frame t needs the prefix to have ended by
-        t-1; a repeat of the last label additionally needs the blank. A
-        search reads them once per scoring pass and once more to extend
-        the prefix, so they are computed once.
-        """
-        prev_b = np.concatenate([[0.0 if self.last_label == -1 else NEG_INF], self.r_b[:-1]])
-        prev_nb = np.concatenate([[NEG_INF], self.r_nb[:-1]])
-        return prev_b, np.logaddexp(prev_b, prev_nb)
-
 
 def ctc_prefix_initial(log_posteriors: np.ndarray, blank: int) -> CtcPrefixState:
     """State of the empty prefix: only all-blank alignments exist."""
@@ -194,48 +179,53 @@ def ctc_prefix_initial(log_posteriors: np.ndarray, blank: int) -> CtcPrefixState
     return CtcPrefixState(r_nb=r_nb, r_b=r_b, last_label=-1, log_psi=0.0)
 
 
-def _prefix_ends(states) -> tuple[np.ndarray, np.ndarray]:
-    """The states' `ends` as two (T, R) arrays."""
-    return tuple(np.stack(part, axis=1) for part in zip(*(s.ends for s in states)))
+def ctc_prefix_ends(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prev_b, prev_any, last) of R prefixes: prev_b and prev_any are
+    (T, R), the log probability that prefix r has ended by frame t-1 with
+    a blank, and with either symbol; last is (R,), each prefix's last
+    label.
+
+    Starting a new label at frame t needs the prefix to have ended by t-1;
+    a repeat of the last label additionally needs the blank.
+    """
+    r_b = np.stack([s.r_b for s in states], axis=1)
+    r_nb = np.stack([s.r_nb for s in states], axis=1)
+    first = np.array([0.0 if s.last_label == -1 else NEG_INF for s in states])
+    prev_b = np.concatenate([first[None], r_b[:-1]])
+    prev_nb = np.concatenate([np.full((1, len(states)), NEG_INF), r_nb[:-1]])
+    last = np.array([s.last_label for s in states])
+    return prev_b, np.logaddexp(prev_b, prev_nb), last
 
 
-def ctc_prefix_score_all(states, rows, labels, log_posteriors) -> np.ndarray:
+def ctc_prefix_score_all(ends, rows, labels, log_posteriors) -> np.ndarray:
     """Prefix probabilities of K one-label extensions of R prefixes.
 
-    Returns psi of shape (K,): psi[k] is the log probability that the
-    frames begin with the prefix of states[rows[k]] followed by labels[k],
-    which is not the blank. With `rows` None, every prefix is extended by
-    every label, and psi is (R, L). A score depends only on its parent's
-    state, so all scores come from one reduction over frames and no frame
-    recursion runs. The reduction adds each extension's frames in order,
-    so its bits depend only on the extension, never on which others share
-    the call; ctc_prefix_extend builds states for those kept.
+    `ends` is ctc_prefix_ends of the R prefixes. Returns psi of shape
+    (K,): psi[k] is the log probability that the frames begin with prefix
+    rows[k] followed by labels[k], which is not the blank. A score depends
+    only on its parent's state, so all scores come from one reduction over
+    frames and no frame recursion runs. The reduction adds each
+    extension's frames in order, so its bits depend only on the extension,
+    never on which others share the call; ctc_prefix_extend builds states
+    for those kept.
     """
+    prev_b, prev_any, last = ends
+    rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    prev_b, prev_any = _prefix_ends(states)
     # No prefix of L labels ends before frame L-1, so the first frames add
     # -inf to every sum. From -inf, a logaddexp with x returns x + 0.0, the
     # bits a sum from frame 0 reaches too, so the sum may start at the
     # last of those frames.
     ended = np.flatnonzero(np.isfinite(prev_any).any(axis=1))
     t0 = max(int(ended[0]) - 1, 0) if ended.size else prev_any.shape[0] - 1
-    prev_b, prev_any = prev_b[t0:], prev_any[t0:]
-    lp = np.take(log_posteriors[t0:], labels, axis=1)
-    last = np.array([s.last_label for s in states])
-    # phi[t, .] + log p(c | frame t): the prefix ends by t-1, c starts at t;
+    # phi[t, k] + log p(c | frame t): the prefix ends by t-1, c starts at t;
     # repeating the last label needs the prefix to end in a blank. np.take
     # keeps phi C-ordered (a[:, idx] need not), so each frame step of the
     # sum runs over contiguous entries.
-    if rows is None:
-        phi = prev_any[:, :, None] + lp[:, None, :]
-        r, k = np.nonzero(last[:, None] == labels)
-        phi[:, r, k] = prev_b[:, r] + lp[:, k]
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-        phi = np.take(prev_any, rows, axis=1)
-        rep = np.flatnonzero(labels == last[rows])
-        phi[:, rep] = prev_b[:, rows[rep]]
-        phi += lp
+    phi = np.take(prev_any[t0:], rows, axis=1)
+    rep = np.flatnonzero(labels == last[rows])
+    phi[:, rep] = prev_b[t0:, rows[rep]]
+    phi += np.take(log_posteriors[t0:], labels, axis=1)
     with np.errstate(invalid="ignore"):
         return np.logaddexp.reduce(phi, axis=0)
 
@@ -264,8 +254,7 @@ def ctc_prefix_extend(
     for _, run in groupby(log_posteriors, key=id):
         lp = next(run)
         k = slice(lo, lo + 1 + sum(1 for _ in run))
-        prev_b, prev_any = _prefix_ends(states[k])
-        last = np.array([s.last_label for s in states[k]])
+        prev_b, prev_any, last = ctc_prefix_ends(states[k])
         t = lp.shape[0]
         phi[:t, k] = np.where(labels[k] == last, prev_b, prev_any)
         lp_label[:t, k] = lp[:, labels[k]]
@@ -297,6 +286,6 @@ def ctc_prefix_score(
     """Extend a prefix by ``next_label``; returns (psi, new state)."""
     if next_label == blank:
         raise ValueError("cannot extend a prefix with the blank id")
-    psi = ctc_prefix_score_all([state], [0], [next_label], log_posteriors)[0]
+    psi = ctc_prefix_score_all(ctc_prefix_ends([state]), [0], [next_label], log_posteriors)[0]
     (new,) = ctc_prefix_extend([state], [next_label], [psi], log_posteriors, blank)
     return float(psi), new

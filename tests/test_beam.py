@@ -495,9 +495,9 @@ class TestPruning:
         scored, columns = [], []
         score_all, prefix_scores = beam_mod.ctc_prefix_score_all, beam_mod._prefix_scores
 
-        def counting(states, rows, labels, *rest):
-            scored.append(len(labels) * (len(states) if rows is None else 1))
-            return score_all(states, rows, labels, *rest)
+        def counting(ends, rows, labels, *rest):
+            scored.append(len(labels))
+            return score_all(ends, rows, labels, *rest)
 
         def offered(lane, hyps, *rest):
             columns.append(len(hyps) * rest[-1].size)

@@ -1,9 +1,11 @@
 """End-to-end checks for the command-line front end and pipeline."""
 
 import argparse
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,8 +75,11 @@ def test_debug_raises_a_failure_with_its_cause(tmp_path):
 def test_debug_prints_the_traceback(tmp_path):
     missing = str(tmp_path / "missing.tsv")
     argv = [sys.executable, "-m", "imsk.cli", "score", "--ref", missing, "--hyp", missing]
-    plain = subprocess.run(argv, capture_output=True, text=True)
-    debug = subprocess.run(argv[:3] + ["--debug"] + argv[3:], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    plain, debug = (
+        subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        for args in (argv, argv[:3] + ["--debug"] + argv[3:])
+    )
     assert plain.returncode == debug.returncode == 1
     assert "Traceback" not in plain.stderr and plain.stderr.startswith("error: ")
     assert "Traceback (most recent call last)" in debug.stderr

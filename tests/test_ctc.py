@@ -15,6 +15,7 @@ from imsk.ctc import (
     ctc_loss,
     ctc_loss_op,
     ctc_posteriors,
+    ctc_prefix_ends,
     ctc_prefix_extend,
     ctc_prefix_initial,
     ctc_prefix_score,
@@ -291,13 +292,13 @@ def pair_psi(states, lp, blank):
     rows, labels = np.divmod(np.arange(R * V), V)
     keep = labels != blank
     psi = np.full((R, V), -np.inf)
-    psi[rows[keep], labels[keep]] = ctc_prefix_score_all(states, rows[keep], labels[keep], lp)
+    ends = ctc_prefix_ends(states)
+    psi[rows[keep], labels[keep]] = ctc_prefix_score_all(ends, rows[keep], labels[keep], lp)
     return psi
 
 
 class TestPairScorer:
-    """The (row, label) pair scorer, and its (R, L) block form, against the
-    full (T, R, V) reduction."""
+    """The (row, label) pair scorer against the full (T, R, V) reduction."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,13 +329,9 @@ class TestPairScorer:
         else:
             picked = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * len(pairs)))
         rows, labels = map(np.array, zip(*picked))
-        got = ctc_prefix_score_all(states, rows, labels, lp)
+        got = ctc_prefix_score_all(ctc_prefix_ends(states), rows, labels, lp)
         assert got.shape == (len(picked),)
         assert np.array_equal(got, oracle[rows, labels])
-        # every prefix by the same labels, as one (R, L) block
-        box = ctc_prefix_score_all(states, None, labels, lp)
-        assert box.shape == (n_states, len(picked))
-        assert np.array_equal(box, oracle[:, labels])
 
     def test_extensions_stay_within_the_pruning_slack(self):
         # psi(g+c) <= psi(g) exactly; computed, it may exceed the stored
@@ -456,7 +453,8 @@ class TestLaneBatchedPrefix:
             for step in range(max(len(s) for s in seqs)):
                 live = [i for i, s in enumerate(seqs) if len(s) > step]
                 labels = [seqs[i][step] for i in live]
-                psi = ctc_prefix_score_all([states[i] for i in live], range(len(live)), labels, lp)
+                ends = ctc_prefix_ends([states[i] for i in live])
+                psi = ctc_prefix_score_all(ends, range(len(live)), labels, lp)
                 grown = ctc_prefix_extend([states[i] for i in live], labels, psi, lp, blank)
                 for i, st in zip(live, grown):
                     states[i] = st
