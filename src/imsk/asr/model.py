@@ -150,19 +150,23 @@ class AsrModel(Module):
 
     def encode_each(self, feats: list) -> list[tt.Tensor]:
         """(1, T'_b, 2H) encodings, each equal bit for bit to
-        `encode_batch([f])` of its utterance alone. A padded batch would
-        change that: BLAS may round a row of the convolution and projection
-        products differently when the padded length changes. So the
-        convolutional blocks and each BLSTM's input projections run per
-        utterance, and only the row-stable recurrences run once for all."""
-        # a copy of each output of the blocks, made once their temporaries
-        # are freed, sits low on the C heap; the output itself, allocated
-        # among them, would hold the heap's top up while the next
-        # utterance's blocks run (4 MB more peak RSS on a minute of audio)
-        ys = [tt.concat([self._vgg([f])[0]]) for f in feats]
+        `encode_batch([f])` of its utterance alone, on a copy whose encoder
+        is constant (`nn.layers.frozen`): there `matmul` takes every row of
+        the BLSTMs' products alone, in fixed tiles, and the gates are
+        elementwise, so the BLSTMs run once on the zero-padded batch. The
+        convolutional blocks run per utterance: a padded pass would need one
+        im2col array for the whole batch, (B T 80, 72) floats in block 1's
+        second convolution, which outweighs the rest of decoding."""
+        lengths = np.array([encoder_output_length(f.shape[0]) for f in feats])
+        # allocated before the blocks run, so it sits below their
+        # temporaries on the heap
+        y = np.zeros((len(feats), lengths.max(), self.blstms[0].fw.cell.n_in), self.block1.w1.dtype)
+        for b, f in enumerate(feats):
+            y[b, : lengths[b]] = self._vgg([f])[0].data[0]
+        h = tt.Tensor(y)
         for layer in self.blstms:
-            ys = layer.each(ys)
-        return ys
+            h = layer(h, lengths)
+        return [tt.take(h, (slice(b, b + 1), slice(0, n))) for b, n in enumerate(lengths)]
 
     def _vgg(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
         """(B, T', F) output of the convolutional blocks over a zero-padded

@@ -41,12 +41,12 @@ LM steps stack the rows of all lanes.
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
 never on how many other rows share a call: every product goes through
-`tt.matmul`, which multiplies each row, or each lane's item, on its own,
-and every other operation is elementwise or reduces within a row. The
-encoder (`AsrModel.encode_each`) runs its recurrences once for all lanes
-but its convolutions and input projections per utterance: those are
-products over all frames, and BLAS may round a row of a padded batch's
-product differently when the padded length changes.
+`tt.matmul`, which multiplies the rows of the copies' constant weights
+in fixed tiles of `tt.TILE_ROWS` rows, where a row's bits do not depend
+on the other rows, and every other operation is elementwise or reduces
+within a row. The encoder (`AsrModel.encode_each`) runs its BLSTMs once
+on the padded batch of all lanes, and its convolutional blocks per
+utterance.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ def _joint(lam, ctc, att, gam, lm):
 def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     """(R, V) CTC prefix scores of a lane's candidates: exact for every
     candidate that can still enter the beam and for end-of-sequence, -inf
-    for the rest. `cols` are the label columns the lane may extend by.
+    for the rest; and `ctc_prefix_ends` of the rows, which extending them
+    needs again, or None if `cols`, the label columns the lane may extend
+    by, is empty.
 
     An alignment that starts with g+c starts with g, so psi(g+c) <= psi(g),
     and `ub`, the combined score with the parent's stored psi(g) for
@@ -229,7 +231,7 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     ctc = np.full(att.shape, NEG_INF)
     ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
     if cols.size == 0:
-        return ctc
+        return ctc, None
     ends = ctc_prefix_ends(states)
     rest = np.ones((len(hyps), cols.size), dtype=bool)
     step = len(hyps[0].tokens) - 1
@@ -251,7 +253,7 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     rows, at = np.nonzero(rest)
     if rows.size:
         ctc[rows, cols[at]] = ctc_prefix_score_all(ends, rows, cols[at], lane.ctc_logp)
-    return ctc
+    return ctc, ends
 
 
 def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
@@ -290,13 +292,13 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             # scores of every (row, label) extension; the end-of-sequence
             # column carries the complete-sequence CTC probability
             att = np.array([hy.score_att for hy in hyps])[:, None] + logp_att[sl]
-            lm = ctc = None
+            lm = ctc = ends = None
             if logp_lm is not None:
                 lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
             emitted = len(hyps[0].tokens) - 1
             labels = labels_eos if emitted >= lane.cap else labels_all
             if run_ctc:
-                ctc = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
+                ctc, ends = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
             scores = _joint(lam, ctc, att, gam, lm)
 
             # All rows of a lane hold distinct token sequences of one
@@ -312,22 +314,24 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             parent_rank = np.argsort(sorted(range(len(hyps)), key=lambda i: hyps[i].tokens))
             keep = np.lexsort((pos, parent_rank[row_of], -cand))[: cfg.beam]
             picked = [(int(row_of[k]), int(labels[pos[k]]), float(cand[k])) for k in keep]
-            picks.append((sl, att, lm, ctc, picked))
+            picks.append((sl, att, lm, ctc, ends, picked))
 
         if run_ctc:
             # frame states only for the extensions that entered a beam, of
-            # all lanes in one recursion
-            grown = [
-                (lane.ctc_logp, lane.active[ri].ctc_state, c, ctc[ri, c])
-                for lane, (_, _, _, ctc, picked) in zip(live, picks)
-                for ri, c, _ in picked
-                if c != SOS_EOS_ID
-            ]
+            # all lanes in one recursion, from the ends of their parents'
+            # rows that the step's scores used
+            grown, grown_ends = [], []
+            for lane, (_, _, _, ctc, ends, picked) in zip(live, picks):
+                kept = [(ri, c) for ri, c, _ in picked if c != SOS_EOS_ID]
+                if kept:
+                    rows = [ri for ri, _ in kept]
+                    grown += [(lane.ctc_logp, lane.active[ri].ctc_state, c, ctc[ri, c]) for ri, c in kept]
+                    grown_ends.append(tuple(e[..., rows] for e in ends))
             if grown:
                 logps, states, cs, psi = zip(*grown)
-                new_states = iter(ctc_prefix_extend(states, cs, psi, logps, BLANK_ID))
+                new_states = iter(ctc_prefix_extend(states, cs, psi, logps, BLANK_ID, grown_ends))
 
-        for lane, (a_new, _), (sl, att, lm, ctc, picked) in zip(live, attended, picks):
+        for lane, (a_new, _), (sl, att, lm, ctc, _, picked) in zip(live, attended, picks):
             hyps = lane.active
             new_active, parents = [], []
             for ri, c, s in picked:
@@ -384,7 +388,7 @@ def decode_nbest(
     """Top-n finished hypotheses of each utterance, best first.
 
     Ranking follows the (score, token sequence) order the search itself
-    uses. Up to `batch_size` utterances share the encoder's recurrences
+    uses. Up to `batch_size` utterances share the encoder's BLSTMs
     and each search step, yet every list is identical to the one decoding
     its utterance alone gives. The model and LM are used through constant
     copies (`nn.layers.frozen`), so no autograd graph is built and their

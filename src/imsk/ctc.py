@@ -231,7 +231,7 @@ def ctc_prefix_score_all(ends, rows, labels, log_posteriors) -> np.ndarray:
 
 
 def ctc_prefix_extend(
-    states, labels, log_psi, log_posteriors, blank: int
+    states, labels, log_psi, log_posteriors, blank: int, ends=None
 ) -> list[CtcPrefixState]:
     """States of K prefixes, states[k] extended by labels[k].
 
@@ -239,9 +239,11 @@ def ctc_prefix_extend(
     ctc_prefix_score_all. log_posteriors is one (T, V) array that every
     prefix shares, or a list of K arrays, states[k]'s (T_k, V) array
     at k; the prefixes of one utterance are adjacent and share one array
-    object. The frame recursion runs once over all K columns, each padded
-    with -inf to the longest T_k; its operations are elementwise, so each
-    column equals the recursion of that prefix alone.
+    object. A caller that already holds ctc_prefix_ends of each
+    utterance's states passes them as `ends`, one per utterance, so they
+    are not computed again. The frame recursion runs once over all K
+    columns, each padded with -inf to the longest T_k; its operations are
+    elementwise, so each column equals the recursion of that prefix alone.
     """
     K = len(states)
     if isinstance(log_posteriors, np.ndarray):
@@ -251,10 +253,10 @@ def ctc_prefix_extend(
     phi, lp_label, lp_blank = (np.full((T, K), NEG_INF) for _ in range(3))
     # fill the padded inputs one utterance (run of one shared array) at a time
     lo = 0
-    for _, run in groupby(log_posteriors, key=id):
+    for j, (_, run) in enumerate(groupby(log_posteriors, key=id)):
         lp = next(run)
         k = slice(lo, lo + 1 + sum(1 for _ in run))
-        prev_b, prev_any, last = ctc_prefix_ends(states[k])
+        prev_b, prev_any, last = ctc_prefix_ends(states[k]) if ends is None else ends[j]
         t = lp.shape[0]
         phi[:t, k] = np.where(labels[k] == last, prev_b, prev_any)
         lp_label[:t, k] = lp[:, labels[k]]

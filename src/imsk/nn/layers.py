@@ -15,7 +15,6 @@ from .tensor import (
     Parameter,
     Tensor,
     concat,
-    constant,
     conv2d,
     matmul,
     maxpool2d_ceil,
@@ -85,13 +84,14 @@ class Module:
 def frozen(module: Module, dtype, keep=()) -> Module:
     """A deep copy of `module` for inference: every parameter becomes a
     constant `Tensor` cast to `dtype`, so calls on the copy build no
-    autograd graph; a large cast matrix comes in column blocks (see
-    `tensor.constant`). Parameters under the attributes named in `keep`
-    keep their own dtype and share the module's arrays."""
+    autograd graph, and `matmul` multiplies rows against its weights in
+    fixed row tiles, so a row's bits do not depend on the batch. Parameters
+    under the attributes named in `keep` keep their own dtype and share the
+    module's arrays."""
     memo = {}
     for path, p in module.named_params():
         kept = path.split(".")[0] in keep
-        memo[id(p)] = Tensor(p.data) if kept else constant(p.data.astype(dtype))
+        memo[id(p)] = Tensor(p.data if kept else p.data.astype(dtype))
     twin = copy.deepcopy(module, memo)
     twin.dtype = dtype
     return twin
@@ -161,43 +161,14 @@ class Lstm(Module):
         """Padded (B, T, n_in) -> (B, T, H), projected as one batch. Outputs
         past a row's length carry no meaning; callers ignore them
         (attention masks those frames, CTC slices them off)."""
-        return self._flip(self._recur(self._project(self._flip(x, lengths))), lengths)
-
-    def each(self, xs: list[Tensor]) -> list[Tensor]:
-        """(1, T_b, n_in) sequences -> (1, T_b, H) outputs, each equal bit
-        for bit to `self(x, [T_b])`: every sequence is projected alone at its
-        own length, and one frame loop then runs all of them, zero-padded to
-        the longest. A row's recurrence never reads another row (`matmul`
-        multiplies each row alone, the gates are elementwise), and a row's
-        frames past its length are dropped."""
-        xws = [self._project(self._flip(x, [x.shape[1]])) for x in xs]
-        T = max(xw.shape[1] for xw in xws)
-        padded = [
-            concat([xw, Tensor(np.zeros((1, T - xw.shape[1], xw.shape[2]), xw.dtype))], axis=1)
-            for xw in xws
-        ]
-        y = self._recur(concat(padded))
-        return [
-            self._flip(take(y, (slice(b, b + 1), slice(0, xw.shape[1]))), [xw.shape[1]])
-            for b, xw in enumerate(xws)
-        ]
-
-    def _flip(self, x: Tensor, lengths) -> Tensor:
-        """Reverse each row's first `length` frames if this is the backward
-        direction; an involution."""
-        if not self.reverse:
-            return x
-        B, T = x.shape[:2]
-        return take(x, (np.arange(B)[:, None], _reverse_index(lengths, T)))
-
-    def _project(self, x: Tensor) -> Tensor:
-        return matmul(x, take(self.cell.w, (slice(0, self.cell.n_in), slice(None))))
-
-    def _recur(self, xw: Tensor) -> Tensor:
-        """(B, T, 4H) input projections -> (B, T, H) hidden states."""
-        B, T, _ = xw.shape
-        n_in = self.cell.n_in
-        wh = take(self.cell.w, (slice(n_in, n_in + self.cell.n_hidden), slice(None)))
+        B, T, _ = x.shape
+        if self.reverse:
+            # reverses each row's first `length` frames; an involution
+            flip = (np.arange(B)[:, None], _reverse_index(lengths, T))
+            x = take(x, flip)
+        n_in, H = self.cell.n_in, self.cell.n_hidden
+        xw = matmul(x, take(self.cell.w, (slice(0, n_in), slice(None))))
+        wh = take(self.cell.w, (slice(n_in, n_in + H), slice(None)))
         h, c = self.cell.zero_state(B, xw.dtype)
         outs = []
         with np.errstate(over="ignore"):
@@ -205,7 +176,8 @@ class Lstm(Module):
                 z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
                 h, c = self.cell._apply_gates(z, c)
                 outs.append(h)
-        return stack(outs, axis=1)
+        y = stack(outs, axis=1)
+        return take(y, flip) if self.reverse else y
 
 
 class Blstm(Module):
@@ -215,11 +187,6 @@ class Blstm(Module):
 
     def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
         return concat([self.fw(x, lengths), self.bw(x, lengths)], axis=2)
-
-    def each(self, xs: list[Tensor]) -> list[Tensor]:
-        """Per-sequence outputs, one joint frame loop per direction (see
-        `Lstm.each`)."""
-        return [concat([f, b], axis=2) for f, b in zip(self.fw.each(xs), self.bw.each(xs))]
 
 
 class VggBlock(Module):

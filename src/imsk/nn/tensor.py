@@ -119,42 +119,10 @@ class Parameter(Tensor):
         self.name = name
 
 
-# Column-block width and size threshold of `BlockedMatrix`: constants, so a
-# row's product depends only on the row and on the matrix shapes.
-BLOCK_COLUMNS = 128
-BLOCK_MIN_BYTES = 2 << 20
-
-
-class BlockedMatrix(Tensor):
-    """A constant (I, O) matrix, O a multiple of BLOCK_COLUMNS, that also
-    holds its columns as one contiguous (O / BLOCK_COLUMNS, I, BLOCK_COLUMNS)
-    array of blocks, which `matmul` multiplies rows by."""
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, data):
-        super().__init__(data)
-        self._blocks = None
-
-    @property
-    def blocks(self) -> np.ndarray:
-        # copied at the first product, so a matrix only indexed (an
-        # embedding table) costs no second copy
-        if self._blocks is None:
-            I, O = self.data.shape
-            self._blocks = np.ascontiguousarray(
-                self.data.reshape(I, O // BLOCK_COLUMNS, BLOCK_COLUMNS).transpose(1, 0, 2)
-            )
-        return self._blocks
-
-
-def constant(data: np.ndarray) -> Tensor:
-    """A tensor outside any graph; an (I, O) matrix of more than
-    BLOCK_MIN_BYTES whose O is a multiple of BLOCK_COLUMNS is a
-    `BlockedMatrix`."""
-    if data.ndim == 2 and data.nbytes > BLOCK_MIN_BYTES and data.shape[1] % BLOCK_COLUMNS == 0:
-        return BlockedMatrix(data)
-    return Tensor(data)
+# Rows of the fixed GEMM tiles that `matmul` multiplies constant operands
+# in. Not more: in tiles of 16 rows and up, OpenBLAS gave some float64 rows
+# (O = 500, 1025, 1100) different bits at different positions.
+TILE_ROWS = 8
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -251,27 +219,26 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Row-stable product: each item along the leading axis is multiplied
-    on its own, so a row's bits depend only on the row and on the matrix
-    shapes.
+    """Row-stable product: a row's bits depend only on the row and on the
+    matrix shapes, never on which other rows share the call. This is what
+    keeps batched decoding bit-identical to sequential decoding.
 
-    `a` is (N, I), taken row by row, or (N, M, I), taken item by item; `b`
-    is a shared (I, O), or (N, I, O) or (1, I, O) with one matrix per item
-    or one shared by all. np.matmul computes every leading-axis slice of
-    stacked operands with its own BLAS call, so an item's result never
-    depends on how many items share the call; a single 2-D product would
-    not give that, since BLAS may sum an M=1 product differently from an
-    M>1 one. This is what keeps batched decoding bit-identical to
-    sequential decoding.
+    `a` is (N, I) or (N, M, I); `b` is a shared (I, O), or (N, I, O) or
+    (1, I, O) with one matrix per item or one shared by all.
 
-    Rows against a `BlockedMatrix` are multiplied block by block, so each
-    block stays in cache while every row passes over it; a row still gets
-    its own BLAS call per block. OpenBLAS sums each output column from the
-    row and that column alone, in a kernel picked by the column's offset in
-    the call and in the call's thread chunk. Blocks start at multiples of
-    BLOCK_COLUMNS and O is a multiple of it, so at one or two BLAS threads
-    every column meets the kernel, and so gets the bits, of one call over
-    all O columns (tests/test_tensor.py holds the two products equal).
+    A 2-D `b` that needs no gradient (a constant weight, as in the
+    `frozen` decoding copies) multiplies `a`'s rows, its leading axes
+    flattened, in tiles of TILE_ROWS rows, the last one zero-padded. BLAS
+    runs every row of a full GEMM tile through the same kernel code (Goto
+    and van de Geijn, "Anatomy of High-Performance Matrix Multiplication",
+    ACM TOMS 2008), so a row gets the same bits at any position in any
+    tile (tests/test_tensor.py holds this at one and two BLAS threads).
+
+    Against a trainable `b`, each item along the leading axis is multiplied
+    on its own: a 2-D `a` row by row, a 3-D one item by item. np.matmul
+    computes every leading-axis slice of stacked operands with its own BLAS
+    call, so an item's result never depends on how many items share the
+    call. These paths keep training's bits as they were.
     """
     A, B = a.data, b.data
     shared = B.ndim == 2 or B.shape[0] == 1
@@ -290,15 +257,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.matmul(np.swapaxes(A, 1, 2), g)
             b._accumulate(gb.reshape(B.shape))
 
-    if A.ndim == 3:
+    if B.ndim == 2 and not b.requires_grad:
+        out = _tiled(A, B)
+    elif A.ndim == 3:
         out = np.matmul(A, B)
-    elif isinstance(b, BlockedMatrix):
-        # (O / w, N, 1, w): each block in turn meets every row
-        out = np.matmul(A[None, :, None, :], b.blocks[:, None])
-        out = out.transpose(1, 0, 2, 3).reshape(A.shape[0], -1)
     else:
         out = np.matmul(A[:, None, :], B)[:, 0]
     return Tensor._result(out, (a, b), backward)
+
+
+def _tiled(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B with A's rows in (TILE_ROWS, I) tiles. The full tiles are a
+    view of A, and only the last n % TILE_ROWS rows are copied, into one
+    zero-padded tile, so no operand is copied whole."""
+    rows = A.reshape(-1, A.shape[-1])
+    n, O = rows.shape[0], B.shape[1]
+    full = n - n % TILE_ROWS
+    out = np.empty((n, O), np.result_type(A, B))
+    np.matmul(rows[:full].reshape(-1, TILE_ROWS, rows.shape[1]), B,
+              out=out[:full].reshape(-1, TILE_ROWS, O))
+    if full < n:
+        tile = np.zeros((TILE_ROWS, rows.shape[1]), rows.dtype)
+        tile[: n - full] = rows[full:]
+        out[full:] = np.matmul(tile, B)[: n - full]
+    return out.reshape(*A.shape[:-1], O)
 
 
 # -- activations --------------------------------------------------------------
@@ -619,8 +601,6 @@ def window_counts(T: int, radius: int) -> np.ndarray:
 __all__ = [
     "Tensor",
     "Parameter",
-    "BlockedMatrix",
-    "constant",
     "add",
     "sub",
     "neg",

@@ -20,7 +20,7 @@ from .nn import tensor as tt
 from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Linear, Module, StatsPooling, frozen
 from .nn.optim import DivergedError, clip_gradients, make_optimizer
-from .util import make_rng
+from .util import make_rng, read_tsv_lines
 
 SILENCE, SPEECH, GARBAGE = 0, 1, 2
 
@@ -67,8 +67,8 @@ class SadModel(Module):
                 f"feature dim {f.shape[1] if f.ndim == 2 else f.shape} "
                 f"does not match input_dim {self.cfg.input_dim}"
             )
-        # the frames form one (1, T, D) item: one product per layer, not
-        # one per frame (frames need no row stability)
+        # the frames form one (1, T, D) item: one product per layer in
+        # training, row tiles on a constant copy, never one per frame
         T = f.shape[0]
         h = self._splice(f)
         for lin in self.layers:
@@ -365,14 +365,19 @@ def write_segments(path, items: list[tuple[str, SegmentList]]) -> None:
 
 
 def read_segments(path) -> list[tuple[str, str, float, float]]:
+    """Rows "segment-id TAB recording-id TAB start TAB end", times in
+    seconds. Raises ValueError, naming the file and line, for text that is
+    not UTF-8, a row of other than 4 fields or times that are not numbers
+    with 0 <= start <= end."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            rows.append((parts[0], parts[1], float(parts[2]), float(parts[3])))
+    for lineno, parts in read_tsv_lines(path, 4):
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        try:
+            start, end = float(parts[2]), float(parts[3])
+        except ValueError:
+            start = end = math.nan
+        if not 0.0 <= start <= end < math.inf:
+            raise ValueError(f"{path}:{lineno}: expected times 0 <= start <= end, got {parts[2]!r}, {parts[3]!r}")
+        rows.append((parts[0], parts[1], start, end))
     return rows

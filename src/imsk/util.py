@@ -27,25 +27,34 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 
 def read_text(path) -> str:
     """A UTF-8 text file's contents; text that is not UTF-8 raises a
-    ValueError naming the file."""
+    ValueError naming the file, and the byte and line at fault."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+        line = Path(path).read_bytes().count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start}, line {line})") from e
 
 
-def read_tsv(path, n_fields: int) -> list[list[str]]:
-    """The tab-split non-blank lines of a UTF-8 file; a ValueError naming
-    the file for text that is not UTF-8 or a line of too few fields."""
+def read_tsv_lines(path, n_fields: int) -> list[tuple[int, list[str]]]:
+    """(line number, tab-split fields) of the non-blank lines of a UTF-8
+    file; a ValueError naming the file for text that is not UTF-8 or a line
+    of too few fields. Lines end at newlines only (read_text translates
+    "\r\n" and "\r"), not at the other separators str.splitlines knows,
+    such as U+2028, so a field may hold those."""
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) < n_fields:
             raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}")
-        rows.append(parts)
+        rows.append((lineno, parts))
     return rows
+
+
+def read_tsv(path, n_fields: int) -> list[list[str]]:
+    """The fields of `read_tsv_lines`."""
+    return [parts for _, parts in read_tsv_lines(path, n_fields)]
 
 
 def write_tsv(path, rows) -> None:

@@ -105,13 +105,14 @@ def length_mixes(draw):
 def check_encode_each_equals_alone(lengths, seed):
     """Each row of the joint decode-time encoder equals the utterance
     encoded alone, bit for bit, at the desk encoder's size (80-dim input,
-    VGG (8, 16)), where a padded batch changes short utterances' bits. On
-    the float32 model and on a float64 decoding copy that keeps the
-    encoder. Run at fixed BLAS thread counts by the test below."""
+    VGG (8, 16)), where a padded batch through the VGG blocks changes short
+    utterances' bits. On the decoding copies: float64 keeping the float32
+    encoder, as the search uses, and all float32. Run at fixed BLAS thread
+    counts by the test below."""
     m = AsrModel(VOCAB, rng=np.random.default_rng(5))
     rng = np.random.default_rng(seed)
     fs = [rng.normal(0, 1, (n, 80)) for n in lengths]
-    for enc in (m, frozen(m, np.float64, keep=_ENCODER)):
+    for enc in (frozen(m, np.float64, keep=_ENCODER), frozen(m, np.float32)):
         got = enc.encode_each(fs)
         assert len(got) == len(fs)
         for f, h in zip(fs, got):

@@ -496,6 +496,13 @@ def test_transcript_validation_and_roundtrip(tmp_path):
     assert read_transcript(tmp_path / "t.tsv") == [(0.0, 1.25, "da re"), (2.5, 3.0, "mi")]
 
 
+def test_transcript_text_keeps_unicode_line_separators(tmp_path):
+    # str.splitlines once split a row at U+2028 or \x1c inside its text
+    t = Transcript("r", ((0.0, 1.25, "da\u2028re"), (2.5, 3.0, "mi\x1cfa\x85")))
+    write_transcript(tmp_path / "t.tsv", t)
+    assert read_transcript(tmp_path / "t.tsv") == [(0.0, 1.25, "da\u2028re"), (2.5, 3.0, "mi\x1cfa\x85")]
+
+
 def test_stage_errors_name_stage_and_item(world, tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"this is not audio")

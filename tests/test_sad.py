@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import frame_accuracy, record_requires_grad, sad_corpus
+from helpers import corrupt, frame_accuracy, record_requires_grad, sad_corpus
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
 from imsk.sad import (
@@ -400,11 +400,66 @@ def test_segments_file_roundtrip(tmp_path):
     ]
 
 
+def test_segments_file_keeps_unicode_line_separators(tmp_path):
+    # a line ends at a newline only, as the file iteration this reader
+    # once used had it, not at the other separators str.splitlines knows
+    p = tmp_path / "segments.tsv"
+    write_segments(p, [("a\u2028b", SegmentList(((0.0, 1.5),))), ("c\x1cd\x85", SegmentList(((2.0, 3.0),)))])
+    assert read_segments(p) == [
+        ("a\u2028b-0000", "a\u2028b", 0.0, 1.5),
+        ("c\x1cd\x85-0000", "c\x1cd\x85", 2.0, 3.0),
+    ]
+
+
 def test_segments_file_rejects_bad_row(tmp_path):
     p = tmp_path / "segments.tsv"
     p.write_text("only\tthree\tfields\n")
     with pytest.raises(ValueError, match="4 tab-separated"):
         read_segments(p)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("s\tr\t0.50\tx", "expected times 0 <= start <= end, got '0.50', 'x'"),
+        ("s\tr\tnan\t1.00", "expected times 0 <= start <= end, got 'nan', '1.00'"),
+        ("s\tr\t0.50\tinf", "expected times 0 <= start <= end, got '0.50', 'inf'"),
+        ("s\tr\t2.00\t1.00", "expected times 0 <= start <= end, got '2.00', '1.00'"),
+        ("s\tr\t-1.00\t1.00", "expected times 0 <= start <= end, got '-1.00', '1.00'"),
+        ("s\tr\t0.50\t1.00\tx", "expected 4 tab-separated fields, got 5"),
+    ],
+    ids=["not a number", "nan", "inf", "start after end", "negative start", "five fields"],
+)
+def test_segments_file_names_the_bad_line(tmp_path, row, message):
+    # a time that was not a number once raised float()'s error without the
+    # file, and nan or a start after its end were read as segments
+    p = tmp_path / "segments.tsv"
+    p.write_text(f"a\tr\t0.00\t0.50\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_segments(p)
+    assert str(exc.value) == f"{p}:3: {message}"
+
+
+def test_segments_file_rejects_bytes_that_are_not_utf8(tmp_path):
+    # once a bare UnicodeDecodeError that named no file
+    p = tmp_path / "segments.tsv"
+    p.write_bytes(b"a\tr\t0.00\t0.50\nb\tr\xff\t0.50\t1.00\n")
+    with pytest.raises(ValueError, match=f"^{p}: not UTF-8 text .* at byte 17, line 2"):
+        read_segments(p)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_segments_file_corruptions_raise_only_value_error(tmp_path, data):
+    p = tmp_path / "segments.tsv"
+    write_segments(p, [("recA", SegmentList(((0.0, 1.5), (2.0, 3.756)))), ("recB", SegmentList(((0.25, 9.0),)))])
+    p.write_bytes(corrupt(data, p.read_bytes()))
+    try:
+        rows = read_segments(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{p}:") and len(str(exc)) > len(f"{p}: ")
+    else:
+        assert all(len(r) == 4 and 0.0 <= r[2] <= r[3] < math.inf for r in rows)
 
 
 def test_segments_file_empty(tmp_path):
