@@ -25,8 +25,8 @@ hypothesis keeps its best `beam` labels, and the beam is ranked from
 those by (-score, tokens). Every score is the same floating-point
 expression, in the same order, as a loop over single candidates would
 compute, so pruning changes no result. Then one CTC frame recursion
-builds the states of the extensions that entered the beams of all
-utterances.
+builds the prefix states of the extensions that entered the beams of all
+utterances and go on.
 
 The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
 `LstmLm.lm_step`), run on constant copies of the model and LM made once
@@ -35,8 +35,10 @@ The copies compute in float64, except the encoder, which keeps the
 model's float32 arrays. Each utterance (a lane) owns its float64 encoder
 frames and the attention weights, decoder states and LM states of its
 live hypotheses, and gathers them by parent row when the beam moves on.
-Attention runs once per lane over the lane's own frames; the decoder and
-LM steps stack the rows of all lanes.
+It owns their CTC prefix states as (T, R) arrays too (`ctc.CtcPrefixes`);
+the frame recursion writes a lane's survivors as columns in beam order,
+so they need no gather. Attention runs once per lane over the lane's own
+frames; the decoder and LM steps stack the rows of all lanes.
 
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
@@ -55,15 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import (
-    NEG_INF,
-    CtcPrefixState,
-    ctc_prefix_ends,
-    ctc_prefix_extend,
-    ctc_prefix_initial,
-    ctc_prefix_score,
-    ctc_prefix_score_all,
-)
+from .ctc import NEG_INF, ctc_prefix_extend, ctc_prefix_initial, ctc_prefix_score_all
 from .lm import sequence_log_prob
 from .nn import tensor as tt
 from .nn.layers import frozen
@@ -97,7 +91,6 @@ class Hypothesis:
     score_att: float
     score_ctc: float
     score_lm: float
-    ctc_state: CtcPrefixState | None = None
     finished: bool = False
 
     @property
@@ -111,7 +104,8 @@ _ENCODER = ("block1", "block2", "blstms")
 
 class _Lane:
     """Per-utterance search context: encodings, caps, live and done sets,
-    and the (rows, .) attention, decoder and LM states of the live rows."""
+    the (rows, .) attention, decoder and LM states of the live rows, and
+    their (T, rows) CTC prefix states."""
 
     def __init__(self, h: tt.Tensor, m64, lm64, cfg: DecodeConfig):
         h = self.h = tt.Tensor(h.data.astype(np.float64))
@@ -119,18 +113,12 @@ class _Lane:
         self.vh = m64.precompute_attention(h)
         self.ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
         self.cap = int(self.T * cfg.max_ratio)
-        start = Hypothesis(
-            tokens=(SOS_EOS_ID,),
-            score=0.0,
-            score_att=0.0,
-            score_ctc=0.0,
-            score_lm=0.0,
-            ctc_state=ctc_prefix_initial(self.ctc_logp, BLANK_ID),
-        )
+        start = Hypothesis(tokens=(SOS_EOS_ID,), score=0.0, score_att=0.0, score_ctc=0.0, score_lm=0.0)
         self.active: list[Hypothesis] = [start]
         self.a = tt.Tensor(np.full((1, self.T), 1.0 / self.T))
         self.dec = m64.initial_decoder_state(1)
         self.lm = lm64.initial_state(1) if lm64 is not None else None
+        self.ctc = ctc_prefix_initial(self.ctc_logp, BLANK_ID)
         self.finished: list[Hypothesis] = []
         self.done = False
         # the output step at which the lane next tries to skip CTC columns
@@ -192,9 +180,7 @@ def _joint(lam, ctc, att, gam, lm):
 def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     """(R, V) CTC prefix scores of a lane's candidates: exact for every
     candidate that can still enter the beam and for end-of-sequence, -inf
-    for the rest; and `ctc_prefix_ends` of the rows, which extending them
-    needs again, or None if `cols`, the label columns the lane may extend
-    by, is empty.
+    for the rest. `cols` are the label columns the lane may extend by.
 
     An alignment that starts with g+c starts with g, so psi(g+c) <= psi(g),
     and `ub`, the combined score with the parent's stored psi(g) for
@@ -227,19 +213,17 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     T eps (1 + |s|). If s is -inf nothing is skipped, so -inf ties break
     as before.
     """
-    states = [hy.ctc_state for hy in hyps]
     ctc = np.full(att.shape, NEG_INF)
-    ctc[:, SOS_EOS_ID] = [st.final_log_prob() for st in states]
+    ctc[:, SOS_EOS_ID] = lane.ctc.final_log_probs()
     if cols.size == 0:
-        return ctc, None
-    ends = ctc_prefix_ends(states)
+        return ctc
     rest = np.ones((len(hyps), cols.size), dtype=bool)
     step = len(hyps[0].tokens) - 1
     if step >= lane.next_try and rest.size > beam:
         lm_cols = lm[:, cols] if lm is not None else None
         ub = _joint(lam, np.array([hy.score_ctc for hy in hyps])[:, None], att[:, cols], gam, lm_cols)
         rows, at = np.divmod(np.argpartition(-ub, beam - 1, axis=None)[:beam], cols.size)
-        ctc[rows, cols[at]] = ctc_prefix_score_all(ends, rows, cols[at], lane.ctc_logp)
+        ctc[rows, cols[at]] = ctc_prefix_score_all(lane.ctc, rows, cols[at], lane.ctc_logp)
         # the columns not scored yet hold -inf, below every score in s's
         # place unless fewer than `beam` scores are finite
         known = _joint(lam, ctc, att, gam, lm)[:, np.append(SOS_EOS_ID, cols)]
@@ -252,8 +236,8 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
         rest[rows, at] = False
     rows, at = np.nonzero(rest)
     if rows.size:
-        ctc[rows, cols[at]] = ctc_prefix_score_all(ends, rows, cols[at], lane.ctc_logp)
-    return ctc, ends
+        ctc[rows, cols[at]] = ctc_prefix_score_all(lane.ctc, rows, cols[at], lane.ctc_logp)
+    return ctc
 
 
 def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
@@ -292,13 +276,13 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             # scores of every (row, label) extension; the end-of-sequence
             # column carries the complete-sequence CTC probability
             att = np.array([hy.score_att for hy in hyps])[:, None] + logp_att[sl]
-            lm = ctc = ends = None
+            lm = ctc = None
             if logp_lm is not None:
                 lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
             emitted = len(hyps[0].tokens) - 1
             labels = labels_eos if emitted >= lane.cap else labels_all
             if run_ctc:
-                ctc, ends = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
+                ctc = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
             scores = _joint(lam, ctc, att, gam, lm)
 
             # All rows of a lane hold distinct token sequences of one
@@ -314,24 +298,10 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             parent_rank = np.argsort(sorted(range(len(hyps)), key=lambda i: hyps[i].tokens))
             keep = np.lexsort((pos, parent_rank[row_of], -cand))[: cfg.beam]
             picked = [(int(row_of[k]), int(labels[pos[k]]), float(cand[k])) for k in keep]
-            picks.append((sl, att, lm, ctc, ends, picked))
+            picks.append((sl, att, lm, ctc, picked))
 
-        if run_ctc:
-            # frame states only for the extensions that entered a beam, of
-            # all lanes in one recursion, from the ends of their parents'
-            # rows that the step's scores used
-            grown, grown_ends = [], []
-            for lane, (_, _, _, ctc, ends, picked) in zip(live, picks):
-                kept = [(ri, c) for ri, c, _ in picked if c != SOS_EOS_ID]
-                if kept:
-                    rows = [ri for ri, _ in kept]
-                    grown += [(lane.ctc_logp, lane.active[ri].ctc_state, c, ctc[ri, c]) for ri, c in kept]
-                    grown_ends.append(tuple(e[..., rows] for e in ends))
-            if grown:
-                logps, states, cs, psi = zip(*grown)
-                new_states = iter(ctc_prefix_extend(states, cs, psi, logps, BLANK_ID, grown_ends))
-
-        for lane, (a_new, _), (sl, att, lm, ctc, _, picked) in zip(live, attended, picks):
+        grown = []
+        for lane, (a_new, _), (sl, att, lm, ctc, picked) in zip(live, attended, picks):
             hyps = lane.active
             new_active, parents = [], []
             for ri, c, s in picked:
@@ -339,30 +309,13 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
                 att2 = float(att[ri, c])
                 ctc2 = float(ctc[ri, c]) if run_ctc else 0.0
                 lm2 = float(lm[ri, c]) if lm is not None else hyp.score_lm
-                if c == SOS_EOS_ID:
-                    lane.finished.append(
-                        Hypothesis(
-                            tokens=hyp.tokens,
-                            score=s,
-                            score_att=att2,
-                            score_ctc=ctc2,
-                            score_lm=lm2,
-                            ctc_state=hyp.ctc_state,
-                            finished=True,
-                        )
-                    )
-                    continue
-                parents.append(ri)
-                new_active.append(
-                    Hypothesis(
-                        tokens=hyp.tokens + (c,),
-                        score=s,
-                        score_att=att2,
-                        score_ctc=ctc2,
-                        score_lm=lm2,
-                        ctc_state=next(new_states) if run_ctc else hyp.ctc_state,
-                    )
-                )
+                tokens = hyp.tokens if c == SOS_EOS_ID else hyp.tokens + (c,)
+                new = Hypothesis(tokens, s, att2, ctc2, lm2, finished=c == SOS_EOS_ID)
+                if new.finished:
+                    lane.finished.append(new)
+                else:
+                    parents.append(ri)
+                    new_active.append(new)
             lane.active = new_active
             # the survivors' states, gathered from their parents' rows
             rows = np.array(parents, dtype=np.int64)
@@ -376,8 +329,19 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
                 if not lane.active or max(hy.score for hy in lane.active) <= best_done:
                     lane.done = True
                     lane.active = []
+                    lane.ctc = None
             elif not lane.active:
                 raise RuntimeError("beam search lost all hypotheses")
+            if run_ctc and not lane.done:
+                ys = [hy.tokens[-1] for hy in lane.active]
+                grown.append((lane, (lane.ctc, rows, ys, lane.ctc_logp)))
+
+        if grown:
+            # frame states only for the extensions that entered a beam and
+            # go on, of all lanes in one recursion
+            lanes_grown, args = zip(*grown)
+            for lane, prefixes in zip(lanes_grown, ctc_prefix_extend(args, BLANK_ID)):
+                lane.ctc = prefixes
 
     return [sorted(lane.finished, key=lambda hy: (-hy.score, hy.tokens)) for lane in lanes]
 
@@ -442,8 +406,8 @@ def rescore(feat, model, tokens, lm=None):
         att += float(logp.data[0, t])
         prev = t
 
-    ctc = lane.active[0].ctc_state
+    ctc = lane.ctc
     for t in tokens:
-        _, ctc = ctc_prefix_score(ctc, int(t), lane.ctc_logp, BLANK_ID)
+        (ctc,) = ctc_prefix_extend([(ctc, [0], [t], lane.ctc_logp)], BLANK_ID)
     lm_score = sequence_log_prob(frozen(lm, np.float64), tokens) if lm is not None else 0.0
-    return att, ctc.final_log_prob(), lm_score
+    return att, float(ctc.final_log_probs()[0]), lm_score

@@ -72,7 +72,7 @@ from .tokenizer import (
     train_unigram,
     vocab_fingerprint,
 )
-from .util import make_rng, read_text, read_tsv, write_tsv
+from .util import make_rng, read_tsv, write_tsv
 
 
 class PipelineError(Exception):
@@ -375,20 +375,16 @@ def _read_manifest(path, with_text: bool) -> list:
 
 def _read_text_table(path) -> list[tuple[str, str]]:
     """Rows "utt-id TAB text" in file order; ids must be unique. Raises
-    ValueError for text that is not UTF-8 or a malformed line and
-    PipelineError for a duplicate id, each naming the file."""
+    ValueError for text that is not UTF-8 or a line without a tab, naming
+    the file and line, and PipelineError for a duplicate id, naming the
+    file."""
     seen = set()
     out = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'utt-id TAB text'")
-        utt, text = line.split("\t", 1)
+    for utt, *text in read_tsv(path, 2):
         if utt in seen:
             raise PipelineError(f"{path}: duplicate utterance id {utt!r}")
         seen.add(utt)
-        out.append((utt, text))
+        out.append((utt, "\t".join(text)))
     return out
 
 

@@ -7,21 +7,22 @@ log-domain float64; minus infinity marks unreachable states.  The gradient
 is returned with respect to the pre-softmax logits, where it takes the
 standard form posterior minus state-occupancy.
 
-Prefix scoring keeps, per hypothesis, the log probability of every frame
-being the end of the prefix with a blank and with the last label. The
-prefix probabilities of any K (hypothesis, label) extensions come from
+Prefix scoring keeps the R prefixes (hypotheses) of one utterance in
+one CtcPrefixes value: (T, R) arrays of the log probability of every
+frame being the end of prefix r with a blank and with its last label.
+The prefix probabilities of any K (prefix, label) extensions come from
 one (T, K) reduction over frames, with no frame recursion, so a search
 scores only the extensions that can still reach its beam; the O(T)
-recursion to a new state runs only for the extensions it keeps, those of
-several utterances in one frame loop.
-Accumulated to the end of a hypothesis, the state matches the full ctc
-loss on the same sequence.
+recursion runs only for the extensions it keeps, those of several
+utterances in one frame loop, and an utterance's kept columns are its
+next CtcPrefixes. Accumulated to the end of a hypothesis, the state
+matches the full ctc loss on the same sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property
 
 import numpy as np
 
@@ -158,58 +159,56 @@ def ctc_loss_op(logits: Tensor, labels, blank: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CtcPrefixState:
-    """Per-frame log probabilities of a prefix ending in non-blank/blank."""
+@dataclass(frozen=True, eq=False)
+class CtcPrefixes:
+    """R prefixes of one utterance: r_nb[t, r] and r_b[t, r] are the log
+    probabilities that prefix r has been emitted by frame t, ending in its
+    last label and in a blank; last[r] is that label, -1 for the empty
+    prefix."""
 
-    r_nb: np.ndarray
-    r_b: np.ndarray
-    last_label: int  # -1 for the empty prefix
-    log_psi: float  # prefix probability of the sequence so far
+    r_nb: np.ndarray  # (T, R)
+    r_b: np.ndarray  # (T, R)
+    last: np.ndarray  # (R,)
 
-    def final_log_prob(self) -> float:
-        """log p_ctc of the prefix as a COMPLETE hypothesis."""
-        return float(np.logaddexp(self.r_nb[-1], self.r_b[-1]))
+    def final_log_probs(self) -> np.ndarray:
+        """(R,) log p_ctc of each prefix as a COMPLETE sequence."""
+        return np.logaddexp(self.r_nb[-1], self.r_b[-1])
 
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(prev_b, prev_any), both (T, R): the log probability that prefix
+        r has ended by frame t-1 with a blank, and with either symbol.
 
-def ctc_prefix_initial(log_posteriors: np.ndarray, blank: int) -> CtcPrefixState:
-    """State of the empty prefix: only all-blank alignments exist."""
-    r_b = np.cumsum(log_posteriors[:, blank])
-    r_nb = np.full(log_posteriors.shape[0], NEG_INF)
-    return CtcPrefixState(r_nb=r_nb, r_b=r_b, last_label=-1, log_psi=0.0)
-
-
-def ctc_prefix_ends(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prev_b, prev_any, last) of R prefixes: prev_b and prev_any are
-    (T, R), the log probability that prefix r has ended by frame t-1 with
-    a blank, and with either symbol; last is (R,), each prefix's last
-    label.
-
-    Starting a new label at frame t needs the prefix to have ended by t-1;
-    a repeat of the last label additionally needs the blank.
-    """
-    r_b = np.stack([s.r_b for s in states], axis=1)
-    r_nb = np.stack([s.r_nb for s in states], axis=1)
-    first = np.array([0.0 if s.last_label == -1 else NEG_INF for s in states])
-    prev_b = np.concatenate([first[None], r_b[:-1]])
-    prev_nb = np.concatenate([np.full((1, len(states)), NEG_INF), r_nb[:-1]])
-    last = np.array([s.last_label for s in states])
-    return prev_b, np.logaddexp(prev_b, prev_nb), last
+        Starting a new label at frame t needs the prefix to have ended by
+        t-1; a repeat of the last label additionally needs the blank.
+        Scoring and extending the prefixes both read them, so they are
+        derived once.
+        """
+        first = np.where(self.last == -1, 0.0, NEG_INF)
+        prev_b = np.concatenate([first[None], self.r_b[:-1]])
+        prev_nb = np.concatenate([np.full((1, self.last.size), NEG_INF), self.r_nb[:-1]])
+        return prev_b, np.logaddexp(prev_b, prev_nb)
 
 
-def ctc_prefix_score_all(ends, rows, labels, log_posteriors) -> np.ndarray:
+def ctc_prefix_initial(log_posteriors: np.ndarray, blank: int) -> CtcPrefixes:
+    """The empty prefix alone: only all-blank alignments exist."""
+    r_b = np.cumsum(log_posteriors[:, blank])[:, None]
+    r_nb = np.full(r_b.shape, NEG_INF)
+    return CtcPrefixes(r_nb=r_nb, r_b=r_b, last=np.full(1, -1, dtype=np.int64))
+
+
+def ctc_prefix_score_all(prefixes: CtcPrefixes, rows, labels, log_posteriors) -> np.ndarray:
     """Prefix probabilities of K one-label extensions of R prefixes.
 
-    `ends` is ctc_prefix_ends of the R prefixes. Returns psi of shape
-    (K,): psi[k] is the log probability that the frames begin with prefix
-    rows[k] followed by labels[k], which is not the blank. A score depends
-    only on its parent's state, so all scores come from one reduction over
-    frames and no frame recursion runs. The reduction adds each
-    extension's frames in order, so its bits depend only on the extension,
-    never on which others share the call; ctc_prefix_extend builds states
-    for those kept.
+    Returns psi of shape (K,): psi[k] is the log probability that the
+    frames begin with prefix rows[k] followed by labels[k], which is not
+    the blank. A score depends only on its parent's state, so all scores
+    come from one reduction over frames and no frame recursion runs. The
+    reduction adds each extension's frames in order, so its bits depend
+    only on the extension, never on which others share the call;
+    ctc_prefix_extend builds states for those kept.
     """
-    prev_b, prev_any, last = ends
+    prev_b, prev_any = prefixes.ends
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     # No prefix of L labels ends before frame L-1, so the first frames add
@@ -223,44 +222,40 @@ def ctc_prefix_score_all(ends, rows, labels, log_posteriors) -> np.ndarray:
     # keeps phi C-ordered (a[:, idx] need not), so each frame step of the
     # sum runs over contiguous entries.
     phi = np.take(prev_any[t0:], rows, axis=1)
-    rep = np.flatnonzero(labels == last[rows])
+    rep = np.flatnonzero(labels == prefixes.last[rows])
     phi[:, rep] = prev_b[t0:, rows[rep]]
     phi += np.take(log_posteriors[t0:], labels, axis=1)
     with np.errstate(invalid="ignore"):
         return np.logaddexp.reduce(phi, axis=0)
 
 
-def ctc_prefix_extend(
-    states, labels, log_psi, log_posteriors, blank: int, ends=None
-) -> list[CtcPrefixState]:
-    """States of K prefixes, states[k] extended by labels[k].
+def ctc_prefix_extend(lanes, blank: int) -> list[CtcPrefixes]:
+    """The prefixes that extensions make, one CtcPrefixes per utterance.
 
-    log_psi[k] is the extension's prefix probability from
-    ctc_prefix_score_all. log_posteriors is one (T, V) array that every
-    prefix shares, or a list of K arrays, states[k]'s (T_k, V) array
-    at k; the prefixes of one utterance are adjacent and share one array
-    object. A caller that already holds ctc_prefix_ends of each
-    utterance's states passes them as `ends`, one per utterance, so they
-    are not computed again. The frame recursion runs once over all K
-    columns, each padded with -inf to the longest T_k; its operations are
-    elementwise, so each column equals the recursion of that prefix alone.
+    `lanes` holds (prefixes, rows, labels, log_posteriors) per utterance:
+    the utterance's prefixes, and its (T, V) array; its new prefix k is
+    prefix rows[k] extended by labels[k], which is not the blank. The
+    frame recursion runs once over the extensions of all utterances, each
+    padded with -inf to the longest T; its operations are elementwise, so
+    each column equals the recursion of that prefix alone. An utterance's
+    columns, in order, are its new prefixes.
     """
-    K = len(states)
-    if isinstance(log_posteriors, np.ndarray):
-        log_posteriors = [log_posteriors] * K
-    labels = np.asarray(labels, dtype=np.int64)
-    T = max(lp.shape[0] for lp in log_posteriors)
+    lanes = [(pre, np.asarray(rows, dtype=np.int64), np.asarray(labels, dtype=np.int64), lp)
+             for pre, rows, labels, lp in lanes]
+    if any(np.any(labels == blank) for _, _, labels, _ in lanes):
+        raise ValueError("cannot extend a prefix with the blank id")
+    T = max(lp.shape[0] for *_, lp in lanes)
+    K = sum(rows.size for _, rows, _, _ in lanes)
     phi, lp_label, lp_blank = (np.full((T, K), NEG_INF) for _ in range(3))
-    # fill the padded inputs one utterance (run of one shared array) at a time
-    lo = 0
-    for j, (_, run) in enumerate(groupby(log_posteriors, key=id)):
-        lp = next(run)
-        k = slice(lo, lo + 1 + sum(1 for _ in run))
-        prev_b, prev_any, last = ctc_prefix_ends(states[k]) if ends is None else ends[j]
+    cols, lo = [], 0
+    for pre, rows, labels, lp in lanes:
+        k = slice(lo, lo + rows.size)
+        prev_b, prev_any = pre.ends
         t = lp.shape[0]
-        phi[:t, k] = np.where(labels[k] == last, prev_b, prev_any)
-        lp_label[:t, k] = lp[:, labels[k]]
+        phi[:t, k] = np.where(labels == pre.last[rows], prev_b[:, rows], prev_any[:, rows])
+        lp_label[:t, k] = lp[:, labels]
         lp_blank[:t, k] = lp[:, blank, None]
+        cols.append((t, k))
         lo = k.stop
     r_nb = np.empty((T, K))
     r_b = np.empty((T, K))
@@ -272,22 +267,6 @@ def ctc_prefix_extend(
         np.add(b, lp_blank_t, out=b)
         nb_prev, b_prev = nb, b
     return [
-        CtcPrefixState(
-            r_nb=r_nb[: lp.shape[0], k].copy(),
-            r_b=r_b[: lp.shape[0], k].copy(),
-            last_label=int(labels[k]),
-            log_psi=float(log_psi[k]),
-        )
-        for k, lp in enumerate(log_posteriors)
+        CtcPrefixes(r_nb=r_nb[:t, k], r_b=r_b[:t, k], last=labels)
+        for (t, k), (_, _, labels, _) in zip(cols, lanes)
     ]
-
-
-def ctc_prefix_score(
-    state: CtcPrefixState, next_label: int, log_posteriors: np.ndarray, blank: int
-):
-    """Extend a prefix by ``next_label``; returns (psi, new state)."""
-    if next_label == blank:
-        raise ValueError("cannot extend a prefix with the blank id")
-    psi = ctc_prefix_score_all(ctc_prefix_ends([state]), [0], [next_label], log_posteriors)[0]
-    (new,) = ctc_prefix_extend([state], [next_label], [psi], log_posteriors, blank)
-    return float(psi), new

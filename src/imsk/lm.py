@@ -84,14 +84,9 @@ class LstmLm(Module):
         return [cell.zero_state(batch, self.dtype) for cell in self.cells]
 
     def lm_step(self, state, token):
-        """Advance one step: (log-probs over the vocabulary, new state).
-
-        `token` may be a scalar id (returns shape (V,)) or an id array of
-        shape (B,) matching the state's batch (returns (B, V)).
-        """
-        tok = np.asarray(token)
-        scalar = tok.ndim == 0
-        ids = np.atleast_1d(tok).astype(np.int64)
+        """Advance one step: ((B, V) log-probs over the vocabulary, new
+        state) for `token`, a (B,) id array matching the state's batch."""
+        ids = np.asarray(token, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValueError(f"token id out of range [0, {self.vocab_size})")
         x = self.embed(ids)
@@ -100,10 +95,7 @@ class LstmLm(Module):
             h, c = cell(x, h, c)
             new_state.append((h, c))
             x = h
-        logp = tt.log_softmax(self.out(x))
-        if scalar:
-            return tt.take(logp, 0), new_state
-        return logp, new_state
+        return tt.log_softmax(self.out(x)), new_state
 
     def config_dict(self) -> dict:
         return {

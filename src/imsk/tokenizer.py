@@ -370,14 +370,18 @@ def train_unigram(
 # ---------------------------------------------------------------------------
 
 
+def _vocab_text(vocab: SubwordVocab) -> str:
+    """The canonical text of a vocabulary: piece TAB natural-log
+    probability per line, specials first."""
+    rows = [(UNK_GLYPH, f"{LOG_P_UNK:.17g}"), (SOS_EOS_GLYPH, "0"), (BLANK_GLYPH, "0")]
+    rows += [(piece, f"{lp:.17g}") for piece, lp in zip(vocab.pieces, vocab.log_probs)]
+    return "".join(f"{piece}\t{lp}\n" for piece, lp in rows)
+
+
 def save_vocab(path, vocab: SubwordVocab) -> None:
-    """TSV: piece TAB natural-log probability; specials first."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{UNK_GLYPH}\t{LOG_P_UNK:.17g}\n")
-        f.write(f"{SOS_EOS_GLYPH}\t0\n")
-        f.write(f"{BLANK_GLYPH}\t0\n")
-        for piece, lp in zip(vocab.pieces, vocab.log_probs):
-            f.write(f"{piece}\t{lp:.17g}\n")
+    """Write the canonical text of `vocab` as a UTF-8 TSV file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(_vocab_text(vocab))
 
 
 def load_vocab(path) -> SubwordVocab:
@@ -410,11 +414,6 @@ def load_vocab(path) -> SubwordVocab:
 
 
 def vocab_fingerprint(vocab: SubwordVocab) -> str:
-    """sha256 over the canonical serialized form; used to pair artifacts."""
-    h = hashlib.sha256()
-    h.update(f"{UNK_GLYPH}\t{LOG_P_UNK:.17g}\n".encode())
-    h.update(f"{SOS_EOS_GLYPH}\t0\n".encode())
-    h.update(f"{BLANK_GLYPH}\t0\n".encode())
-    for piece, lp in zip(vocab.pieces, vocab.log_probs):
-        h.update(f"{piece}\t{lp:.17g}\n".encode())
-    return h.hexdigest()
+    """sha256 of the canonical text, the bytes save_vocab writes; used to
+    pair artifacts."""
+    return hashlib.sha256(_vocab_text(vocab).encode("utf-8")).hexdigest()

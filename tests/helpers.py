@@ -1,6 +1,7 @@
 """Shared synthetic fixtures for segmentation and recognition tests,
-random corruptions of files for parser tests, an autograd-graph spy, and
-a runner for checks at a fixed BLAS thread count."""
+random corruptions of files for parser tests, an autograd-graph spy, a
+runner for checks at a fixed BLAS thread count, and one-prefix CTC
+extension."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from imsk.audio import Waveform, extract_mfcc
+from imsk.ctc import ctc_prefix_extend, ctc_prefix_score_all
 from imsk.nn.tensor import Tensor
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
 
@@ -238,3 +240,11 @@ def run_at_blas_threads(threads: int, check: str) -> None:
         f"{check} fails with {blas['name']} {blas.get('version', '')} at {threads} BLAS "
         f"threads:\n{run.stderr}"
     )
+
+
+def extend_one(prefixes, label, log_posteriors, blank):
+    """(psi, prefixes) of one-row CTC prefixes extended by `label`: its
+    prefix probability and its state, through the calls the search makes."""
+    psi = ctc_prefix_score_all(prefixes, [0], [label], log_posteriors)[0]
+    (grown,) = ctc_prefix_extend([(prefixes, [0], [label], log_posteriors)], blank)
+    return float(psi), grown

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import extend_one
 from imsk.asr import AsrModel, AttentionConfig, DecoderConfig, EncoderConfig
 from imsk.beam import (
     DecodeConfig,
@@ -13,7 +14,7 @@ from imsk.beam import (
     decode_nbest,
     rescore,
 )
-from imsk.ctc import ctc_prefix_initial, ctc_prefix_score
+from imsk.ctc import ctc_prefix_initial
 from imsk.lm import LstmLm
 from imsk.nn import tensor as tt
 from imsk.nn.layers import frozen
@@ -368,13 +369,13 @@ def brute_force_search(m, f, cfg, lm=None):
                 logp_lm, lm_state2 = lm64.lm_step(lm_state, np.array([tokens[-1]]))
                 logp_lm = logp_lm.data[0]
             att_eos, lm_eos = att + logp[SOS_EOS_ID], lm_s + logp_lm[SOS_EOS_ID]
-            ctc_eos = ctc.final_log_prob() if lam > 0.0 else 0.0
+            ctc_eos = float(ctc.final_log_probs()[0]) if lam > 0.0 else 0.0
             cands.append((total(ctc_eos, att_eos, lm_eos), tokens, ctc_eos, att_eos, lm_eos,
                           None, None, None, None))
             if len(tokens) - 1 < cap:
                 for c in range(m.vocab_size):
                     if c not in (BLANK_ID, SOS_EOS_ID):
-                        psi, ctc2 = ctc_prefix_score(ctc, c, ctc_logp, BLANK_ID)
+                        psi, ctc2 = extend_one(ctc, c, ctc_logp, BLANK_ID)
                         att2, lm2 = att + logp[c], lm_s + logp_lm[c]
                         cands.append((total(psi, att2, lm2), tokens + (c,), psi if lam > 0.0 else 0.0,
                                       att2, lm2, ctc2, a2, state2, lm_state2))
@@ -486,9 +487,9 @@ class TestPruning:
         scored, columns = [], []
         score_all, prefix_scores = beam_mod.ctc_prefix_score_all, beam_mod._prefix_scores
 
-        def counting(ends, rows, labels, *rest):
+        def counting(prefixes, rows, labels, *rest):
             scored.append(len(labels))
-            return score_all(ends, rows, labels, *rest)
+            return score_all(prefixes, rows, labels, *rest)
 
         def offered(lane, hyps, *rest):
             columns.append(len(hyps) * rest[-1].size)

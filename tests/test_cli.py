@@ -503,6 +503,16 @@ def test_transcript_text_keeps_unicode_line_separators(tmp_path):
     assert read_transcript(tmp_path / "t.tsv") == [(0.0, 1.25, "da\u2028re"), (2.5, 3.0, "mi\x1cfa\x85")]
 
 
+def test_text_table_keeps_unicode_line_separators(tmp_path):
+    # str.splitlines once cut a row of `imsk score`'s tables in two at
+    # U+2028, U+0085 or \x1c-\x1e inside its text
+    path = tmp_path / "hyp.tsv"
+    path.write_text("u1\tda\u2028re\nu2\tmi\x85fa\x1c\x1d\x1eso\nu3\tda\tre\n", encoding="utf-8")
+    assert cli._read_text_table(path) == [
+        ("u1", "da\u2028re"), ("u2", "mi\x85fa\x1c\x1d\x1eso"), ("u3", "da\tre"),
+    ]
+
+
 def test_stage_errors_name_stage_and_item(world, tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"this is not audio")

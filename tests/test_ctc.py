@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import extend_one
 from imsk import ctc
 from imsk.ctc import (
-    CtcPrefixState,
+    CtcPrefixes,
     InfeasibleAlignmentError,
     ctc_forward_backward,
     ctc_loss,
     ctc_loss_op,
     ctc_posteriors,
-    ctc_prefix_ends,
     ctc_prefix_extend,
     ctc_prefix_initial,
-    ctc_prefix_score,
     ctc_prefix_score_all,
     min_frames,
 )
@@ -151,9 +150,10 @@ class TestPrefixScoring:
         p = random_posteriors(4, 3)
         lp = np.log(p)
         state = ctc_prefix_initial(lp, blank=0)
-        assert np.allclose(state.r_b, np.cumsum(lp[:, 0]))
+        assert state.r_b.shape == state.r_nb.shape == (4, 1) and state.last.tolist() == [-1]
+        assert np.allclose(state.r_b[:, 0], np.cumsum(lp[:, 0]))
         assert np.all(state.r_nb == -np.inf)
-        assert np.isclose(state.final_log_prob(), lp[:, 0].sum())
+        assert np.isclose(state.final_log_probs()[0], lp[:, 0].sum())
 
     def test_full_sequence_matches_ctc_loss(self):
         for trial in range(20):
@@ -167,9 +167,9 @@ class TestPrefixScoring:
             lp = np.log(p)
             state = ctc_prefix_initial(lp, blank=0)
             for lab in labels:
-                _, state = ctc_prefix_score(state, lab, lp, blank=0)
+                _, state = extend_one(state, lab, lp, blank=0)
             loss, _ = ctc_loss(p, labels, blank=0)
-            assert np.isclose(state.final_log_prob(), -loss, atol=1e-6)
+            assert np.isclose(state.final_log_probs()[0], -loss, atol=1e-6)
 
     def test_prefix_probability_monotone(self):
         p = random_posteriors(6, 3)
@@ -177,41 +177,41 @@ class TestPrefixScoring:
         state = ctc_prefix_initial(lp, blank=0)
         prev_psi = 0.0
         for lab in [1, 2, 1]:
-            psi, state = ctc_prefix_score(state, lab, lp, blank=0)
+            psi, state = extend_one(state, lab, lp, blank=0)
             assert psi <= prev_psi + 1e-12
             prev_psi = psi
-        assert state.final_log_prob() <= state.log_psi + 1e-12
+        assert state.final_log_probs()[0] <= prev_psi + 1e-12
 
     def test_vectorized_matches_scalar(self):
         p = random_posteriors(5, 4)
         lp = np.log(p)
         state = ctc_prefix_initial(lp, blank=0)
-        _, state = ctc_prefix_score(state, 2, lp, blank=0)
-        psi = full_psi([state], lp, blank=0)[0]
+        _, state = extend_one(state, 2, lp, blank=0)
+        psi = full_psi(state, lp, blank=0)[0]
         labels = [1, 2, 3]
-        extended = ctc_prefix_extend([state] * 3, labels, psi[labels], lp, blank=0)
-        for lab, ext in zip(labels, extended):
-            s_psi, s_state = ctc_prefix_score(state, lab, lp, blank=0)
+        (extended,) = ctc_prefix_extend([(state, [0, 0, 0], labels, lp)], blank=0)
+        assert extended.last.tolist() == labels
+        for k, lab in enumerate(labels):
+            s_psi, s_state = extend_one(state, lab, lp, blank=0)
             assert psi[lab] == s_psi
-            assert np.array_equal(ext.r_nb, s_state.r_nb)
-            assert np.array_equal(ext.r_b, s_state.r_b)
-            assert ext.last_label == lab and ext.log_psi == s_psi
+            assert np.array_equal(extended.r_nb[:, k], s_state.r_nb[:, 0])
+            assert np.array_equal(extended.r_b[:, k], s_state.r_b[:, 0])
         assert psi[0] == -np.inf
 
     def test_blank_extension_rejected(self):
         p = random_posteriors(3, 3)
         state = ctc_prefix_initial(np.log(p), blank=0)
         with pytest.raises(ValueError):
-            ctc_prefix_score(state, 0, np.log(p), blank=0)
+            ctc_prefix_extend([(state, [0], [0], np.log(p))], blank=0)
 
     def test_repeat_label_requires_blank_frame(self):
         # T=2 cannot host (1,1); the prefix state must assign it -inf
         p = random_posteriors(2, 3)
         lp = np.log(p)
         state = ctc_prefix_initial(lp, blank=0)
-        _, state = ctc_prefix_score(state, 1, lp, blank=0)
-        _, state = ctc_prefix_score(state, 1, lp, blank=0)
-        assert state.final_log_prob() == -np.inf
+        _, state = extend_one(state, 1, lp, blank=0)
+        _, state = extend_one(state, 1, lp, blank=0)
+        assert state.final_log_probs()[0] == -np.inf
 
 
 def reference_extend_all(r_nb_prev, r_b_prev, last, lp, blank):
@@ -250,11 +250,12 @@ def reference_extend_all(r_nb_prev, r_b_prev, last, lp, blank):
 
 
 def random_prefix_states(rng, lp, blank, count):
-    """States of random prefixes built by the reference recursion: the
-    empty prefix, and label sequences with repeats, some infeasible."""
+    """(CtcPrefixes, psi) of `count` random prefixes built by the reference
+    recursion: the empty prefix, and label sequences with repeats, some
+    infeasible; psi[r] is prefix r's prefix probability."""
     T, V = lp.shape
     labels = [c for c in range(V) if c != blank]
-    states = []
+    cols = []
     for _ in range(count):
         r_nb = np.full(T, -np.inf)
         r_b = np.cumsum(lp[:, blank])
@@ -263,20 +264,21 @@ def random_prefix_states(rng, lp, blank, count):
             c = last if last >= 0 and rng.random() < 0.4 else int(rng.choice(labels))
             psi, all_nb, all_b = reference_extend_all(r_nb, r_b, last, lp, blank)
             r_nb, r_b, last, log_psi = all_nb[:, c], all_b[:, c], c, psi[c]
-        states.append(CtcPrefixState(r_nb.copy(), r_b.copy(), last, float(log_psi)))
-    return states
+        cols.append((r_nb, r_b, last, log_psi))
+    r_nb, r_b, last, psi = zip(*cols)
+    prefixes = CtcPrefixes(np.stack(r_nb, axis=1), np.stack(r_b, axis=1), np.array(last))
+    return prefixes, np.array(psi)
 
 
-def full_psi(states, lp, blank):
+def full_psi(prefixes, lp, blank):
     """Oracle: the (R, V) prefix scores of every one-label extension, from
     one (T, R, V) reduction over frames."""
-    r_b = np.stack([s.r_b for s in states], axis=1)
-    r_nb = np.stack([s.r_nb for s in states], axis=1)
-    first = np.array([0.0 if s.last_label == -1 else -np.inf for s in states])
-    prev_b = np.concatenate([first[None], r_b[:-1]])
-    prev_nb = np.concatenate([np.full((1, len(states)), -np.inf), r_nb[:-1]])
+    R = prefixes.last.size
+    first = np.where(prefixes.last == -1, 0.0, -np.inf)
+    prev_b = np.concatenate([first[None], prefixes.r_b[:-1]])
+    prev_nb = np.concatenate([np.full((1, R), -np.inf), prefixes.r_nb[:-1]])
     phi = np.logaddexp(prev_b, prev_nb)[:, :, None] + lp[:, None, :]
-    last = np.array([s.last_label for s in states])
+    last = prefixes.last
     rows = np.flatnonzero(last >= 0)
     phi[:, rows, last[rows]] = prev_b[:, rows] + lp[:, last[rows]]
     with np.errstate(invalid="ignore"):
@@ -285,15 +287,14 @@ def full_psi(states, lp, blank):
     return psi
 
 
-def pair_psi(states, lp, blank):
+def pair_psi(prefixes, lp, blank):
     """The (R, V) matrix of full_psi, from one pair-scorer call over every
     (row, non-blank label) pair."""
-    R, V = len(states), lp.shape[1]
+    R, V = prefixes.last.size, lp.shape[1]
     rows, labels = np.divmod(np.arange(R * V), V)
     keep = labels != blank
     psi = np.full((R, V), -np.inf)
-    ends = ctc_prefix_ends(states)
-    psi[rows[keep], labels[keep]] = ctc_prefix_score_all(ends, rows[keep], labels[keep], lp)
+    psi[rows[keep], labels[keep]] = ctc_prefix_score_all(prefixes, rows[keep], labels[keep], lp)
     return psi
 
 
@@ -320,16 +321,16 @@ class TestPairScorer:
         p[:, rng.choice([c for c in range(v) if c != blank], impossible, replace=False)] = 0.0
         with np.errstate(divide="ignore"):
             lp = np.log(p / p.sum(axis=1, keepdims=True))
-        states = random_prefix_states(rng, lp, blank, n_states)
-        oracle = full_psi(states, lp, blank)
-        assert np.array_equal(pair_psi(states, lp, blank), oracle)
+        prefixes, _ = random_prefix_states(rng, lp, blank, n_states)
+        oracle = full_psi(prefixes, lp, blank)
+        assert np.array_equal(pair_psi(prefixes, lp, blank), oracle)
         pairs = [(r, c) for r in range(n_states) for c in range(v) if c != blank]
         if data is None:
             picked = [pairs[-1]]
         else:
             picked = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * len(pairs)))
         rows, labels = map(np.array, zip(*picked))
-        got = ctc_prefix_score_all(ctc_prefix_ends(states), rows, labels, lp)
+        got = ctc_prefix_score_all(prefixes, rows, labels, lp)
         assert got.shape == (len(picked),)
         assert np.array_equal(got, oracle[rows, labels])
 
@@ -343,14 +344,14 @@ class TestPairScorer:
             t, v = int(rng.integers(1, 200)), int(rng.integers(3, 12))
             blank = int(rng.integers(0, v))
             lp = np.log(random_posteriors(t, v))
-            states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
-            psi = pair_psi(states, lp, blank)
-            for st_, row in zip(states, psi):
-                if st_.log_psi == -np.inf:
+            prefixes, stored = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
+            psi = pair_psi(prefixes, lp, blank)
+            for log_psi, row in zip(stored, psi):
+                if log_psi == -np.inf:
                     assert np.all(row == -np.inf)
                     continue
-                slack = 8 * t * eps * (1 + np.log(t) + abs(st_.log_psi))
-                assert np.all(row <= st_.log_psi + slack)
+                slack = 8 * t * eps * (1 + np.log(t) + abs(log_psi))
+                assert np.all(row <= log_psi + slack)
 
 
 class TestLaneBatchedPrefix:
@@ -364,34 +365,36 @@ class TestLaneBatchedPrefix:
             t, v = int(rng.integers(1, 9)), int(rng.integers(3, 7))
             blank = int(rng.integers(0, v))
             lp = np.log(random_posteriors(t, v))
-            states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 6)))
-            psi = pair_psi(states, lp, blank)
-            assert psi.shape == (len(states), v)
-            refs = [reference_extend_all(s.r_nb, s.r_b, s.last_label, lp, blank) for s in states]
+            prefixes, _ = random_prefix_states(rng, lp, blank, int(rng.integers(1, 6)))
+            last = prefixes.last
+            psi = pair_psi(prefixes, lp, blank)
+            assert psi.shape == (last.size, v)
+            refs = [
+                reference_extend_all(prefixes.r_nb[:, r], prefixes.r_b[:, r], last[r], lp, blank)
+                for r in range(last.size)
+            ]
             for row, (ref_psi, _, _) in zip(psi, refs):
                 assert np.array_equal(row, ref_psi)
 
             # survivors: random (row, label) pairs, repeats of the last label included
-            pairs = []
+            rows, labels = [], []
             for _ in range(int(rng.integers(1, 8))):
-                r = int(rng.integers(len(states)))
-                last = states[r].last_label
-                if last >= 0 and rng.random() < 0.5:
-                    c = last
+                r = int(rng.integers(last.size))
+                if last[r] >= 0 and rng.random() < 0.5:
+                    c = int(last[r])
                 else:
                     c = int(rng.choice([c for c in range(v) if c != blank]))
-                pairs.append((r, c))
-            extended = ctc_prefix_extend(
-                [states[r] for r, _ in pairs], [c for _, c in pairs],
-                [psi[r, c] for r, c in pairs], lp, blank,
-            )
-            for (r, c), ext in zip(pairs, extended):
+                rows.append(r)
+                labels.append(c)
+            (extended,) = ctc_prefix_extend([(prefixes, rows, labels, lp)], blank)
+            assert extended.r_nb.shape == extended.r_b.shape == (t, len(rows))
+            assert extended.last.tolist() == labels
+            for k, (r, c) in enumerate(zip(rows, labels)):
                 _, ref_nb, ref_b = refs[r]
-                assert np.array_equal(ext.r_nb, ref_nb[:, c])
-                assert np.array_equal(ext.r_b, ref_b[:, c])
-                assert ext.last_label == c and ext.log_psi == psi[r, c]
-                seen_repeat += c == states[r].last_label
-            seen_empty += sum(s.last_label == -1 for s in states)
+                assert np.array_equal(extended.r_nb[:, k], ref_nb[:, c])
+                assert np.array_equal(extended.r_b[:, k], ref_b[:, c])
+                seen_repeat += c == last[r]
+            seen_empty += int(np.sum(last == -1))
         assert seen_empty and seen_repeat
 
     def test_joint_lanes_equal_one_call_per_lane(self):
@@ -406,39 +409,37 @@ class TestLaneBatchedPrefix:
             lanes = []
             for _ in range(int(rng.integers(2, 5))):
                 lp = np.log(random_posteriors(int(rng.integers(1, 9)), v))
-                states = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
-                psi = full_psi(states, lp, blank)
-                grown = []
+                prefixes, _ = random_prefix_states(rng, lp, blank, int(rng.integers(1, 5)))
+                last = prefixes.last
+                rows, labels = [], []
                 for _ in range(int(rng.integers(0, 6))):
-                    r = int(rng.integers(len(states)))
-                    st = states[r]
-                    if st.last_label >= 0 and rng.random() < 0.5:
-                        c = st.last_label
+                    r = int(rng.integers(last.size))
+                    if last[r] >= 0 and rng.random() < 0.5:
+                        c = int(last[r])
                     else:
                         c = int(rng.choice([c for c in range(v) if c != blank]))
-                    grown.append((st, c, psi[r, c]))
-                    seen["repeat"] += c == st.last_label
-                    seen["empty"] += st.last_label == -1
-                seen["no survivor"] += not grown
-                lanes.append((lp, grown))
-            joint_in = [(lp, st, c, p) for lp, grown in lanes for st, c, p in grown]
-            if not joint_in:
-                continue
-            seen["lengths differ"] += len({lp.shape[0] for lp, _ in lanes}) > 1
-            lps, states, cs, psis = zip(*joint_in)
-            joint = iter(ctc_prefix_extend(states, cs, psis, lps, blank))
-            for lp, grown in lanes:
-                if not grown:
-                    continue
-                alone = ctc_prefix_extend(*map(list, zip(*grown)), lp, blank)
-                for one, both in zip(alone, joint):
-                    assert np.array_equal(both.r_nb, one.r_nb)
-                    assert np.array_equal(both.r_b, one.r_b)
-                    assert both.last_label == one.last_label and both.log_psi == one.log_psi
-            assert next(joint, None) is None
+                    rows.append(r)
+                    labels.append(c)
+                    seen["repeat"] += c == last[r]
+                    seen["empty"] += last[r] == -1
+                seen["no survivor"] += not rows
+                lanes.append((prefixes, rows, labels, lp))
+            seen["lengths differ"] += len({lp.shape[0] for *_, lp in lanes}) > 1
+            joint = ctc_prefix_extend(lanes, blank)
+            assert len(joint) == len(lanes)
+            for lane, both in zip(lanes, joint):
+                (one,) = ctc_prefix_extend([lane], blank)
+                shape = (lane[3].shape[0], len(lane[1]))
+                assert both.r_nb.shape == both.r_b.shape == one.r_nb.shape == shape
+                assert np.array_equal(both.r_nb, one.r_nb)
+                assert np.array_equal(both.r_b, one.r_b)
+                assert both.last.tolist() == one.last.tolist() == lane[2]
         assert all(seen.values()), seen
 
     def test_completed_sequences_match_forward_backward(self):
+        # sequences grow in lockstep as the hypotheses of one utterance,
+        # one extension call per step; a sequence that has all its labels
+        # leaves the prefixes, as a finished hypothesis leaves the beam
         rng = np.random.default_rng(9)
         checked = infeasible = 0
         for _ in range(40):
@@ -448,24 +449,28 @@ class TestLaneBatchedPrefix:
             lp = np.log(random_posteriors(t, v))
             seqs = [[int(c) for c in rng.choice(labels, int(rng.integers(0, 5)))]
                     for _ in range(int(rng.integers(1, 5)))]
-            # extend every sequence in lockstep, one batched call per length
-            states = [ctc_prefix_initial(lp, blank) for _ in seqs]
-            for step in range(max(len(s) for s in seqs)):
-                live = [i for i, s in enumerate(seqs) if len(s) > step]
-                labels = [seqs[i][step] for i in live]
-                ends = ctc_prefix_ends([states[i] for i in live])
-                psi = ctc_prefix_score_all(ends, range(len(live)), labels, lp)
-                grown = ctc_prefix_extend([states[i] for i in live], labels, psi, lp, blank)
-                for i, st in zip(live, grown):
-                    states[i] = st
-            for seq, st in zip(seqs, states):
+            prefixes = ctc_prefix_initial(lp, blank)
+            col = {i: 0 for i in range(len(seqs))}  # each sequence's column
+            final = {}
+            for step in range(max(len(s) for s in seqs) + 1):
+                done = prefixes.final_log_probs()
+                final.update((i, done[k]) for i, k in col.items() if len(seqs[i]) == step)
+                live = [i for i in col if len(seqs[i]) > step]
+                if not live:
+                    break
+                step_labels = [seqs[i][step] for i in live]
+                (prefixes,) = ctc_prefix_extend(
+                    [(prefixes, [col[i] for i in live], step_labels, lp)], blank
+                )
+                col = {i: k for k, i in enumerate(live)}
+            for i, seq in enumerate(seqs):
                 if min_frames(seq) > t:
-                    assert st.final_log_prob() == -np.inf
+                    assert final[i] == -np.inf
                     with pytest.raises(InfeasibleAlignmentError):
                         ctc_forward_backward(lp, seq, blank)
                     infeasible += 1
                     continue
                 log_z, _ = ctc_forward_backward(lp, seq, blank)
-                assert st.final_log_prob() == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+                assert final[i] == pytest.approx(log_z, rel=1e-12, abs=1e-12)
                 checked += 1
         assert checked and infeasible

@@ -78,13 +78,13 @@ class TestLmStep:
         assert np.array_equal(a1.data, a2.data)
         assert np.array_equal(s1[0][0].data, s2[0][0].data)
 
-    def test_scalar_and_batch_agree(self):
+    def test_one_row_and_batch_agree(self):
         lm = tiny_lm()
-        single, _ = lm.lm_step(lm.initial_state(1), 4)
-        assert single.shape == (7,)
+        single, _ = lm.lm_step(lm.initial_state(1), np.array([4]))
+        assert single.shape == (1, 7)
         batch, _ = lm.lm_step(lm.initial_state(2), np.array([4, 5]))
         assert batch.shape == (2, 7)
-        assert np.allclose(batch.data[0], single.data, atol=1e-6)
+        assert np.allclose(batch.data[0], single.data[0], atol=1e-6)
 
     def test_out_of_range_token(self):
         lm = tiny_lm()
@@ -187,8 +187,8 @@ class TestTrainLm:
             LmConfig(layers=1, units=16, optimizer="sgd", batch=1, epochs=300),
             seed=0,
         )
-        logp, _ = r.model.lm_step(r.model.initial_state(1), SOS_EOS_ID)
-        assert float(np.exp(logp.data[A])) > 0.95
+        logp, _ = r.model.lm_step(r.model.initial_state(1), np.array([SOS_EOS_ID]))
+        assert float(np.exp(logp.data[0, A])) > 0.95
         assert r.perplexities[-1] < 1.1
 
     def test_adam_also_learns(self):

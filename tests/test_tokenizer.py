@@ -1,10 +1,12 @@
 """Subword tokenizer tests: Viterbi oracle, EM behavior, training, file io."""
 
+import hashlib
 import inspect
 import itertools
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +380,17 @@ class TestVocabFile:
         v2 = make_vocab({"a": 0.4, "b": 0.6})
         assert tok.vocab_fingerprint(v1) != tok.vocab_fingerprint(v2)
         assert tok.vocab_fingerprint(v1) == tok.vocab_fingerprint(v1)
+
+    def test_fingerprint_is_the_hash_of_the_saved_file(self, tmp_path):
+        # the artifacts record the fingerprint of a vocabulary file, so it
+        # must be the sha256 of the bytes save_vocab writes, non-ASCII
+        # pieces included; the benchmark fixture's vocabulary is one such file
+        v = train_unigram(["\u00e9t\u00e9 d\u00e9j\u00e0 \u00e9t\u00e9"] * 10, target_size=10)
+        path = tmp_path / "vocab.tsv"
+        tok.save_vocab(path, v)
+        assert tok.vocab_fingerprint(v) == hashlib.sha256(path.read_bytes()).hexdigest()
+        fixture = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "vocab.tsv"
+        assert tok.vocab_fingerprint(tok.load_vocab(fixture)) == hashlib.sha256(fixture.read_bytes()).hexdigest()
 
 
 class TestVocabType:
