@@ -1,5 +1,7 @@
-"""Recognizer model and training loop."""
+"""Hybrid CTC/attention recognizer, and `train_asr`: validation, eps
+halving and best-state selection around the shared `imsk.nn.optim.fit`."""
 
+from ..nn.optim import make_batches
 from . import model, training
 from .model import (
     ATTENTION_LARGE,
@@ -14,4 +16,4 @@ from .model import (
     load_asr,
     save_asr,
 )
-from .training import AsrTrainConfig, EpochStats, TrainResult, make_batches, train_asr
+from .training import AsrTrainConfig, EpochStats, TrainResult, train_asr

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..ctc import ctc_loss_op
+from ..ctc import _check_labels, ctc_loss_op
 from ..nn import tensor as tt
 from ..nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from ..nn.layers import (
@@ -35,7 +35,7 @@ from ..nn.layers import (
     VggBlock,
     uniform_init,
 )
-from ..tokenizer import BLANK_ID, SOS_EOS_ID
+from ..tokenizer import BLANK_ID, teacher_forcing
 
 
 @dataclass(frozen=True)
@@ -260,24 +260,15 @@ class AsrModel(Module):
 
     def _attention_forward(self, h: tt.Tensor, lengths: np.ndarray, labels: list):
         """Teacher-forced pass: (per-utterance loss (B,), correct, total)."""
-        B = len(labels)
-        u_max = max(len(y) for y in labels) + 1
-        inputs = np.full((B, u_max), SOS_EOS_ID, dtype=np.int64)
-        targets = np.full((B, u_max), SOS_EOS_ID, dtype=np.int64)
-        step_mask = np.zeros((B, u_max), dtype=self.dtype)
-        for b, y in enumerate(labels):
-            inputs[b, 1 : len(y) + 1] = y
-            targets[b, : len(y)] = y
-            step_mask[b, : len(y) + 1] = 1.0
-
+        inputs, targets, step_mask = teacher_forcing(labels, self.dtype)
         frame_mask = (np.arange(h.shape[1])[None, :] < lengths[:, None]).astype(self.dtype)
         vh = self.precompute_attention(h)
         a = self._uniform_alignment(lengths)
-        state = self.initial_decoder_state(B)
-        rows = np.arange(B)
+        state = self.initial_decoder_state(len(labels))
+        rows = np.arange(len(labels))
         step_losses = []
         n_correct = 0
-        for u in range(u_max):
+        for u in range(inputs.shape[1]):
             a, r = self.attend(a, self.decoder_query(state), h, vh, frame_mask)
             logp, state = self.decode_step(r, state, inputs[:, u])
             picked = tt.take(logp, (rows, targets[:, u]))
@@ -287,14 +278,6 @@ class AsrModel(Module):
         per_utt = tt.neg(tt.sum_(tt.stack(step_losses, axis=1), axis=1))
         return per_utt, n_correct, int(step_mask.sum())
 
-    def attention_loss(self, feats: list, labels: list) -> tt.Tensor:
-        """Mean over utterances of the teacher-forced cross-entropy sum."""
-        if any(len(y) < 1 for y in labels):
-            raise ValueError("every label sequence must be non-empty")
-        h, lengths = self.encode_batch(feats)
-        per_utt, _, _ = self._attention_forward(h, lengths, labels)
-        return tt.mean_(per_utt)
-
     def _ctc_forward(self, h: tt.Tensor, lengths: np.ndarray, labels: list) -> tt.Tensor:
         logits = self.ctc_out(h)
         losses = []
@@ -303,13 +286,17 @@ class AsrModel(Module):
             losses.append(ctc_loss_op(utt_logits, y, blank=BLANK_ID))
         return tt.mean_(tt.stack(losses))
 
-    def ctc_branch_loss(self, feats: list, labels: list) -> tt.Tensor:
-        h, lengths = self.encode_batch(feats)
-        return self._ctc_forward(h, lengths, labels)
-
     def hybrid_loss(self, feats: list, labels: list, ctc_weight: float = 0.5):
-        """lam * ctc + (1 - lam) * attention over one shared encoder pass."""
+        """lam * ctc + (1 - lam) * attention over one shared encoder pass.
+        Before any layer runs, a ValueError names the first utterance whose
+        labels are empty, out of [0, vocab_size) or hold the blank id."""
         lam = HybridLossConfig(ctc_weight).ctc_weight
+        for b, y in enumerate(labels):
+            try:
+                if _check_labels(y, self.vocab_size, BLANK_ID).size == 0:
+                    raise ValueError("empty label sequence")
+            except ValueError as e:
+                raise ValueError(f"utterance {b} of the batch: {e}") from None
         h, lengths = self.encode_batch(feats)
         if lam == 0.0:
             per_utt, _, _ = self._attention_forward(h, lengths, labels)

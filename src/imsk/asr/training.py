@@ -1,14 +1,13 @@
-"""Training loop for the recognizer: adaptive steps, patience-driven eps
-halving, and best-validation checkpoint selection."""
+"""Recognizer training: the shared loop of `imsk.nn.optim.fit` with
+AdaDelta steps, and after each epoch patience-driven eps halving and
+best-validation checkpoint selection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..nn.optim import AdaDelta, DivergedError, clip_gradients
-from ..util import make_rng, resolve_seed
+from ..nn.optim import CLIP, AdaDelta, fit, make_batches
+from ..util import make_rng
 from .model import AsrModel, HybridLossConfig
 
 
@@ -18,7 +17,7 @@ class AsrTrainConfig:
     batch_size: int = 8
     rho: float = 0.95
     eps: float = 1e-8
-    clip: float = 5.0
+    clip: float = CLIP
     ctc_weight: float = 0.5
     seed: int | None = None
 
@@ -47,15 +46,6 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def make_batches(dataset: list, batch_size: int) -> list[list]:
-    """Length-sorted batches so padding inside a batch stays small."""
-    order = sorted(range(len(dataset)), key=lambda i: (dataset[i][0].shape[0], i))
-    return [
-        [dataset[i] for i in order[s : s + batch_size]]
-        for s in range(0, len(order), batch_size)
-    ]
-
-
 def train_asr(
     model: AsrModel,
     train_set: list,
@@ -72,7 +62,7 @@ def train_asr(
     """
     if not train_set or not valid_set:
         raise ValueError("train and valid sets must be non-empty")
-    rng = make_rng(resolve_seed(cfg.seed))
+    rng = make_rng(cfg.seed)
     opt = AdaDelta(model.params(), rho=cfg.rho, eps=cfg.eps)
     batches = make_batches(train_set, cfg.batch_size)
     if metric_fn is None:
@@ -80,29 +70,17 @@ def train_asr(
         v_labels = [y for _, y in valid_set]
         metric_fn = lambda m: m.teacher_forced_accuracy(v_feats, v_labels)
 
+    def loss_of(batch):
+        loss = model.hybrid_loss([f for f, _ in batch], [y for _, y in batch], cfg.ctc_weight)
+        return loss, len(batch)
+
     best_state = model.state_dict()
     best_acc = -1.0
     best_epoch = 0
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        total_loss = 0.0
-        n_utts = 0
-        norm_max = 0.0
-        for bi in rng.permutation(len(batches)):
-            batch = batches[bi]
-            feats = [f for f, _ in batch]
-            labels = [y for _, y in batch]
-            loss = model.hybrid_loss(feats, labels, cfg.ctc_weight)
-            if not np.isfinite(loss.item()):
-                raise DivergedError(
-                    f"non-finite training loss at epoch {epoch}, batch {bi}"
-                )
-            model.zero_grad()
-            loss.backward()
-            norm_max = max(norm_max, clip_gradients(model.params(), cfg.clip))
-            opt.step()
-            total_loss += loss.item() * len(batch)
-            n_utts += len(batch)
+    for epoch, train_loss, norm_max in fit(
+        model.params(), opt, batches, rng, loss_of, cfg.epochs, cfg.clip
+    ):
         acc = float(metric_fn(model))
         if acc > best_acc:
             best_acc = acc
@@ -113,7 +91,7 @@ def train_asr(
         history.append(
             EpochStats(
                 epoch=epoch,
-                train_loss=total_loss / n_utts,
+                train_loss=train_loss,
                 valid_accuracy=acc,
                 eps=opt.eps,
                 grad_norm_max=norm_max,

@@ -431,8 +431,8 @@ def _cmd_train_lm(args) -> int:
             vocab_hash=vocab_fingerprint(vocab),
         )
         save_lm(args.out, res.model)
-    for i, pp in enumerate(res.perplexities, 1):
-        print(f"epoch {i}: perplexity {pp:.3f}")
+    for i, (pp, norm) in enumerate(zip(res.perplexities, res.grad_norms), 1):
+        print(f"epoch {i}: perplexity {pp:.3f} grad norm max {norm:.4f}")
     return 0
 
 
@@ -506,8 +506,8 @@ def _cmd_train_sad(args) -> int:
     with _stage("train-sad", args.manifest):
         res = train_sad(feats, labels, cfg)
         save_sad(args.out, res.model, res.priors)
-    for i, loss in enumerate(res.losses, 1):
-        print(f"epoch {i}: loss {loss:.4f}")
+    for i, (loss, norm) in enumerate(zip(res.losses, res.grad_norms), 1):
+        print(f"epoch {i}: loss {loss:.4f} grad norm max {norm:.4f}")
     print("priors:", " ".join(f"{p:.4f}" for p in res.priors))
     return 0
 

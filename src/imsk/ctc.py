@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, log_softmax
 
 NEG_INF = -np.inf
 
@@ -61,7 +61,7 @@ def _check_labels(labels, n_classes: int, blank: int) -> np.ndarray:
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D sequence")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError("label id out of range")
+        raise ValueError(f"label id out of range [0, {n_classes})")
     if np.any(labels == blank):
         raise ValueError("labels may not contain the blank id")
     return labels
@@ -140,9 +140,7 @@ def ctc_loss(posteriors: np.ndarray, labels, blank: int):
 
 def ctc_loss_op(logits: Tensor, labels, blank: int) -> Tensor:
     """Autograd node: scalar CTC loss from (T, V) logits."""
-    logits_f64 = logits.data.astype(np.float64)
-    log_probs = logits_f64 - logits_f64.max(axis=1, keepdims=True)
-    log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(Tensor(logits.data.astype(np.float64))).data
     log_z, gamma = ctc_forward_backward(log_probs, labels, blank)
     grad = (np.exp(log_probs) - gamma).astype(logits.dtype)
     loss = np.asarray(-log_z, dtype=logits.dtype)

@@ -17,8 +17,8 @@ import numpy as np
 from .nn import tensor as tt
 from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Embedding, Linear, LstmCell, Module, frozen
-from .nn.optim import DivergedError, clip_gradients, make_optimizer
-from .tokenizer import SOS_EOS_ID
+from .nn.optim import fit, make_batches, make_optimizer
+from .tokenizer import SOS_EOS_ID, teacher_forcing
 from .util import make_rng
 
 
@@ -125,20 +125,11 @@ def _batch_nll(model, lines):
     Returns (scalar Tensor, token count). Each line is scored on its
     tokens plus the closing eos; pad steps are masked out.
     """
-    B = len(lines)
-    u_max = max(len(y) for y in lines) + 1
-    inputs = np.full((B, u_max), SOS_EOS_ID, dtype=np.int64)
-    targets = np.full((B, u_max), SOS_EOS_ID, dtype=np.int64)
-    mask = np.zeros((B, u_max), dtype=model.dtype)
-    for b, y in enumerate(lines):
-        inputs[b, 1 : len(y) + 1] = y
-        targets[b, : len(y)] = y
-        mask[b, : len(y) + 1] = 1.0
-
-    rows = np.arange(B)
-    state = model.initial_state(B)
+    inputs, targets, mask = teacher_forcing(lines, model.dtype)
+    rows = np.arange(len(lines))
+    state = model.initial_state(len(lines))
     picked = []
-    for u in range(u_max):
+    for u in range(inputs.shape[1]):
         logp, state = model.lm_step(state, inputs[:, u])
         step = tt.mul(tt.take(logp, (rows, targets[:, u])), tt.Tensor(mask[:, u]))
         picked.append(step)
@@ -166,6 +157,7 @@ def perplexity(corpus, lm, chunk: int = 64) -> float:
 class LmTrainResult:
     model: LstmLm
     perplexities: list[float]
+    grad_norms: list[float]  # largest pre-clip gradient norm of each epoch
 
 
 def train_lm(
@@ -179,7 +171,8 @@ def train_lm(
     """Cross-entropy training over sos-prefixed lines.
 
     Returns the final model together with the training-corpus perplexity
-    measured after each epoch.
+    measured after each epoch and the epoch's largest pre-clip gradient
+    norm.
     """
     cfg = cfg or LmConfig()
     lines = [list(map(int, y)) for y in corpus]
@@ -192,28 +185,17 @@ def train_lm(
     rng = make_rng(seed)
     model = LstmLm(vocab_size, cfg.layers, cfg.units, rng, dtype, vocab_hash)
     opt = make_optimizer(cfg.optimizer, model.params())
-    params = model.params()
+    batches = make_batches(lines, cfg.batch, length=len)
 
-    order = sorted(range(len(lines)), key=lambda i: (len(lines[i]), i))
-    batches = [
-        [lines[j] for j in order[i : i + cfg.batch]]
-        for i in range(0, len(order), cfg.batch)
-    ]
+    def loss_of(batch):
+        nll, n_tokens = _batch_nll(model, batch)
+        return tt.mul(nll, tt.Tensor(np.asarray(1.0 / n_tokens, dtype=model.dtype))), n_tokens
 
-    history: list[float] = []
-    for _ in range(cfg.epochs):
-        for bi in rng.permutation(len(batches)):
-            batch = batches[bi]
-            nll, n_tokens = _batch_nll(model, batch)
-            loss = tt.mul(nll, tt.Tensor(np.asarray(1.0 / n_tokens, dtype=model.dtype)))
-            if not np.isfinite(loss.data):
-                raise DivergedError("non-finite LM training loss")
-            model.zero_grad()
-            loss.backward()
-            clip_gradients(params, 5.0)
-            opt.step()
-        history.append(perplexity(lines, model))
-    return LmTrainResult(model, history)
+    perplexities, grad_norms = [], []
+    for _, _, norm_max in fit(model.params(), opt, batches, rng, loss_of, cfg.epochs):
+        perplexities.append(perplexity(lines, model))
+        grad_norms.append(norm_max)
+    return LmTrainResult(model, perplexities, grad_norms)
 
 
 def save_lm(path, lm: LstmLm, extra: dict | None = None) -> None:

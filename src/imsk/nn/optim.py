@@ -1,4 +1,4 @@
-"""Optimizers and gradient clipping.
+"""Optimizers, gradient clipping, and the training loop of every model.
 
 AdaDelta is the main training optimizer (rho=0.95, eps=1e-8 defaults); the
 eps member is mutable so the training loop can halve it when validation
@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Parameter
+
+CLIP = 5.0  # global gradient-norm threshold of every trainer
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -130,3 +132,31 @@ def make_optimizer(kind: str, params, **kwargs):
     if kind == "adam":
         return Adam(params, **kwargs)
     raise ValueError(f"unknown optimizer kind '{kind}'")
+
+
+def make_batches(items: list, batch_size: int, length=lambda item: len(item[0])) -> list[list]:
+    """Length-sorted batches so padding inside a batch stays small; by
+    default an item is (input, ...), sorted by the input's length."""
+    order = sorted(range(len(items)), key=lambda i: (length(items[i]), i))
+    return [[items[i] for i in order[s : s + batch_size]] for s in range(0, len(order), batch_size)]
+
+
+def fit(params, opt, batches, rng, loss_of, epochs: int, clip: float = CLIP):
+    """Visit `batches` in a new random order each epoch, taking one clipped
+    step per batch on loss_of(batch) = (scalar loss, weight in the epoch's
+    mean); after each epoch yield (epoch, weighted mean loss, largest
+    pre-clip gradient norm), and resume only when asked for the next."""
+    for epoch in range(1, epochs + 1):
+        total = weight_sum = norm_max = 0.0
+        for bi in rng.permutation(len(batches)):
+            loss, weight = loss_of(batches[bi])
+            if not np.isfinite(loss.item()):
+                raise DivergedError(f"non-finite training loss at epoch {epoch}, batch {bi}")
+            for p in params:
+                p.grad = None
+            loss.backward()
+            norm_max = max(norm_max, clip_gradients(params, clip))
+            opt.step()
+            total += loss.item() * weight
+            weight_sum += weight
+        yield epoch, total / weight_sum, norm_max

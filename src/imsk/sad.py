@@ -19,10 +19,11 @@ import numpy as np
 from .nn import tensor as tt
 from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Linear, Module, StatsPooling, frozen
-from .nn.optim import DivergedError, clip_gradients, make_optimizer
+from .nn.optim import fit, make_optimizer
 from .util import make_rng, read_tsv_lines
 
 SILENCE, SPEECH, GARBAGE = 0, 1, 2
+CLASS_NAMES = ("Silence", "Speech", "Garbage")
 
 
 @dataclass(frozen=True)
@@ -276,6 +277,7 @@ class SadTrainResult:
     model: SadModel
     priors: tuple[float, float, float]
     losses: list[float]
+    grad_norms: list[float]  # largest pre-clip gradient norm of each epoch
 
 
 def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTrainResult:
@@ -283,7 +285,8 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
 
     `features` is a list of (T_i, input_dim) arrays, `labels` a list of
     aligned int arrays over {0: Silence, 1: Speech, 2: Garbage}. Class
-    priors are the label frequencies of the training set.
+    priors are the label frequencies of the training set, so every class
+    needs at least one frame. Each utterance is one batch.
     """
     if not features or len(features) != len(labels):
         raise ValueError("features and labels must be equal-length non-empty lists")
@@ -296,28 +299,27 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
         if y.size and (y.min() < 0 or y.max() > 2):
             raise ValueError("labels must lie in {0, 1, 2}")
         counts += np.bincount(y, minlength=3)
+    missing = [name for name, n in zip(CLASS_NAMES, counts) if n == 0]
+    if missing:
+        raise ValueError(f"no {' or '.join(missing)} frame in the labels, so a class prior would be 0")
 
     rng = make_rng(cfg.seed)
     model = SadModel(cfg.arch, rng)
     opt = make_optimizer(cfg.optimizer, model.params())
-    losses: list[float] = []
-    for _ in range(cfg.epochs):
-        total, n = 0.0, 0
-        for i in rng.permutation(len(features)):
-            logp = model.log_posteriors(features[i])
-            rows = np.arange(logp.shape[0])
-            nll = tt.neg(tt.mean_(tt.take(logp, (rows, labs[i]))))
-            if not np.isfinite(nll.data):
-                raise DivergedError("non-finite SAD training loss")
-            model.zero_grad()
-            nll.backward()
-            clip_gradients(model.params(), 5.0)
-            opt.step()
-            total += float(nll.data) * logp.shape[0]
-            n += logp.shape[0]
-        losses.append(total / n)
+
+    def loss_of(item):
+        f, y = item
+        logp = model.log_posteriors(f)
+        return tt.neg(tt.mean_(tt.take(logp, (np.arange(logp.shape[0]), y)))), logp.shape[0]
+
+    losses, grad_norms = [], []
+    for _, loss, norm_max in fit(
+        model.params(), opt, list(zip(features, labs)), rng, loss_of, cfg.epochs
+    ):
+        losses.append(loss)
+        grad_norms.append(norm_max)
     priors = tuple(counts / counts.sum())
-    return SadTrainResult(model, priors, losses)
+    return SadTrainResult(model, priors, losses, grad_norms)
 
 
 def save_sad(path, model: SadModel, priors, extra: dict | None = None) -> None:
@@ -347,7 +349,7 @@ def load_sad(path) -> tuple[SadModel, tuple[float, float, float], dict]:
         )
         model = SadModel(cfg, np.random.default_rng(0))
         model.load_state_dict(params)
-        priors = tuple(float(p) for p in config["priors"])
+        priors = SadTransform(priors=tuple(float(p) for p in config["priors"])).priors
     return model, priors, config
 
 

@@ -40,6 +40,21 @@ DEFAULT_PRUNE_FRACTION = 0.2
 DEFAULT_EM_ITERS = 2
 
 
+def teacher_forcing(labels, dtype):
+    """(inputs, targets, mask), each (B, 1 + longest length): step u reads
+    inputs[:, u] and is scored on targets[:, u]; a sequence is read after
+    sos, closed by eos, and masked to 0 past its eos."""
+    u_max = max(len(y) for y in labels) + 1
+    inputs = np.full((len(labels), u_max), SOS_EOS_ID, dtype=np.int64)
+    targets = np.full((len(labels), u_max), SOS_EOS_ID, dtype=np.int64)
+    mask = np.zeros((len(labels), u_max), dtype=dtype)
+    for b, y in enumerate(labels):
+        inputs[b, 1 : len(y) + 1] = y
+        targets[b, : len(y)] = y
+        mask[b, : len(y) + 1] = 1.0
+    return inputs, targets, mask
+
+
 @dataclass(frozen=True)
 class SubwordVocab:
     """Ordered pieces (specials excluded) with log-probabilities."""

@@ -20,13 +20,16 @@ from imsk.asr import (
     save_asr,
     train_asr,
 )
-import imsk.asr.training as training
 from imsk.beam import _ENCODER
+from imsk.ctc import ctc_loss_op
 from imsk.nn import tensor as tt
 from imsk.nn.layers import frozen
 from imsk.nn.gradcheck import check_gradients
+import imsk.nn.optim as optim
 from imsk.nn.optim import DivergedError
-from imsk.tokenizer import SOS_EOS_ID
+from imsk.lm import LmConfig, train_lm
+from imsk.sad import SadConfig, SadTrainConfig, train_sad
+from imsk.tokenizer import BLANK_ID, SOS_EOS_ID
 
 RNG = np.random.default_rng(41)
 
@@ -299,7 +302,7 @@ class TestDecodeStep:
             a, r = m.attend(a, m.decoder_query(state), h, vh)
             logp, state = m.decode_step(r, state, np.array([inputs[u]]))
             total += logp.data[0, targets[u]]
-        loss = m.attention_loss([f], [y])
+        loss = m.hybrid_loss([f], [y], 0.0)
         assert np.isclose(-total, loss.item(), atol=1e-9)
 
 
@@ -309,22 +312,38 @@ class TestLosses:
         m.out.w.data[:] = 0.0
         m.out.b.data[:] = 0.0
         y = [3, 4]
-        loss = m.attention_loss([feat(12)], [y])
+        loss = m.hybrid_loss([feat(12)], [y], 0.0)
         assert np.isclose(loss.item(), (len(y) + 1) * np.log(VOCAB), atol=1e-9)
 
     def test_loss_nonnegative(self):
         m = tiny_model()
-        assert m.attention_loss([feat(10)], [[3]]).item() >= 0.0
+        assert m.hybrid_loss([feat(10)], [[3]], 0.0).item() >= 0.0
 
     def test_empty_labels_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_model().attention_loss([feat(10)], [[]])
+        for ctc_weight in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="utterance 0 of the batch: empty label sequence"):
+                tiny_model().hybrid_loss([feat(10)], [[]], ctc_weight)
+
+    @pytest.mark.parametrize("ctc_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("bad, message", [
+        ([-1], r"label id out of range \[0, 7\)"),
+        ([-3, 4], r"label id out of range \[0, 7\)"),
+        ([VOCAB], r"label id out of range \[0, 7\)"),
+        ([3, BLANK_ID], "labels may not contain the blank id"),
+    ], ids=["minus-1", "minus-3", "vocab-size", "blank"])
+    def test_bad_labels_named_before_any_layer(self, ctc_weight, bad, message):
+        m = tiny_model()
+        m.encode_batch = None  # a layer that ran would raise a TypeError
+        with pytest.raises(ValueError, match=f"utterance 1 of the batch: {message}"):
+            m.hybrid_loss([feat(10), feat(10)], [[3], bad], ctc_weight)
 
     def test_hybrid_boundaries(self):
+        # weight 0 is the attention branch alone, weight 1 the CTC branch
         m = tiny_model()
         feats, labels = [feat(14)], [[3, 5]]
-        att = m.attention_loss(feats, labels).item()
-        ctc = m.ctc_branch_loss(feats, labels).item()
+        h, lengths = m.encode_batch(feats)
+        att = tt.mean_(m._attention_forward(h, lengths, labels)[0]).item()
+        ctc = ctc_loss_op(m.ctc_out(tt.take(h, 0)), labels[0], BLANK_ID).item()
         assert np.isclose(m.hybrid_loss(feats, labels, 0.0).item(), att, atol=1e-12)
         assert np.isclose(m.hybrid_loss(feats, labels, 1.0).item(), ctc, atol=1e-12)
 
@@ -406,6 +425,30 @@ def memorization_task(n=6):
     return data
 
 
+def _two_by_two_asr():
+    m = tiny_model(dtype=np.float32, seed=11)
+    data = memorization_task()
+    res = train_asr(m, data, data, AsrTrainConfig(epochs=2, batch_size=3, seed=5))
+    return [st.grad_norm_max for st in res.history]
+
+
+def _two_by_two_lm():
+    corpus = [[3, 4], [4, 3, 5], [5], [3, 3, 4]]
+    return train_lm(corpus, 6, LmConfig(layers=1, units=4, epochs=2, batch=2), seed=0).grad_norms
+
+
+def _two_by_two_sad():
+    rng = np.random.default_rng(2)
+    feats = [rng.normal(0, 1, (12, 4)) for _ in range(2)]
+    labels = [np.arange(12) % 3] * 2
+    cfg = SadTrainConfig(arch=SadConfig(input_dim=4, hidden=(3,), pool_radius=2), epochs=2, seed=5)
+    return train_sad(feats, labels, cfg).grad_norms
+
+
+# each trains two epochs of two batches and returns the per-epoch norms it reports
+TWO_BY_TWO = {"asr": _two_by_two_asr, "lm": _two_by_two_lm, "sad": _two_by_two_sad}
+
+
 class TestTrainLoop:
     def test_loss_decreases_and_history_recorded(self):
         m = tiny_model(dtype=np.float32, seed=11)
@@ -431,22 +474,21 @@ class TestTrainLoop:
         # two consecutive non-improving epochs halve eps twice
         assert np.isclose(res.history[-1].eps, 2.5e-9)
 
-    def test_epoch_records_largest_pre_clip_norm(self, monkeypatch):
+    @pytest.mark.parametrize("trainer", ["asr", "lm", "sad"])
+    def test_epoch_records_largest_pre_clip_norm(self, monkeypatch, trainer):
         norms = []
 
         def recording_clip(params, threshold):
             norms.append(clip(params, threshold))
             return norms[-1]
 
-        clip = training.clip_gradients
-        monkeypatch.setattr(training, "clip_gradients", recording_clip)
-        m = tiny_model(dtype=np.float32, seed=11)
-        data = memorization_task()
-        res = train_asr(m, data, data, AsrTrainConfig(epochs=2, batch_size=3, seed=5))
-        assert len(norms) == 4  # two batches per epoch
-        for st, epoch_norms in zip(res.history, (norms[:2], norms[2:])):
-            assert np.isfinite(st.grad_norm_max) and st.grad_norm_max > 0.0
-            assert st.grad_norm_max == max(epoch_norms)
+        clip = optim.clip_gradients
+        monkeypatch.setattr(optim, "clip_gradients", recording_clip)
+        reported = TWO_BY_TWO[trainer]()
+        assert len(norms) == 4 and len(reported) == 2
+        for got, epoch_norms in zip(reported, (norms[:2], norms[2:])):
+            assert np.isfinite(got) and got > 0.0
+            assert got == max(epoch_norms)
 
     def test_divergence_aborts_with_diagnostic(self):
         m = tiny_model(dtype=np.float32, seed=11)

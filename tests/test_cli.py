@@ -473,6 +473,30 @@ def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):
     assert np.isfinite(norm) and norm > 0.0
 
 
+def test_train_lm_reports_gradient_norm(world, tmp_path, capsys):
+    assert run_cli(["train-lm", "--corpus", str(world["root"] / "text.txt"),
+                    "--vocab", str(world["root"] / "vocab.tsv"), "--out", str(tmp_path / "lm.ckpt"),
+                    "--layers", "1", "--units", "4", "--epochs", "2", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["epoch 1", "epoch 2"]
+    for line in lines:
+        assert " perplexity " in line
+        norm = float(line.split("grad norm max ")[1])
+        assert np.isfinite(norm) and norm > 0.0
+
+
+def test_train_sad_reports_gradient_norm(world, tmp_path, capsys):
+    man = tmp_path / "man.tsv"
+    rows = read_tsv(world["root"] / "sadcorpus" / "manifest.tsv", 3)
+    write_tsv(man, rows[:2])
+    assert run_cli(["train-sad", "--manifest", str(man), "--out", str(tmp_path / "sad.ckpt"),
+                    "--hidden", "4", "--epochs", "1", "--seed", "5"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("epoch 1: loss ")
+    norm = float(line.split("grad norm max ")[1])
+    assert np.isfinite(norm) and norm > 0.0
+
+
 def test_train_asr_rejects_even_conv_filters(world, tmp_path, capsys):
     man = tmp_path / "man.tsv"
     write_tsv(man, world["tone_rows"][:3])

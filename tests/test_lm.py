@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import record_requires_grad
+import imsk.lm as lm_mod
 from imsk.lm import (
     LM_ENGLISH,
     LM_GERMAN,
@@ -19,6 +20,7 @@ from imsk.lm import (
 )
 from imsk.nn import tensor as tt
 from imsk.nn.layers import Module
+from imsk.nn.optim import DivergedError
 from imsk.tokenizer import SOS_EOS_ID
 
 A, B_TOK = 3, 4  # ids after the three specials
@@ -204,6 +206,19 @@ class TestTrainLm:
             train_lm([], 5)
         with pytest.raises(ValueError):
             train_lm([[3, 9]], 5, LmConfig(layers=1, units=4, epochs=1))
+
+    def test_divergence_names_epoch_and_batch(self, monkeypatch):
+        def nan_for_the_long_line(model, lines):
+            nll, n = batch_nll(model, lines)
+            if lines == [[A, B_TOK]]:
+                nll = tt.mul(nll, tt.Tensor(np.asarray(np.nan, dtype=model.dtype)))
+            return nll, n
+
+        batch_nll = lm_mod._batch_nll
+        monkeypatch.setattr(lm_mod, "_batch_nll", nan_for_the_long_line)
+        # batches sort by length, so the long line is batch 1
+        with pytest.raises(DivergedError, match="at epoch 1, batch 1$"):
+            train_lm([[A, B_TOK], [A]], 5, LmConfig(layers=1, units=4, epochs=1, batch=1), seed=0)
 
 
 class TestPersistence:

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import corrupt, frame_accuracy, record_requires_grad, sad_corpus
 from imsk.nn import tensor as tt
+from imsk.nn.checkpoint import CheckpointError
 from imsk.nn.gradcheck import check_gradients
+from imsk.nn.optim import DivergedError
 from imsk.sad import (
     GARBAGE,
     SILENCE,
@@ -19,10 +21,12 @@ from imsk.sad import (
     SadTrainConfig,
     SadTransform,
     SegmentList,
+    load_sad,
     path_to_segments,
     postprocess,
     read_segments,
     sad_posteriors,
+    save_sad,
     to_pseudo_likelihoods,
     train_sad,
     viterbi_path,
@@ -362,6 +366,33 @@ def test_train_input_validation():
         train_sad(f, [np.zeros(4, dtype=int)])
     with pytest.raises(ValueError, match="non-empty"):
         train_sad([], [])
+
+
+def test_train_rejects_a_class_with_no_frame():
+    # priors from these labels would be (0.5, 0.5, 0.0), which no later
+    # segment or transcribe run accepts
+    f = [np.zeros((4, 5))]
+    cfg = SadTrainConfig(arch=TINY, epochs=1)
+    with pytest.raises(ValueError, match="no Garbage frame"):
+        train_sad(f, [np.array([0, 1, 0, 1])], cfg)
+    with pytest.raises(ValueError, match="no Silence or Garbage frame"):
+        train_sad(f, [np.ones(4, dtype=int)], cfg)
+
+
+def test_load_rejects_a_zero_prior(tmp_path):
+    path = tmp_path / "sad.ckpt"
+    save_sad(path, SadModel(TINY), (0.46, 0.54, 0.0))
+    with pytest.raises(CheckpointError, match=f"{path}: priors must be 3 positive values"):
+        load_sad(path)
+
+
+def test_train_divergence_names_epoch_and_batch():
+    rng = make_rng(3)
+    f = [rng.normal(0, 1, (6, 5)) for _ in range(2)]
+    f[1][2, 0] = np.nan
+    labels = [np.arange(6) % 3] * 2
+    with pytest.raises(DivergedError, match="at epoch 1, batch 1$"):
+        train_sad(f, labels, SadTrainConfig(arch=TINY, epochs=1, seed=5))
 
 
 def test_synthetic_corpus_accuracy():
