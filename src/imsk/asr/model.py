@@ -286,17 +286,22 @@ class AsrModel(Module):
             losses.append(ctc_loss_op(utt_logits, y, blank=BLANK_ID))
         return tt.mean_(tt.stack(losses))
 
-    def hybrid_loss(self, feats: list, labels: list, ctc_weight: float = 0.5):
-        """lam * ctc + (1 - lam) * attention over one shared encoder pass.
-        Before any layer runs, a ValueError names the first utterance whose
-        labels are empty, out of [0, vocab_size) or hold the blank id."""
-        lam = HybridLossConfig(ctc_weight).ctc_weight
+    def _check_targets(self, labels: list, of: str) -> None:
+        """A ValueError naming the first utterance whose labels are empty,
+        out of [0, vocab_size) or hold the blank id."""
         for b, y in enumerate(labels):
             try:
                 if _check_labels(y, self.vocab_size, BLANK_ID).size == 0:
                     raise ValueError("empty label sequence")
             except ValueError as e:
-                raise ValueError(f"utterance {b} of the batch: {e}") from None
+                raise ValueError(f"utterance {b} of {of}: {e}") from None
+
+    def hybrid_loss(self, feats: list, labels: list, ctc_weight: float = 0.5):
+        """lam * ctc + (1 - lam) * attention over one shared encoder pass.
+        Before any layer runs, a ValueError names the first utterance whose
+        labels are empty, out of [0, vocab_size) or hold the blank id."""
+        lam = HybridLossConfig(ctc_weight).ctc_weight
+        self._check_targets(labels, "the batch")
         h, lengths = self.encode_batch(feats)
         if lam == 0.0:
             per_utt, _, _ = self._attention_forward(h, lengths, labels)
@@ -312,7 +317,9 @@ class AsrModel(Module):
         )
 
     def teacher_forced_accuracy(self, feats: list, labels: list, batch_size: int = 16):
-        """Fraction of teacher-forced steps whose argmax hits the target."""
+        """Fraction of teacher-forced steps whose argmax hits the target.
+        Before any layer runs, labels are checked as in `hybrid_loss`."""
+        self._check_targets(labels, "the evaluated set")
         correct = total = 0
         for start in range(0, len(feats), batch_size):
             sl = slice(start, start + batch_size)

@@ -10,6 +10,7 @@ a whole corpus and applied per dimension.
 
 from __future__ import annotations
 
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -117,8 +118,17 @@ MFCC_DEFAULT = FeatureConfig(n_mels=40)
 # ---------------------------------------------------------------------------
 
 
+# samples per read of load_audio: besides the samples, it holds one block
+# of raw bytes, not a copy of the whole data
+_READ_BLOCK = 1 << 16
+
+
 def load_audio(path) -> Waveform:
     """Read a linear-PCM 16-bit mono WAV file.
+
+    The data is read in blocks of `_READ_BLOCK` samples, each divided by
+    32768 straight into one preallocated float32 array, so the samples are
+    the only whole-recording array.
 
     Raises UnsupportedEncodingError, MultichannelAudioError or
     TruncatedAudioError, each naming the file, so callers can report the
@@ -137,7 +147,18 @@ def load_audio(path) -> Waveform:
                 )
             rate = f.getframerate()
             n = f.getnframes()
-            raw = f.readframes(n)
+            # a header may declare more samples than the file can hold; such
+            # a file ends in a short read below, before the array is full
+            samples = np.empty(min(n, os.path.getsize(path) // 2), np.float32)
+            for i in range(0, n, _READ_BLOCK):
+                k = min(_READ_BLOCK, n - i)
+                raw = f.readframes(k)
+                if len(raw) != 2 * k:
+                    raise TruncatedAudioError(
+                        f"{path}: header declares {n} samples but only "
+                        f"{i + len(raw) // 2} present"
+                    )
+                np.divide(np.frombuffer(raw, dtype="<i2"), np.float32(32768.0), out=samples[i : i + k])
     except EOFError as exc:
         raise TruncatedAudioError(f"{path}: file ends inside the header") from exc
     except wave.Error as exc:
@@ -148,11 +169,6 @@ def load_audio(path) -> Waveform:
         raise UnsupportedEncodingError(
             f"{path}: malformed header: a chunk runs past the RIFF chunk"
         ) from exc
-    if len(raw) != 2 * n:
-        raise TruncatedAudioError(
-            f"{path}: header declares {n} samples but only {len(raw) // 2} present"
-        )
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     try:
         return Waveform(samples=samples, sample_rate=rate)
     except ValueError as exc:  # no samples, or a rate below 8000 Hz
@@ -221,48 +237,84 @@ def _frame_geometry(wav: Waveform, cfg: FeatureConfig) -> tuple[int, int, int]:
     return frame, shift, n_frames
 
 
-# frames per block of mel_spectrogram; working memory is bounded by this,
-# not by the recording's length
-_BLOCK = 2048
+# frames per block of the front end and of the SAD network; working memory
+# is bounded by this, not by the recording's length
+BLOCK = 2048
 
 
-def mel_spectrogram(wav: Waveform, cfg: FeatureConfig) -> np.ndarray:
-    """(T, n_mels) Mel-weighted power spectrum before the log.
+def flush_blocks(n_frames: int) -> list[int]:
+    """First frames of the blocks of min(n_frames, BLOCK) frames that cover
+    n_frames frames. The last block ends flush with the last frame and
+    overlaps the one before it, so every block has the same length: a
+    ragged tail would take another BLAS path and change the last bits."""
+    n = min(n_frames, BLOCK)
+    return [*range(0, n_frames - n, n), n_frames - n]
 
-    Frames are processed in blocks of `_BLOCK`. The last block ends flush
-    with the last frame and overlaps the one before it, so every filterbank
-    product has `_BLOCK` rows (T rows when T < `_BLOCK`): a ragged tail
-    would take another BLAS path and change the last bits.
+
+def _mel_blocks(wav: Waveform, cfg: FeatureConfig):
+    """(t0, mel) for each flush block: mel is the Mel-weighted power
+    spectrum before the log of frames t0, t0 + 1, ..., one row each.
+
+    The block's samples, its pre-emphasis, its windowed frames (zero-padded
+    to n_fft) and its power spectrum live in buffers made once per call.
     """
     frame, shift, n_frames = _frame_geometry(wav, cfg)
-    n = min(n_frames, _BLOCK)
+    n = min(n_frames, BLOCK)
+    span = (n - 1) * shift + frame
     window = np.hamming(frame)
     bank = mel_filterbank(cfg.n_mels, cfg.n_fft, wav.sample_rate)
-    out = np.empty((n_frames, cfg.n_mels))
-    for t0 in [*range(0, n_frames - n, n), n_frames - n]:
+    x = np.empty(span + 1)  # the block's samples after the one before them
+    y = np.empty(span)
+    frames = np.zeros((n, cfg.n_fft))
+    power = np.empty((n, cfg.n_fft // 2 + 1))
+    for t0 in flush_blocks(n_frames):
         lo = t0 * shift
         # pre-emphasis needs the sample before the block; the recording's
         # first sample is its own predecessor
-        x = wav.samples[max(lo - 1, 0) : lo + (n - 1) * shift + frame].astype(np.float64)
         if lo == 0:
-            x = np.concatenate([x[:1], x])
-        y = x[1:] - cfg.preemphasis * x[:-1]
-        frames = np.lib.stride_tricks.sliding_window_view(y, frame)[::shift] * window
-        spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-        power = spectrum.real**2 + spectrum.imag**2
-        out[t0 : t0 + n] = power @ bank.T
+            x[0] = wav.samples[0]
+            x[1:] = wav.samples[:span]
+        else:
+            x[:] = wav.samples[lo - 1 : lo + span]
+        np.multiply(x[:-1], cfg.preemphasis, out=y)
+        np.subtract(x[1:], y, out=y)
+        np.multiply(np.lib.stride_tricks.sliding_window_view(y, frame)[::shift], window,
+                    out=frames[:, :frame])
+        # (real, imag) pairs: square both in place, then add each pair
+        parts = np.fft.rfft(frames, axis=1).view(np.float64)
+        np.multiply(parts, parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+        yield t0, power @ bank.T
+
+
+def mel_spectrogram(wav: Waveform, cfg: FeatureConfig) -> np.ndarray:
+    """(T, n_mels) Mel-weighted power spectrum before the log."""
+    out = np.empty((_frame_geometry(wav, cfg)[2], cfg.n_mels))
+    for t0, mel in _mel_blocks(wav, cfg):
+        out[t0 : t0 + len(mel)] = mel
     return out
+
+
+def _log_mel_features(wav: Waveform, cfg: FeatureConfig, dct=None) -> FeatureMatrix:
+    """Float32 log-Mel rows floored at log(cfg.floor), each block's rows
+    then multiplied by dct.T when a DCT matrix is given. The only
+    whole-recording array is the (T, n_mels) float32 result."""
+    out = np.empty((_frame_geometry(wav, cfg)[2], cfg.n_mels), np.float32)
+    for t0, mel in _mel_blocks(wav, cfg):
+        rows = np.log(np.maximum(mel, cfg.floor, out=mel), out=mel).astype(np.float32)
+        if dct is not None:
+            rows = rows.astype(np.float64) @ dct.T
+        out[t0 : t0 + len(rows)] = rows
+    return FeatureMatrix(
+        frames=out,
+        frame_shift=cfg.frame_shift_ms / 1000.0,
+        frame_length=cfg.frame_length_ms / 1000.0,
+    )
 
 
 def extract_logmel(wav: Waveform, cfg: FeatureConfig = LOGMEL_DEFAULT) -> FeatureMatrix:
     """Log Mel filterbank energies, floored at log(cfg.floor)."""
-    mel = mel_spectrogram(wav, cfg)
-    frames = np.log(np.maximum(mel, cfg.floor)).astype(np.float32)
-    return FeatureMatrix(
-        frames=frames,
-        frame_shift=cfg.frame_shift_ms / 1000.0,
-        frame_length=cfg.frame_length_ms / 1000.0,
-    )
+    return _log_mel_features(wav, cfg)
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -275,15 +327,9 @@ def dct_matrix(n: int) -> np.ndarray:
 
 
 def extract_mfcc(wav: Waveform, cfg: FeatureConfig = MFCC_DEFAULT) -> FeatureMatrix:
-    """Cepstral features: orthonormal DCT of the log-Mel row, all
-    cfg.n_mels coefficients kept (no truncation)."""
-    logmel = extract_logmel(wav, cfg)
-    coeffs = (logmel.frames.astype(np.float64) @ dct_matrix(cfg.n_mels).T).astype(np.float32)
-    return FeatureMatrix(
-        frames=coeffs,
-        frame_shift=logmel.frame_shift,
-        frame_length=logmel.frame_length,
-    )
+    """Cepstral features: orthonormal DCT of the float32 log-Mel row, all
+    cfg.n_mels coefficients kept (no truncation), block by block."""
+    return _log_mel_features(wav, cfg, dct_matrix(cfg.n_mels))
 
 
 # ---------------------------------------------------------------------------

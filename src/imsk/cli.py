@@ -282,7 +282,13 @@ def load_artifacts(cfg: PipelineConfig) -> Artifacts:
 
 
 def segment_recording(wav: Waveform, sad, priors, p_stay, max_speech, merge_max):
-    """MFCC -> posteriors -> pseudo-likelihoods -> Viterbi -> postprocess."""
+    """MFCC -> posteriors -> pseudo-likelihoods -> Viterbi -> postprocess.
+
+    The front end and the SAD network run in flush blocks of `audio.BLOCK`
+    frames, so what grows with the recording is the (T, 40) float32
+    features, the posteriors, the likelihoods and the Viterbi pass: under
+    1 MB per minute of 16 kHz audio, besides the samples.
+    """
     feats = extract_mfcc(wav)
     post = sad_posteriors(feats, sad)
     lik = to_pseudo_likelihoods(post, SadTransform(priors=tuple(priors)))

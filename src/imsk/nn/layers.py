@@ -244,9 +244,15 @@ class StatsPooling(Module):
         self.radius = radius
 
     def __call__(self, x: Tensor) -> Tensor:
-        T = x.shape[0]
-        inv_n = Tensor((1.0 / window_counts(T, self.radius))[:, None].astype(x.dtype))
-        m1 = mul(windowed_sum(x, self.radius), inv_n)
-        m2 = mul(windowed_sum(x * x, self.radius), inv_n)
+        s1, s2 = windowed_sum(x, self.radius), windowed_sum(x * x, self.radius)
+        return self.stats(x, s1, s2, window_counts(x.shape[0], self.radius))
+
+    @staticmethod
+    def stats(x: Tensor, s1: Tensor, s2: Tensor, counts: np.ndarray) -> Tensor:
+        """[x, mean, std] per row, from the sums s1 of x and s2 of x * x
+        over windows of `counts` rows each."""
+        inv_n = Tensor((1.0 / counts)[:, None].astype(x.dtype))
+        m1 = mul(s1, inv_n)
+        m2 = mul(s2, inv_n)
         std = sqrt_clamped(m2 - m1 * m1)
         return concat([x, m1, std], axis=1)

@@ -572,29 +572,54 @@ def windowed_sum(x: Tensor, radius: int) -> Tensor:
     The operator is self-adjoint for a symmetric clamped window, so the
     backward pass is the same windowed sum applied to the gradient.
     """
-    y = _windowed_sum_data(x.data, radius)
+    y = _windowed_sum_data(x.data, radius)[0]
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_windowed_sum_data(g, radius))
+            x._accumulate(_windowed_sum_data(g, radius)[0])
 
     return Tensor._result(y, (x,), backward)
 
 
-def _windowed_sum_data(x: np.ndarray, radius: int) -> np.ndarray:
-    T = x.shape[0]
-    c = np.cumsum(x.astype(np.float64), axis=0)
-    hi = np.minimum(np.arange(T) + radius, T - 1)
-    lo = np.arange(T) - radius - 1
-    out = c[hi]
-    valid = lo >= 0
-    out[valid] -= c[lo[valid]]
-    return out.astype(x.dtype)
+def _windowed_sum_data(x: np.ndarray, radius: int, carry=None, last: bool = True):
+    """(sums, running): the sums of x's rows over clamped windows [t-radius,
+    t+radius] in x's dtype, and the float64 running sums they are the
+    differences of.
+
+    `x` may be one block of a longer sequence. `carry` is then the running
+    sum of every row before the block (None when the block starts the
+    sequence), and `last` is False when rows follow it. The block's first
+    row adds `carry` before the running sum goes on, so the running sums
+    have the bits of one pass over the whole sequence. Rows whose window
+    crosses a block edge are left out: the sums start at row `radius` when
+    `carry` is given and end `radius` rows early when not `last`.
+    """
+    c = x.astype(np.float64)
+    if carry is not None:
+        c[0] += carry
+    np.cumsum(c, axis=0, out=c)
+    m = x.shape[0]
+    first = 0 if carry is None else radius
+    stop = m if last else m - radius
+    out = np.empty((stop - first, *x.shape[1:]))
+    # window ends: row t + radius, or the sequence's last row past it
+    inside = max(min(m - radius, stop), first)
+    out[: inside - first] = c[first + radius : inside + radius]
+    if inside < stop:
+        out[inside - first :] = c[m - 1]
+    # window starts: subtract the running sum before row t - radius
+    if carry is not None:
+        out[0] -= carry
+    lo = max(radius + 1, first)
+    if lo < stop:
+        out[lo - first :] -= c[lo - radius - 1 : stop - radius - 1]
+    return out.astype(x.dtype), c
 
 
-def window_counts(T: int, radius: int) -> np.ndarray:
-    """Number of frames inside each clamped window; pairs with windowed_sum."""
-    t = np.arange(T)
+def window_counts(T: int, radius: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Number of frames inside each clamped window of rows start..stop-1 of
+    a T-row sequence; pairs with windowed_sum."""
+    t = np.arange(start, T if stop is None else stop)
     return (np.minimum(t + radius, T - 1) - np.maximum(t - radius, 0) + 1).astype(np.float64)
 
 

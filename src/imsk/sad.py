@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import BLOCK, flush_blocks
 from .nn import tensor as tt
 from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Linear, Module, StatsPooling, frozen
@@ -54,37 +55,70 @@ class SadModel(Module):
         self.pool = StatsPooling(cfg.pool_radius)
         self.out = Linear(3 * dims[-1], 3, rng, dtype)
 
-    def _splice(self, f: np.ndarray) -> tt.Tensor:
-        T = f.shape[0]
-        c = self.cfg.context
-        idx = np.clip(np.arange(T)[:, None] + np.arange(-c, c + 1)[None, :], 0, T - 1)
-        x = tt.Tensor(np.asarray(f, dtype=self.dtype))
-        return tt.reshape(tt.take(x, idx), (1, T, (2 * c + 1) * self.cfg.input_dim))
-
-    def log_posteriors(self, f) -> tt.Tensor:
+    def _frames(self, f) -> np.ndarray:
         f = np.asarray(getattr(f, "frames", f))
         if f.ndim != 2 or f.shape[1] != self.cfg.input_dim:
             raise ValueError(
                 f"feature dim {f.shape[1] if f.ndim == 2 else f.shape} "
                 f"does not match input_dim {self.cfg.input_dim}"
             )
-        # the frames form one (1, T, D) item: one product per layer in
-        # training, row tiles on a constant copy, never one per frame
-        T = f.shape[0]
-        h = self._splice(f)
+        return f
+
+    def _hidden(self, f: np.ndarray, start: int, stop: int) -> tt.Tensor:
+        """(1, stop - start, H) last hidden layer of frames start..stop-1
+        of the (T, input_dim) features, spliced with their clamped
+        neighbours."""
+        c = self.cfg.context
+        idx = np.clip(np.arange(start, stop)[:, None] + np.arange(-c, c + 1)[None, :], 0, f.shape[0] - 1)
+        x = tt.Tensor(np.asarray(f, dtype=self.dtype))
+        h = tt.reshape(tt.take(x, idx), (1, stop - start, (2 * c + 1) * self.cfg.input_dim))
         for lin in self.layers:
             h = tt.relu(lin(h))
-        h = tt.reshape(self.pool(tt.reshape(h, (T, -1))), (1, T, -1))
-        return tt.log_softmax(tt.reshape(self.out(h), (T, 3)))
+        return h
+
+    def _output(self, pooled: tt.Tensor) -> tt.Tensor:
+        n = pooled.shape[0]
+        return tt.log_softmax(tt.reshape(self.out(tt.reshape(pooled, (1, n, -1))), (n, 3)))
+
+    def log_posteriors(self, f) -> tt.Tensor:
+        # the frames form one (1, T, D) item: one product per layer in
+        # training, row tiles on a constant copy, never one per frame
+        f = self._frames(f)
+        T = f.shape[0]
+        return self._output(self.pool(tt.reshape(self._hidden(f, 0, T), (T, -1))))
 
 
 def sad_posteriors(f, model: SadModel) -> np.ndarray:
     """(T, 3) class probabilities; rows sum to 1.
 
     `f` is a FeatureMatrix or a plain (T, input_dim) array. The network
-    runs on a constant copy of `model`, so no autograd graph is built.
+    runs on a constant copy of `model`, so no autograd graph is built, in
+    the front end's flush blocks of frames (`audio.flush_blocks`). Each
+    block's hidden layers also run on the `pool_radius` frames either side
+    of it, spliced with `context` more, and the pooling's float64 running
+    sums are carried from block to block. Every product multiplies fixed
+    row tiles, so the posteriors have the bits of one pass over the whole
+    recording, and no array but the result grows with it.
     """
-    return np.exp(frozen(model, model.dtype).log_posteriors(f).data)
+    net = frozen(model, model.dtype)
+    f = np.asarray(net._frames(f), dtype=net.dtype)
+    T, r = f.shape[0], net.cfg.pool_radius
+    n = min(T, BLOCK)
+    starts = flush_blocks(T)
+    post = np.empty((T, 3), net.dtype)
+    carry = None  # running sums of the rows before the block's first
+    for t0, t_next in zip(starts, [*starts[1:], T]):
+        h0, h1 = max(t0 - r, 0), min(t0 + n + r, T)
+        h = net._hidden(f, h0, h1).data[0]
+        sums, running = tt._windowed_sum_data(np.concatenate([h, h * h], axis=1), r, carry, h1 == T)
+        # sums start at row h0 + r of the sequence after a carry, at 0 before
+        at = t0 - h0 - (0 if carry is None else r)
+        s1, s2 = np.split(sums[at : at + n], 2, axis=1)
+        x = tt.Tensor(h[t0 - h0 : t0 - h0 + n])
+        pooled = net.pool.stats(x, tt.Tensor(s1), tt.Tensor(s2), tt.window_counts(T, r, t0, t0 + n))
+        post[t0 : t0 + n] = np.exp(net._output(pooled).data)
+        carry = running[t_next - r - 1 - h0] if t_next > r else None
+    return post
 
 
 @dataclass(frozen=True)
@@ -286,14 +320,17 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
     `features` is a list of (T_i, input_dim) arrays, `labels` a list of
     aligned int arrays over {0: Silence, 1: Speech, 2: Garbage}. Class
     priors are the label frequencies of the training set, so every class
-    needs at least one frame. Each utterance is one batch.
+    needs at least one frame, and every utterance needs at least one frame.
+    Each utterance is one batch.
     """
     if not features or len(features) != len(labels):
         raise ValueError("features and labels must be equal-length non-empty lists")
     features = [np.asarray(getattr(f, "frames", f)) for f in features]
     labs = [np.asarray(y, dtype=np.int64) for y in labels]
     counts = np.zeros(3, dtype=np.float64)
-    for f, y in zip(features, labs):
+    for i, (f, y) in enumerate(zip(features, labs)):
+        if f.shape[0] == 0:
+            raise ValueError(f"utterance {i} has no frames")
         if len(y) != f.shape[0]:
             raise ValueError("labels must align with frames")
         if y.size and (y.min() < 0 or y.max() > 2):

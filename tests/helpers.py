@@ -1,7 +1,7 @@
 """Shared synthetic fixtures for segmentation and recognition tests,
 random corruptions of files for parser tests, an autograd-graph spy, a
-runner for checks at a fixed BLAS thread count, and one-prefix CTC
-extension."""
+runner for checks at a fixed BLAS thread count, one-prefix CTC
+extension, and the whole-sequence windowed sum."""
 
 import os
 import subprocess
@@ -240,6 +240,19 @@ def run_at_blas_threads(threads: int, check: str) -> None:
         f"{check} fails with {blas['name']} {blas.get('version', '')} at {threads} BLAS "
         f"threads:\n{run.stderr}"
     )
+
+
+def unblocked_windowed_sum_data(x, radius):
+    """The fancy-index windowed sum that `tensor._windowed_sum_data`'s
+    slices replaced, kept as its oracle."""
+    T = x.shape[0]
+    c = np.cumsum(x.astype(np.float64), axis=0)
+    hi = np.minimum(np.arange(T) + radius, T - 1)
+    lo = np.arange(T) - radius - 1
+    out = c[hi]
+    valid = lo >= 0
+    out[valid] -= c[lo[valid]]
+    return out.astype(x.dtype)
 
 
 def extend_one(prefixes, label, log_posteriors, blank):

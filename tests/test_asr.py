@@ -337,6 +337,19 @@ class TestLosses:
         with pytest.raises(ValueError, match=f"utterance 1 of the batch: {message}"):
             m.hybrid_loss([feat(10), feat(10)], [[3], bad], ctc_weight)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([-1], r"label id out of range \[0, 7\)"),
+        ([], "empty label sequence"),
+        ([BLANK_ID], "labels may not contain the blank id"),
+    ], ids=["minus-1", "empty", "blank"])
+    def test_accuracy_rejects_bad_labels_before_any_layer(self, bad, message):
+        # the validation metric of train_asr scored these 0.5, 0.0 and 0.0
+        m = tiny_model()
+        m.encode_batch = None  # a layer that ran would raise a TypeError
+        feats = [feat(10)] * 3
+        with pytest.raises(ValueError, match=f"utterance 2 of the evaluated set: {message}"):
+            m.teacher_forced_accuracy(feats, [[3], [4], bad], batch_size=2)
+
     def test_hybrid_boundaries(self):
         # weight 0 is the attention branch alone, weight 1 the CTC branch
         m = tiny_model()

@@ -22,6 +22,7 @@ from imsk.audio import (
 )
 
 RNG = np.random.default_rng(21)
+BLOCK = audio._READ_BLOCK
 
 
 def write_wav(path, samples_i16, rate=16000, channels=1, sampwidth=2):
@@ -186,9 +187,17 @@ def _unblocked_mel_spectrogram(wav, cfg):
     return power @ bank.T
 
 
-def check_blocked_mel_equals_unblocked():
+def _unblocked_extract_mfcc(wav, cfg):
+    """The whole-recording extract_mfcc that the blocked one replaced: the
+    log and the DCT product over all frames at once, kept as its oracle."""
+    logmel = np.log(np.maximum(_unblocked_mel_spectrogram(wav, cfg), cfg.floor)).astype(np.float32)
+    return logmel, (logmel.astype(np.float64) @ audio.dct_matrix(cfg.n_mels).T).astype(np.float32)
+
+
+def check_blocked_features_equal_unblocked():
     """Every frame count around the block edges, plus random ones, with and
-    without a partial frame of trailing samples; raises on a mismatch."""
+    without a partial frame of trailing samples: the Mel spectrogram,
+    log-Mel and MFCC features; raises on a mismatch."""
     rng = np.random.default_rng(5)
     counts = [1, 2, 2047, 2048, 2049, 4095, 4096, 4097, *rng.integers(3, 9000, size=4)]
     for n_frames in counts:
@@ -196,15 +205,27 @@ def check_blocked_mel_equals_unblocked():
             size = 400 + (int(n_frames) - 1) * 160 + tail
             wav = Waveform(rng.uniform(-1.0, 1.0, size).astype(np.float32), 16000)
             for cfg in (audio.LOGMEL_DEFAULT, audio.MFCC_DEFAULT):
+                case = (n_frames, tail, cfg)
                 got = audio.mel_spectrogram(wav, cfg)
                 assert got.shape == (n_frames, cfg.n_mels)
-                assert np.array_equal(got, _unblocked_mel_spectrogram(wav, cfg)), (n_frames, tail, cfg)
+                assert np.array_equal(got, _unblocked_mel_spectrogram(wav, cfg)), case
+                logmel, mfcc = _unblocked_extract_mfcc(wav, cfg)
+                assert np.array_equal(audio.extract_logmel(wav, cfg).frames, logmel), case
+                assert np.array_equal(audio.extract_mfcc(wav, cfg).frames, mfcc), case
+
+
+def _unblocked_load_audio(path):
+    """The whole-data read that the blocked load_audio replaced, kept as its
+    oracle (for files that load)."""
+    with wave.open(str(path), "rb") as f:
+        raw = f.readframes(f.getnframes())
+    return np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
 
 
 class TestBlockedFrontEnd:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blocked_equals_unblocked(self, threads):
-        run_at_blas_threads(threads, "test_audio.check_blocked_mel_equals_unblocked")
+        run_at_blas_threads(threads, "test_audio.check_blocked_features_equal_unblocked")
 
     def test_memory_does_not_grow_with_length(self):
         # 600 s of noise: the whole-recording version peaked near 1 GB
@@ -218,6 +239,38 @@ class TestBlockedFrontEnd:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK - 7])
+    def test_blocked_load_equals_unblocked(self, tmp_path, n):
+        path = tmp_path / "b.wav"
+        write_wav(path, np.random.default_rng(n).integers(-32768, 32768, n).astype("<i2"))
+        samples = audio.load_audio(path).samples
+        assert samples.dtype == np.float32 and np.array_equal(samples, _unblocked_load_audio(path))
+
+    @pytest.mark.parametrize("odd_byte", [0, 1])
+    @pytest.mark.parametrize("present", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_data_cut_at_a_read_block_edge_is_truncated(self, tmp_path, present, odd_byte):
+        # the header declares 3 blocks; `present` samples remain, and maybe
+        # the first byte of the next
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.ones(3 * BLOCK, dtype="<i2"))
+        path.write_bytes(path.read_bytes()[: 44 + 2 * present + odd_byte])
+        message = f"^{path}: header declares {3 * BLOCK} samples but only {present} present$"
+        with pytest.raises(TruncatedAudioError, match=message):
+            audio.load_audio(path)
+
+    def test_load_peaks_at_the_samples(self, tmp_path):
+        # 5 minutes: 19.2 MB of samples. Raw bytes, an astype copy and the
+        # quotient, held together, peaked at 48 MB
+        path = tmp_path / "long.wav"
+        write_wav(path, np.random.default_rng(7).integers(-3000, 3000, 5 * 60 * 16000).astype("<i2"))
+        tracemalloc.start()
+        try:
+            wav = audio.load_audio(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= wav.samples.nbytes + 2e6, peak
 
 
 class TestMfcc:

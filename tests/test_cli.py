@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from imsk.cli import (
 )
 from imsk.lm import LmConfig, load_lm
 from imsk.nn.checkpoint import load_checkpoint, save_checkpoint
-from imsk.sad import SadConfig, SadTrainConfig, load_sad, read_segments
+from imsk.sad import SadConfig, SadModel, SadTrainConfig, load_sad, read_segments
 from imsk.tokenizer import decode as detokenize, load_vocab, vocab_fingerprint
 from imsk.util import make_rng, read_tsv, write_tsv
 
@@ -125,6 +126,26 @@ def test_segment_subcommand_covers_speech(world, tmp_path, capsys):
     mid = 0.5 * (speech[0] + speech[1])
     assert any(s <= mid <= e for s, e in spans)
     assert all(0.0 <= s < e <= wav.duration + 0.02 for s, e in spans)
+
+
+def test_segmentation_memory_grows_slowly_with_length():
+    # the whole-recording front end and SAD network grew the peak by 9.6
+    # MB per minute of audio (48 MB at 5 minutes, 192 MB at 20); what grows
+    # now is the (T, 40) features, the posteriors, the likelihoods and the
+    # Viterbi pass, under 1 MB per minute
+    sad = SadModel(SadConfig(), make_rng(0))
+    peaks = []
+    for minutes in (5, 20):
+        rng = np.random.default_rng(minutes)
+        wav = Waveform(rng.random(minutes * 60 * 16000, dtype=np.float32) - np.float32(0.5), 16000)
+        tracemalloc.start()
+        try:
+            cli.segment_recording(wav, sad, (1 / 3, 1 / 3, 1 / 3), 0.99, 30.0, 10.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del wav
+    assert (peaks[1] - peaks[0]) / 15 < 3e6, peaks
 
 
 def test_decode_subcommand_and_nbest(world, tmp_path, capsys):

@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import corrupt, frame_accuracy, record_requires_grad, sad_corpus
+from helpers import (
+    corrupt,
+    frame_accuracy,
+    record_requires_grad,
+    run_at_blas_threads,
+    sad_corpus,
+    unblocked_windowed_sum_data,
+)
+from imsk.audio import BLOCK
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError
 from imsk.nn.gradcheck import check_gradients
+from imsk.nn.layers import frozen
 from imsk.nn.optim import DivergedError
 from imsk.sad import (
     GARBAGE,
@@ -72,6 +81,44 @@ def test_posteriors_build_no_graph(monkeypatch):
     assert np.array_equal(sad_posteriors(f, m), expected)
     assert made and not any(made)
     assert all(p.requires_grad for p in m.params())
+
+
+def _unblocked_sad_posteriors(f, model):
+    """The whole-recording sad_posteriors that the blocked one replaced:
+    each layer of a constant copy over one (1, T, ...) item, kept as its
+    oracle."""
+    net = frozen(model, model.dtype)
+    T, c = f.shape[0], net.cfg.context
+    idx = np.clip(np.arange(T)[:, None] + np.arange(-c, c + 1)[None, :], 0, T - 1)
+    h = tt.reshape(tt.take(tt.Tensor(np.asarray(f, dtype=net.dtype)), idx), (1, T, -1))
+    for lin in net.layers:
+        h = tt.relu(lin(h))
+    h = tt.reshape(net.pool(tt.reshape(h, (T, -1))), (1, T, -1))
+    return np.exp(tt.log_softmax(tt.reshape(net.out(h), (T, 3))).data)
+
+
+def check_blocked_posteriors_equal_unblocked():
+    """Frame counts around one and two blocks, around a block edge plus or
+    minus the overlap (context + pool_radius) and where the last block's
+    first frame meets pool_radius, plus random ones; raises on a
+    mismatch."""
+    rng = np.random.default_rng(8)
+    for cfg in (SadConfig(), SadConfig(input_dim=6, context=3, hidden=(8, 5), pool_radius=700)):
+        model = SadModel(cfg, make_rng(1))
+        overlap = cfg.context + cfg.pool_radius
+        counts = {1, 2, 2047, 2048, 2049, 4095, 4096, 4097, *rng.integers(3, 9000, size=4).tolist()}
+        for k in (-1, 0, 1):
+            for edge in (BLOCK, 2 * BLOCK):
+                counts |= {edge - overlap + k, edge + overlap + k}
+            counts.add(BLOCK + cfg.pool_radius + k)
+        for T in sorted(counts):
+            f = rng.normal(0, 1, (T, cfg.input_dim)).astype(np.float32)
+            assert np.array_equal(sad_posteriors(f, model), _unblocked_sad_posteriors(f, model)), (cfg, T)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_posteriors_equal_unblocked(threads):
+    run_at_blas_threads(threads, "test_sad.check_blocked_posteriors_equal_unblocked")
 
 
 def test_posterior_dim_mismatch():
@@ -379,6 +426,14 @@ def test_train_rejects_a_class_with_no_frame():
         train_sad(f, [np.ones(4, dtype=int)], cfg)
 
 
+def test_train_rejects_an_utterance_with_no_frame():
+    # it failed inside the network with a bare reshape error
+    f = [np.zeros((6, 5)), np.zeros((0, 5)), np.zeros((3, 5))]
+    labels = [np.arange(6) % 3, np.zeros(0, dtype=int), np.zeros(3, dtype=int)]
+    with pytest.raises(ValueError, match="^utterance 1 has no frames$"):
+        train_sad(f, labels, SadTrainConfig(arch=TINY, epochs=1))
+
+
 def test_load_rejects_a_zero_prior(tmp_path):
     path = tmp_path / "sad.ckpt"
     save_sad(path, SadModel(TINY), (0.46, 0.54, 0.0))
@@ -393,6 +448,19 @@ def test_train_divergence_names_epoch_and_batch():
     labels = [np.arange(6) % 3] * 2
     with pytest.raises(DivergedError, match="at epoch 1, batch 1$"):
         train_sad(f, labels, SadTrainConfig(arch=TINY, epochs=1, seed=5))
+
+
+def test_train_is_unchanged_by_the_slice_windowed_sum(monkeypatch):
+    # losses as float hex, and the trained state, against training through
+    # the fancy-index windowed sum that the slices replaced
+    feats, labels = sad_corpus(2, make_rng(4), dur_s=0.4)
+    cfg = SadTrainConfig(arch=SadConfig(pool_radius=7), epochs=2, seed=3)
+    got = train_sad(feats, labels, cfg)
+    monkeypatch.setattr(tt, "_windowed_sum_data", lambda x, r: (unblocked_windowed_sum_data(x, r), None))
+    ref = train_sad(feats, labels, cfg)
+    assert [x.hex() for x in got.losses] == [x.hex() for x in ref.losses]
+    state, ref_state = got.model.state_dict(), ref.model.state_dict()
+    assert all(np.array_equal(state[k], ref_state[k]) for k in ref_state)
 
 
 def test_synthetic_corpus_accuracy():

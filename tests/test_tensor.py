@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import run_at_blas_threads
+from helpers import run_at_blas_threads, unblocked_windowed_sum_data
 from imsk.nn import tensor as tt
 from imsk.nn.gradcheck import check_gradients
 
@@ -333,6 +333,41 @@ def test_windowed_sum_values_and_grads():
 
 def test_window_counts():
     assert list(tt.window_counts(5, 1)) == [2, 3, 3, 3, 2]
+    assert list(tt.window_counts(5, 1, 1, 3)) == [3, 3]
+
+
+windowed_inputs = st.tuples(
+    st.integers(0, 40), st.integers(1, 9), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed_inputs)
+def test_windowed_sum_equals_unblocked(case):
+    T, radius, dtype, seed = case
+    x = np.random.default_rng(seed).normal(0, 1, (T, 3)).astype(dtype)
+    got, running = tt._windowed_sum_data(x, radius)
+    assert got.dtype == dtype and np.array_equal(got, unblocked_windowed_sum_data(x, radius))
+    assert np.array_equal(running, np.cumsum(x.astype(np.float64), axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed_inputs, st.integers(1, 12))
+def test_windowed_sum_blocks_with_a_carry_equal_one_pass(case, block):
+    # blocks as sad_posteriors takes them: rows t0..t0+n-1 each, the last
+    # one flush with the end, with `radius` rows more on either side
+    T, radius, dtype, seed = case
+    x = np.random.default_rng(seed).normal(0, 1, (T, 3)).astype(dtype)
+    whole = unblocked_windowed_sum_data(x, radius)
+    n = min(T, block)
+    starts = [*range(0, T - n, n), T - n] if T else []
+    carry = None
+    for t0, t_next in zip(starts, [*starts[1:], T]):
+        h0, h1 = max(t0 - radius, 0), min(t0 + n + radius, T)
+        sums, running = tt._windowed_sum_data(x[h0:h1], radius, carry, h1 == T)
+        at = t0 - h0 - (0 if carry is None else radius)
+        assert np.array_equal(sums[at : at + n], whole[t0 : t0 + n]), (t0, h0, h1)
+        carry = running[t_next - radius - 1 - h0] if t_next > radius else None
 
 
 def test_backward_requires_scalar():
