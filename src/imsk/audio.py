@@ -203,11 +203,6 @@ def _mel_points(n_mels: int, sample_rate: int) -> np.ndarray:
     return mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
 
 
-def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
-    """Peak frequency in Hz of each triangular filter."""
-    return _mel_points(n_mels, sample_rate)[1:-1]
-
-
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """(n_mels, n_fft//2 + 1) triangular weights; each filter peaks at 1."""
     pts = _mel_points(n_mels, sample_rate)
@@ -285,14 +280,6 @@ def _mel_blocks(wav: Waveform, cfg: FeatureConfig):
         np.multiply(parts, parts, out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=power)
         yield t0, power @ bank.T
-
-
-def mel_spectrogram(wav: Waveform, cfg: FeatureConfig) -> np.ndarray:
-    """(T, n_mels) Mel-weighted power spectrum before the log."""
-    out = np.empty((_frame_geometry(wav, cfg)[2], cfg.n_mels))
-    for t0, mel in _mel_blocks(wav, cfg):
-        out[t0 : t0 + len(mel)] = mel
-    return out
 
 
 def _log_mel_features(wav: Waveform, cfg: FeatureConfig, dct=None) -> FeatureMatrix:

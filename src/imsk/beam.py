@@ -61,7 +61,7 @@ from .ctc import NEG_INF, ctc_prefix_extend, ctc_prefix_initial, ctc_prefix_scor
 from .lm import sequence_log_prob
 from .nn import tensor as tt
 from .nn.layers import frozen
-from .tokenizer import BLANK_ID, SOS_EOS_ID
+from .tokenizer import BLANK_ID, SOS_EOS_ID, vocab_fingerprint
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,25 @@ def _stack_states(per_lane: list) -> list:
     return [tuple(tt.concat(part) for part in zip(*layer)) for layer in zip(*per_lane)]
 
 
-def _check_vocab(model, lm):
-    if lm is None:
-        return
-    mh = getattr(model, "vocab_hash", "")
-    lh = getattr(lm, "vocab_hash", "")
-    if mh and lh and mh != lh:
-        raise ValueError(f"vocabulary mismatch: model hash {mh!r} != lm hash {lh!r}")
-    if lm.vocab_size != model.vocab_size:
-        raise ValueError(
-            f"vocabulary mismatch: model size {model.vocab_size}, lm size {lm.vocab_size}"
-        )
+def check_vocabularies(model, lm=None, vocab=None) -> None:
+    """The tokenizer (if given), the recognizer and the LM (if given) must
+    share one vocabulary: equal fingerprints where recorded, and equal
+    sizes. A ValueError names the two artifacts that differ."""
+    named = [("asr model", model.vocab_hash, model.vocab_size)]
+    if vocab is not None:
+        named.insert(0, ("tokenizer", vocab_fingerprint(vocab), vocab.size))
+    if lm is not None:
+        named.append(("lm", lm.vocab_hash, lm.vocab_size))
+    present = [(name, h) for name, h, _ in named if h]
+    for (na, ha), (nb, hb) in zip(present, present[1:]):
+        if ha != hb:
+            raise ValueError(
+                f"vocabulary hash mismatch between {na} ({ha[:12]}…) and {nb} ({hb[:12]}…)"
+            )
+    first, _, size = named[0]
+    for name, _, n in named[1:]:
+        if n != size:
+            raise ValueError(f"{name} vocabulary size {n} mismatches {first} size {size}")
 
 
 def _frames(feat) -> np.ndarray:
@@ -363,7 +371,7 @@ def decode_nbest(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     cfg = cfg or DecodeConfig()
-    _check_vocab(model, lm)
+    check_vocabularies(model, lm)
     m64 = frozen(model, np.float64, keep=_ENCODER)
     lm64 = frozen(lm, np.float64) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]

@@ -44,7 +44,7 @@ from .audio import (
     save_cmvn,
     write_feature_dump,
 )
-from .beam import DecodeConfig, decode_batch, decode_nbest
+from .beam import DecodeConfig, check_vocabularies, decode_batch, decode_nbest
 from .lm import LmConfig, load_lm, train_lm, save_lm
 from .sad import (
     SadConfig,
@@ -222,31 +222,6 @@ class Artifacts:
     dcfg: DecodeConfig
 
 
-def _check_vocabularies(vocab, asr: AsrModel, lm) -> None:
-    """The tokenizer, recognizer and LM (if any) must share one vocabulary:
-    equal fingerprints where recorded, and equal sizes."""
-    named = [("tokenizer", vocab_fingerprint(vocab)), ("asr model", asr.vocab_hash)]
-    if lm is not None:
-        named.append(("lm", lm.vocab_hash))
-    present = [(n, h) for n, h in named if h]
-    for (na, ha), (nb, hb) in zip(present, present[1:]):
-        if ha != hb:
-            raise PipelineError(
-                f"config: vocabulary hash mismatch between {na} ({ha[:12]}…) "
-                f"and {nb} ({hb[:12]}…)"
-            )
-    if asr.vocab_size != vocab.size:
-        raise PipelineError(
-            f"config: asr model vocabulary size {asr.vocab_size} "
-            f"does not match tokenizer size {vocab.size}"
-        )
-    if lm is not None and lm.vocab_size != vocab.size:
-        raise PipelineError(
-            f"config: lm vocabulary size {lm.vocab_size} "
-            f"does not match tokenizer size {vocab.size}"
-        )
-
-
 def _load_decoding(asr_model, tokenizer, cmvn, lm_model, required=()):
     """File-check and load the tokenizer, recognizer, CMVN stats and LM (if
     any), and check that they share one vocabulary. `required` names more
@@ -264,7 +239,7 @@ def _load_decoding(asr_model, tokenizer, cmvn, lm_model, required=()):
         asr, _ = load_asr(asr_model)
         stats = load_cmvn(cmvn)
         lm = load_lm(lm_model)[0] if lm_model else None
-    _check_vocabularies(vocab, asr, lm)
+        check_vocabularies(asr, lm, vocab)
     return vocab, asr, lm, stats
 
 
@@ -483,7 +458,8 @@ def _cmd_train_asr(args) -> int:
     for st in res.history:
         print(
             f"epoch {st.epoch}: loss {st.train_loss:.4f} "
-            f"valid accuracy {st.valid_accuracy:.4f} grad norm max {st.grad_norm_max:.4f}"
+            f"valid accuracy {st.valid_accuracy:.4f} eps {st.eps:g} "
+            f"grad norm max {st.grad_norm_max:.4f}"
         )
     print(f"best epoch {res.best_epoch}: accuracy {res.best_accuracy:.4f}")
     return 0

@@ -43,13 +43,6 @@ def min_frames(labels) -> int:
     return int(labels.size) + repeats
 
 
-def ctc_posteriors(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (T, V) logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _extended_labels(labels, blank: int) -> np.ndarray:
     z = np.full(2 * len(labels) + 1, blank, dtype=np.int64)
     z[1::2] = labels
@@ -123,19 +116,6 @@ def ctc_forward_backward(log_probs: np.ndarray, labels, blank: int):
     gamma = np.zeros((T, V))
     np.add.at(gamma.T, z, occ.T)
     return float(log_z), gamma
-
-
-def ctc_loss(posteriors: np.ndarray, labels, blank: int):
-    """(loss, gradient wrt logits) for one utterance.
-
-    loss = -log sum over valid alignments of the per-frame posterior
-    product; the gradient assumes posteriors came from a softmax.
-    """
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(posteriors)
-    log_z, gamma = ctc_forward_backward(log_probs, labels, blank)
-    return -log_z, posteriors - gamma
 
 
 def ctc_loss_op(logits: Tensor, labels, blank: int) -> Tensor:

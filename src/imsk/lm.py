@@ -203,15 +203,10 @@ def save_lm(path, lm: LstmLm, extra: dict | None = None) -> None:
     save_checkpoint(path, config, lm.state_dict())
 
 
-def load_lm(path, expected_hash: str | None = None) -> tuple[LstmLm, dict]:
+def load_lm(path) -> tuple[LstmLm, dict]:
     config, params = load_checkpoint(path)
     if config.get("kind") != "lm":
         raise ValueError(f"{path} is not a language model checkpoint")
-    if expected_hash is not None and config.get("vocab_hash") != expected_hash:
-        raise ValueError(
-            f"vocabulary mismatch: checkpoint hash {config.get('vocab_hash')!r} "
-            f"!= expected {expected_hash!r}"
-        )
     with building_from(path):
         lm = LstmLm(
             vocab_size=config["vocab_size"],

@@ -1,4 +1,4 @@
-from . import checkpoint, gradcheck, layers, optim, tensor
+from . import checkpoint, layers, optim, tensor
 from .tensor import Parameter, Tensor
 
-__all__ = ["tensor", "layers", "optim", "gradcheck", "checkpoint", "Tensor", "Parameter"]
+__all__ = ["tensor", "layers", "optim", "checkpoint", "Tensor", "Parameter"]

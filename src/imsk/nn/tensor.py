@@ -80,27 +80,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self.dtype))
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -203,16 +187,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor._result(a.data * b.data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._result(a.data / b.data, (a, b), backward)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -355,14 +329,6 @@ def exp(a: Tensor) -> Tensor:
     return Tensor._result(y, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return Tensor._result(np.log(a.data), (a,), backward)
-
-
 def sqrt_clamped(a: Tensor, grad_floor: float = 1e-6) -> Tensor:
     """sqrt(max(a, 0)); the derivative denominator is floored at `grad_floor`.
 
@@ -432,16 +398,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(g.reshape(a.data.shape))
 
     return Tensor._result(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    inv = np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv))
-
-    return Tensor._result(a.data.transpose(axes), (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -630,20 +586,17 @@ __all__ = [
     "sub",
     "neg",
     "mul",
-    "div",
     "matmul",
     "tanh",
     "sigmoid",
     "relu",
     "exp",
-    "log",
     "sqrt_clamped",
     "log_softmax",
     "softmax",
     "sum_",
     "mean_",
     "reshape",
-    "transpose",
     "concat",
     "stack",
     "take",

@@ -62,6 +62,8 @@ class SadModel(Module):
                 f"feature dim {f.shape[1] if f.ndim == 2 else f.shape} "
                 f"does not match input_dim {self.cfg.input_dim}"
             )
+        if f.shape[0] == 0:
+            raise ValueError("SAD input has no frames")
         return f
 
     def _hidden(self, f: np.ndarray, start: int, stop: int) -> tt.Tensor:

@@ -124,11 +124,6 @@ def corpus_score(pairs) -> CorpusScore:
     return CorpusScore(s, i, d, c, n)
 
 
-def wer(pairs) -> float:
-    """Corpus WER in percent: 100 * (S + D + I) / total reference words."""
-    return corpus_score(pairs).wer
-
-
 def rt_factor(processing_seconds: float, audio_seconds: float) -> float:
     """Processing time over audio time; below 1 is faster than real time."""
     if audio_seconds <= 0.0:

@@ -252,15 +252,6 @@ def em_step(word_counts: Counter, log_p: dict) -> tuple[dict, float, dict]:
     return new_log_p, total_ll, counts
 
 
-def corpus_log_likelihood(word_counts: Counter, log_p: dict) -> float:
-    max_len = max(len(p) for p in log_p)
-    total = 0.0
-    for word, c in sorted(word_counts.items()):
-        z = _forward_log(word, log_p, max_len)[len(word)]
-        total += c * z
-    return total
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Shared synthetic fixtures for segmentation and recognition tests,
 random corruptions of files for parser tests, an autograd-graph spy, a
 runner for checks at a fixed BLAS thread count, one-prefix CTC
-extension, and the whole-sequence windowed sum."""
+extension, the whole-sequence windowed sum, and the finite-difference
+gradient check."""
 
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from imsk.audio import Waveform, extract_mfcc
 from imsk.ctc import ctc_prefix_extend, ctc_prefix_score_all
-from imsk.nn.tensor import Tensor
+from imsk.nn.tensor import Parameter, Tensor
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
 
 
@@ -261,3 +264,75 @@ def extend_one(prefixes, label, log_posteriors, blank):
     psi = ctc_prefix_score_all(prefixes, [0], [label], log_posteriors)[0]
     (grown,) = ctc_prefix_extend([(prefixes, [0], [label], log_posteriors)], blank)
     return float(psi), grown
+
+
+@dataclass
+class GradCheckReport:
+    """Relative gradient error per checked tensor and overall."""
+
+    per_tensor: dict = field(default_factory=dict)
+    max_rel_error: float = 0.0
+
+    def passed(self, tol: float) -> bool:
+        return self.max_rel_error <= tol
+
+
+def _label(t: Tensor, i: int) -> str:
+    if isinstance(t, Parameter):
+        return t.name
+    return f"tensor{i}"
+
+
+def check_gradients(
+    loss_fn: Callable[[], Tensor],
+    tensors: Sequence[Tensor],
+    step: float = 1e-5,
+    floor: float = 1e-2,
+) -> GradCheckReport:
+    """Compare backprop gradients of `loss_fn` against central differences.
+
+    `loss_fn` must rebuild its graph from the tensors' current data on every
+    call. The relative error per tensor is ||a - n|| / max(||a|| + ||n||,
+    floor) over the flattened gradient. The floor keeps the check honest for
+    near-zero gradients: central differences of a well-scaled loss carry an
+    absolute noise of roughly 1e-10 per entry, so once a gradient norm drops
+    toward that level the quotient against it measures noise, not
+    correctness. Below the floor the comparison is absolute; a genuinely
+    wrong gradient of any norm above ~1e-7 still fails. Run in float64:
+    float32 round-off alone exceeds any useful tolerance.
+    """
+    for t in tensors:
+        if t.data.dtype != np.float64:
+            raise ValueError("gradient checks require float64 tensors")
+        t.requires_grad = True
+        t.grad = None
+
+    loss = loss_fn()
+    loss.backward()
+    analytic = [np.array(t.grad if t.grad is not None else np.zeros_like(t.data)) for t in tensors]
+    for t in tensors:
+        t.grad = None
+
+    report = GradCheckReport()
+    for i, (t, a) in enumerate(zip(tensors, analytic)):
+        numeric = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        nflat = numeric.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            f_plus = loss_fn().item()
+            flat[j] = orig - step
+            f_minus = loss_fn().item()
+            flat[j] = orig
+            nflat[j] = (f_plus - f_minus) / (2.0 * step)
+        diff = np.linalg.norm(a - numeric)
+        denom = max(np.linalg.norm(a) + np.linalg.norm(numeric), floor)
+        rel = float(diff / denom)
+        label = _label(t, i)
+        if label in report.per_tensor:
+            # hand-picked Parameters may share the default name
+            label = f"{label}@{i}"
+        report.per_tensor[label] = rel
+        report.max_rel_error = max(report.max_rel_error, rel)
+    return report

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import run_at_blas_threads
+from helpers import check_gradients, run_at_blas_threads
 from imsk.asr import (
     AsrModel,
     AsrTrainConfig,
@@ -24,7 +24,6 @@ from imsk.beam import _ENCODER
 from imsk.ctc import ctc_loss_op
 from imsk.nn import tensor as tt
 from imsk.nn.layers import frozen
-from imsk.nn.gradcheck import check_gradients
 import imsk.nn.optim as optim
 from imsk.nn.optim import DivergedError
 from imsk.lm import LmConfig, train_lm

@@ -96,6 +96,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="mismatch"):
             decode(feats(1)[0], m, lm)
 
+    def test_lm_without_hash_decodes_when_sizes_agree(self):
+        m, lm = tiny_model(), tiny_lm()
+        m.vocab_hash = "aaa"
+        assert decode(feats(1)[0], m, lm).finished
+
+    def test_lm_size_mismatch_names_both(self):
+        lm = LstmLm(VOCAB + 1, 1, 8, np.random.default_rng(0))
+        message = f"^lm vocabulary size {VOCAB + 1} mismatches asr model size {VOCAB}$"
+        with pytest.raises(ValueError, match=message):
+            decode_nbest(feats(1), tiny_model(), lm)
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             decode_batch(feats(1), tiny_model(), batch_size=0)

@@ -42,7 +42,7 @@ from imsk.cli import (
     run_cli,
     write_transcript,
 )
-from imsk.lm import LmConfig, load_lm
+from imsk.lm import LmConfig, load_lm, save_lm
 from imsk.nn.checkpoint import load_checkpoint, save_checkpoint
 from imsk.sad import SadConfig, SadModel, SadTrainConfig, load_sad, read_segments
 from imsk.tokenizer import decode as detokenize, load_vocab, vocab_fingerprint
@@ -435,6 +435,31 @@ def test_decode_rejects_vocabulary_size_mismatch(world, tmp_path, capsys, monkey
     assert not (tmp_path / "hyp.tsv").exists()
 
 
+def test_library_and_cli_reject_the_same_hash_mismatch(world, tmp_path, capsys, monkeypatch):
+    root = world["root"]
+    asr, _ = load_asr(root / "asr.ckpt")
+    lm, _ = load_lm(root / "lm.ckpt")
+    lm.vocab_hash = "0" * 64
+    save_lm(tmp_path / "other.lm", lm)
+    with pytest.raises(ValueError) as info:
+        decode_nbest([np.zeros((40, asr.enc_cfg.input_dim))], asr, lm)
+    message = str(info.value)
+    assert message.startswith("vocabulary hash mismatch between asr model (")
+    assert " and lm (000000000000…)" in message
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoding started")
+
+    monkeypatch.setattr("imsk.cli.decode_nbest", no_decoding)
+    utt, wav_path, _ = world["tone_rows"][0]
+    man = tmp_path / "man.tsv"
+    write_tsv(man, [(utt, wav_path)])
+    assert run_cli(["decode", "--manifest", str(man), "--model", str(root / "asr.ckpt"),
+                    "--tokenizer", str(root / "vocab.tsv"), "--cmvn", str(root / "cmvn.bin"),
+                    "--lm", str(tmp_path / "other.lm"), "--out", str(tmp_path / "hyp.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+
+
 def test_decode_names_a_missing_lm_file(world, tmp_path, capsys, monkeypatch):
     root = world["root"]
 
@@ -490,6 +515,8 @@ def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):
                     "--dec-units", "4", "--embed-dim", "4"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("epoch 1: ")
+    # the first epoch always improves on no model, so it keeps the initial eps
+    assert float(line.split(" eps ")[1].split()[0]) == AsrTrainConfig().eps
     norm = float(line.split("grad norm max ")[1])
     assert np.isfinite(norm) and norm > 0.0
 

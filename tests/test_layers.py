@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import check_gradients
 from imsk.nn import tensor as tt
-from imsk.nn.gradcheck import check_gradients
 from imsk.nn.layers import Blstm, Embedding, Linear, Lstm, LstmCell, StatsPooling, VggBlock
 
 RNG = np.random.default_rng(11)

@@ -233,15 +233,6 @@ class TestPersistence:
         b, _ = lm2.lm_step(lm2.initial_state(1), np.array([3]))
         assert np.array_equal(a.data, b.data)
 
-    def test_hash_checked_at_load(self, tmp_path):
-        lm = tiny_lm(vocab=6, units=5)
-        lm.vocab_hash = "cafe01"
-        path = tmp_path / "lm.bin"
-        save_lm(path, lm)
-        load_lm(path, expected_hash="cafe01")
-        with pytest.raises(ValueError, match="mismatch"):
-            load_lm(path, expected_hash="beef02")
-
     def test_wrong_kind_rejected(self, tmp_path):
         from imsk.nn.checkpoint import save_checkpoint
 

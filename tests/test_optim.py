@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import corrupt
+from helpers import check_gradients, corrupt
 from imsk.asr import load_asr
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -226,8 +226,6 @@ class TestCheckpoint:
 
 def test_gradcheck_catches_corrupted_backward():
     # negative control: a deliberately wrong backward must fail the check
-    from imsk.nn.gradcheck import check_gradients
-
     x = tt.Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
     def loss():

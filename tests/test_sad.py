@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
+    check_gradients,
     corrupt,
     frame_accuracy,
     record_requires_grad,
@@ -18,7 +19,6 @@ from helpers import (
 from imsk.audio import BLOCK
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError
-from imsk.nn.gradcheck import check_gradients
 from imsk.nn.layers import frozen
 from imsk.nn.optim import DivergedError
 from imsk.sad import (
@@ -435,6 +435,14 @@ def test_train_rejects_an_utterance_with_no_frame():
     labels = [np.arange(6) % 3, np.zeros(0, dtype=int), np.zeros(3, dtype=int)]
     with pytest.raises(ValueError, match="^utterance 1 has no frames$"):
         train_sad(f, labels, SadTrainConfig(arch=TINY, epochs=1))
+
+
+@pytest.mark.parametrize("entry", ["sad_posteriors", "log_posteriors"])
+def test_no_frames_are_rejected(entry):
+    m = SadModel(TINY)
+    f = np.zeros((0, TINY.input_dim))
+    with pytest.raises(ValueError, match="^SAD input has no frames$"):
+        sad_posteriors(f, m) if entry == "sad_posteriors" else m.log_posteriors(f)
 
 
 def test_load_rejects_a_zero_prior(tmp_path):

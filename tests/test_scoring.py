@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from imsk.scoring import AlignmentResult, align, corpus_score, rt_factor, wer
+from imsk.scoring import AlignmentResult, align, corpus_score, rt_factor
 from imsk.util import make_rng
 
 
@@ -88,13 +88,13 @@ def test_alignment_result_validates_counts():
 
 
 def test_wer_single_utterance():
-    w = wer([("a b c", "a x c")])
+    w = corpus_score([("a b c", "a x c")]).wer
     assert abs(w - 100.0 / 3.0) < 1e-9
     assert round(w, 2) == 33.33
 
 
 def test_wer_pools_over_corpus():
-    w = wer([("a b c", "a b c"), ("d e f", "d e x")])
+    w = corpus_score([("a b c", "a b c"), ("d e f", "d e x")]).wer
     assert abs(w - 100.0 / 6.0) < 1e-9
     assert round(w, 2) == 16.67
 
@@ -102,11 +102,11 @@ def test_wer_pools_over_corpus():
 def test_wer_pools_counts_not_rates():
     # 1 edit over 6 pooled words = 16.67%; the mean of per-utterance rates is 10%
     pairs = [("a", "a"), ("b c d e f", "b c d e x")]
-    assert abs(wer(pairs) - 100.0 / 6.0) < 1e-9
+    assert abs(corpus_score(pairs).wer - 100.0 / 6.0) < 1e-9
 
 
 def test_wer_can_exceed_100():
-    assert wer([("a", "a b c d")]) == 300.0
+    assert corpus_score([("a", "a b c d")]).wer == 300.0
 
 
 def test_wer_order_invariant_and_zero_on_match():
@@ -117,13 +117,13 @@ def test_wer_order_invariant_and_zero_on_match():
         words = [str(i) for i in rng.integers(0, 9, size=n)]
         pairs.append((" ".join(words), " ".join(words[: max(1, n - 1)])))
     shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
-    assert wer(pairs) == wer(shuffled)
-    assert wer([(r, r) for r, _ in pairs]) == 0.0
+    assert corpus_score(pairs).wer == corpus_score(shuffled).wer
+    assert corpus_score([(r, r) for r, _ in pairs]).wer == 0.0
 
 
 def test_wer_rejects_empty_reference_corpus():
     with pytest.raises(ValueError, match="no reference words"):
-        wer([("", "x y")])
+        corpus_score([("", "x y")]).wer
 
 
 def test_corpus_score_counts():
