@@ -94,6 +94,9 @@ def encoder_output_length(t: int) -> int:
 
 
 class AsrModel(Module):
+    # the encoder, which decoding keeps in float32 on the model's arrays
+    ENCODER_ATTRS = ("block1", "block2", "blstms")
+
     def __init__(
         self,
         vocab_size: int,
@@ -142,31 +145,28 @@ class AsrModel(Module):
 
     def encode_batch(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
         """(B, T', 2H) encodings of one zero-padded batch and per-utterance
-        output lengths; frames past an utterance's length hold no encoding."""
-        y, le = self._vgg(feats)
+        output lengths; frames past an utterance's length hold no encoding.
+        The BLSTMs run once on the padded batch, and so do the convolutional
+        blocks of a trainable encoder. A constant one (the `nn.layers.frozen`
+        decoding copies) runs its blocks per utterance: with `matmul` taking
+        each row alone there, every row then equals its utterance encoded
+        alone, bit for bit. A padded pass would change short utterances'
+        bits, and need one im2col array for the whole batch, (B T 80, 72)
+        floats in block 1's second convolution, which outweighs the rest of
+        decoding."""
+        if self.block1.w1.requires_grad:
+            y, lengths = self._vgg(feats)
+        else:
+            lengths = np.array([encoder_output_length(f.shape[0]) for f in feats])
+            # allocated before the blocks run, so it sits below their
+            # temporaries on the heap
+            out = np.zeros((len(feats), lengths.max(), self.blstms[0].fw.cell.n_in), self.block1.w1.dtype)
+            for b, f in enumerate(feats):
+                out[b, : lengths[b]] = self._vgg([f])[0].data[0]
+            y = tt.Tensor(out)
         for layer in self.blstms:
-            y = layer(y, le)
-        return y, le
-
-    def encode_each(self, feats: list) -> list[tt.Tensor]:
-        """(1, T'_b, 2H) encodings, each equal bit for bit to
-        `encode_batch([f])` of its utterance alone, on a copy whose encoder
-        is constant (`nn.layers.frozen`): there `matmul` takes every row of
-        the BLSTMs' products alone, in fixed tiles, and the gates are
-        elementwise, so the BLSTMs run once on the zero-padded batch. The
-        convolutional blocks run per utterance: a padded pass would need one
-        im2col array for the whole batch, (B T 80, 72) floats in block 1's
-        second convolution, which outweighs the rest of decoding."""
-        lengths = np.array([encoder_output_length(f.shape[0]) for f in feats])
-        # allocated before the blocks run, so it sits below their
-        # temporaries on the heap
-        y = np.zeros((len(feats), lengths.max(), self.blstms[0].fw.cell.n_in), self.block1.w1.dtype)
-        for b, f in enumerate(feats):
-            y[b, : lengths[b]] = self._vgg([f])[0].data[0]
-        h = tt.Tensor(y)
-        for layer in self.blstms:
-            h = layer(h, lengths)
-        return [tt.take(h, (slice(b, b + 1), slice(0, n))) for b, n in enumerate(lengths)]
+            y = layer(y, lengths)
+        return y, lengths
 
     def _vgg(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
         """(B, T', F) output of the convolutional blocks over a zero-padded
@@ -340,13 +340,8 @@ class AsrModel(Module):
         }
 
 
-def save_asr(path, model: AsrModel, extra: dict | None = None) -> None:
-    config = {
-        "kind": "asr",
-        "vocab_hash": model.vocab_hash,
-        **model.config_dict(),
-        **(extra or {}),
-    }
+def save_asr(path, model: AsrModel) -> None:
+    config = {"kind": "asr", "vocab_hash": model.vocab_hash, **model.config_dict()}
     save_checkpoint(path, config, model.state_dict())
 
 

@@ -33,8 +33,10 @@ The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
 per call by `nn.layers.frozen`, so decoding builds no autograd graph.
 The copies compute in float64, except the encoder, which keeps the
 model's float32 arrays. Each utterance (a lane) owns its float64 encoder
-frames and the attention weights, decoder states and LM states of its
-live hypotheses, and gathers them by parent row when the beam moves on.
+frames and, for its live hypotheses (rows), their tokens, (R,) arrays of
+their total and component scores, and their attention weights, decoder
+states and LM states, and gathers them by parent row when the beam moves
+on; a `Hypothesis` is made only for a row that finishes.
 It owns their CTC prefix states as (T, R) arrays too (`ctc.CtcPrefixes`);
 the frame recursion writes a lane's survivors as columns in beam order,
 so they need no gather. Attention runs once per lane over the lane's own
@@ -46,9 +48,9 @@ never on how many other rows share a call: every product goes through
 `tt.matmul`, which multiplies the rows of the copies' constant weights
 in fixed tiles of `tt.TILE_ROWS` rows, where a row's bits do not depend
 on the other rows, and every other operation is elementwise or reduces
-within a row. The encoder (`AsrModel.encode_each`) runs its BLSTMs once
-on the padded batch of all lanes, and its convolutional blocks per
-utterance.
+within a row. The encoder (`AsrModel.encode_batch`, on the constant
+copy) runs its BLSTMs once on the padded batch of all lanes, and its
+convolutional blocks per utterance.
 """
 
 from __future__ import annotations
@@ -98,23 +100,20 @@ class Hypothesis:
         return self.tokens[1:]
 
 
-# attributes of the encoder, which decodes in float32 on the model's arrays
-_ENCODER = ("block1", "block2", "blstms")
-
-
 class _Lane:
-    """Per-utterance search context: encodings, caps, live and done sets,
-    the (rows, .) attention, decoder and LM states of the live rows, and
-    their (T, rows) CTC prefix states."""
+    """Per-utterance search context: encodings, caps, the finished set, and
+    the live rows: their sos-prefixed tokens, (rows,) total, attention, CTC
+    and LM scores, (rows, .) attention, decoder and LM states, and (T, rows)
+    CTC prefix states."""
 
-    def __init__(self, h: tt.Tensor, m64, lm64, cfg: DecodeConfig):
-        h = self.h = tt.Tensor(h.data.astype(np.float64))
+    def __init__(self, h: np.ndarray, m64, lm64, cfg: DecodeConfig):
+        h = self.h = tt.Tensor(h.astype(np.float64))
         self.T = h.shape[1]
         self.vh = m64.precompute_attention(h)
         self.ctc_logp = tt.log_softmax(m64.ctc_out(h)).data[0]
         self.cap = int(self.T * cfg.max_ratio)
-        start = Hypothesis(tokens=(SOS_EOS_ID,), score=0.0, score_att=0.0, score_ctc=0.0, score_lm=0.0)
-        self.active: list[Hypothesis] = [start]
+        self.tokens: list[tuple[int, ...]] = [(SOS_EOS_ID,)]
+        self.score, self.score_att, self.score_ctc, self.score_lm = (np.zeros(1) for _ in range(4))
         self.a = tt.Tensor(np.full((1, self.T), 1.0 / self.T))
         self.dec = m64.initial_decoder_state(1)
         self.lm = lm64.initial_state(1) if lm64 is not None else None
@@ -185,7 +184,7 @@ def _joint(lam, ctc, att, gam, lm):
     )
 
 
-def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
+def _prefix_scores(lane, att, lm, lam, gam, beam, cols):
     """(R, V) CTC prefix scores of a lane's candidates: exact for every
     candidate that can still enter the beam and for end-of-sequence, -inf
     for the rest. `cols` are the label columns the lane may extend by.
@@ -225,11 +224,11 @@ def _prefix_scores(lane, hyps, att, lm, lam, gam, beam, cols):
     ctc[:, SOS_EOS_ID] = lane.ctc.final_log_probs()
     if cols.size == 0:
         return ctc
-    rest = np.ones((len(hyps), cols.size), dtype=bool)
-    step = len(hyps[0].tokens) - 1
+    rest = np.ones((len(lane.tokens), cols.size), dtype=bool)
+    step = len(lane.tokens[0]) - 1
     if step >= lane.next_try and rest.size > beam:
         lm_cols = lm[:, cols] if lm is not None else None
-        ub = _joint(lam, np.array([hy.score_ctc for hy in hyps])[:, None], att[:, cols], gam, lm_cols)
+        ub = _joint(lam, lane.score_ctc[:, None], att[:, cols], gam, lm_cols)
         rows, at = np.divmod(np.argpartition(-ub, beam - 1, axis=None)[:beam], cols.size)
         ctc[rows, cols[at]] = ctc_prefix_score_all(lane.ctc, rows, cols[at], lane.ctc_logp)
         # the columns not scored yet hold -inf, below every score in s's
@@ -263,7 +262,7 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
         live = [lane for lane in lanes if not lane.done]
         if not live:
             break
-        y_prev = np.array([hy.tokens[-1] for lane in live for hy in lane.active], dtype=np.int64)
+        y_prev = np.array([t[-1] for lane in live for t in lane.tokens], dtype=np.int64)
         attended = [
             m64.attend(lane.a, m64.decoder_query(lane.dec), lane.h, lane.vh) for lane in live
         ]
@@ -275,22 +274,22 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             logp_lm, new_lm = lm64.lm_step(_stack_states([lane.lm for lane in live]), y_prev)
             logp_lm = logp_lm.data
 
-        lo, picks = 0, []
-        for lane in live:
-            hyps = lane.active
-            sl = slice(lo, lo + len(hyps))
-            lo += len(hyps)
+        lo, grown = 0, []
+        for lane, (a_new, _) in zip(live, attended):
+            n_rows = len(lane.tokens)
+            sl = slice(lo, lo + n_rows)
+            lo += n_rows
 
             # scores of every (row, label) extension; the end-of-sequence
             # column carries the complete-sequence CTC probability
-            att = np.array([hy.score_att for hy in hyps])[:, None] + logp_att[sl]
+            att = lane.score_att[:, None] + logp_att[sl]
             lm = ctc = None
             if logp_lm is not None:
-                lm = np.array([hy.score_lm for hy in hyps])[:, None] + logp_lm[sl]
-            emitted = len(hyps[0].tokens) - 1
+                lm = lane.score_lm[:, None] + logp_lm[sl]
+            emitted = len(lane.tokens[0]) - 1
             labels = labels_eos if emitted >= lane.cap else labels_all
             if run_ctc:
-                ctc = _prefix_scores(lane, hyps, att, lm, lam, gam, cfg.beam, labels[1:])
+                ctc = _prefix_scores(lane, att, lm, lam, gam, cfg.beam, labels[1:])
             scores = _joint(lam, ctc, att, gam, lm)
 
             # All rows of a lane hold distinct token sequences of one
@@ -300,33 +299,23 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             # row's top `beam`, so only those are ranked across rows.
             sub = scores[:, labels]
             top = np.argsort(-sub, axis=1, kind="stable")[:, : cfg.beam]
-            row_of = np.repeat(np.arange(len(hyps)), top.shape[1])
+            row_of = np.repeat(np.arange(n_rows), top.shape[1])
             pos = top.ravel()
             cand = sub[row_of, pos]
-            parent_rank = np.argsort(sorted(range(len(hyps)), key=lambda i: hyps[i].tokens))
+            parent_rank = np.argsort(sorted(range(n_rows), key=lane.tokens.__getitem__))
             keep = np.lexsort((pos, parent_rank[row_of], -cand))[: cfg.beam]
-            picked = [(int(row_of[k]), int(labels[pos[k]]), float(cand[k])) for k in keep]
-            picks.append((sl, att, lm, ctc, picked))
-
-        grown = []
-        for lane, (a_new, _), (sl, att, lm, ctc, picked) in zip(live, attended, picks):
-            hyps = lane.active
-            new_active, parents = [], []
-            for ri, c, s in picked:
-                hyp = hyps[ri]
-                att2 = float(att[ri, c])
-                ctc2 = float(ctc[ri, c]) if run_ctc else 0.0
-                lm2 = float(lm[ri, c]) if lm is not None else hyp.score_lm
-                tokens = hyp.tokens if c == SOS_EOS_ID else hyp.tokens + (c,)
-                new = Hypothesis(tokens, s, att2, ctc2, lm2, finished=c == SOS_EOS_ID)
-                if new.finished:
-                    lane.finished.append(new)
-                else:
-                    parents.append(ri)
-                    new_active.append(new)
-            lane.active = new_active
-            # the survivors' states, gathered from their parents' rows
-            rows = np.array(parents, dtype=np.int64)
+            rows, c = row_of[keep], labels[pos[keep]]
+            ctc_k = ctc[rows, c] if run_ctc else np.zeros(keep.size)
+            lm_k = lm[rows, c] if lm is not None else lane.score_lm[rows]
+            picked = (cand[keep], att[rows, c], ctc_k, lm_k)
+            ended = c == SOS_EOS_ID
+            for r, *scored in zip(rows[ended].tolist(), *(x[ended].tolist() for x in picked)):
+                lane.finished.append(Hypothesis(lane.tokens[r], *scored, finished=True))
+            # the survivors, in beam order, and their states, gathered from
+            # their parents' rows
+            rows, c = rows[~ended], c[~ended]
+            lane.tokens = [lane.tokens[r] + (y,) for r, y in zip(rows.tolist(), c.tolist())]
+            lane.score, lane.score_att, lane.score_ctc, lane.score_lm = (x[~ended] for x in picked)
             g = sl.start + rows
             lane.a = a_new[rows]
             lane.dec = [(hh[g], cc[g]) for hh, cc in new_dec]
@@ -334,15 +323,13 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
                 lane.lm = [(hh[g], cc[g]) for hh, cc in new_lm]
             if lane.finished:
                 best_done = lane.best_finished().score
-                if not lane.active or max(hy.score for hy in lane.active) <= best_done:
+                if not rows.size or lane.score.max() <= best_done:
                     lane.done = True
-                    lane.active = []
                     lane.ctc = None
-            elif not lane.active:
+            elif not rows.size:
                 raise RuntimeError("beam search lost all hypotheses")
             if run_ctc and not lane.done:
-                ys = [hy.tokens[-1] for hy in lane.active]
-                grown.append((lane, (lane.ctc, rows, ys, lane.ctc_logp)))
+                grown.append((lane, (lane.ctc, rows, c, lane.ctc_logp)))
 
         if grown:
             # frame states only for the extensions that entered a beam and
@@ -372,12 +359,13 @@ def decode_nbest(
         raise ValueError("batch_size must be >= 1")
     cfg = cfg or DecodeConfig()
     check_vocabularies(model, lm)
-    m64 = frozen(model, np.float64, keep=_ENCODER)
+    m64 = frozen(model, np.float64, keep=model.ENCODER_ATTRS)
     lm64 = frozen(lm, np.float64) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]
     results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
-        lanes = [_Lane(h, m64, lm64, cfg) for h in m64.encode_each(arrs[i : i + batch_size])]
+        h, lengths = m64.encode_batch(arrs[i : i + batch_size])
+        lanes = [_Lane(h.data[b : b + 1, :t], m64, lm64, cfg) for b, t in enumerate(lengths)]
         results.extend(ranked[:n] for ranked in _search(lanes, m64, lm64, cfg))
     return results
 
@@ -392,11 +380,6 @@ def decode_batch(
     return [ranked[0] for ranked in decode_nbest(feats, model, lm, cfg, 1, batch_size)]
 
 
-def decode(feat, model, lm=None, cfg: DecodeConfig | None = None) -> Hypothesis:
-    """Best finished hypothesis for one utterance."""
-    return decode_batch([feat], model, lm, cfg)[0]
-
-
 def rescore(feat, model, tokens, lm=None):
     """Teacher-forced component scores of one finished token sequence.
 
@@ -404,9 +387,9 @@ def rescore(feat, model, tokens, lm=None):
     sos/eos), replayed step by step through the calls the search makes,
     independent of any search state.
     """
-    m64 = frozen(model, np.float64, keep=_ENCODER)
-    (h,) = m64.encode_each([_frames(feat)])
-    lane = _Lane(h, m64, None, DecodeConfig())
+    m64 = frozen(model, np.float64, keep=model.ENCODER_ATTRS)
+    h, _ = m64.encode_batch([_frames(feat)])
+    lane = _Lane(h.data, m64, None, DecodeConfig())
     a, state, att, prev = lane.a, lane.dec, 0.0, SOS_EOS_ID
     for t in list(tokens) + [SOS_EOS_ID]:
         a, r = m64.attend(a, m64.decoder_query(state), lane.h, lane.vh)

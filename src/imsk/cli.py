@@ -112,8 +112,7 @@ class Transcript:
 
 def write_transcript(path, t: Transcript) -> None:
     """UTF-8 TSV "start TAB end TAB text" with 2-decimal seconds."""
-    lines = [f"{s:.2f}\t{e:.2f}\t{text}" for s, e, text in t.entries]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_tsv(path, [(f"{s:.2f}", f"{e:.2f}", text) for s, e, text in t.entries])
 
 
 def read_transcript(path) -> list[tuple[float, float, str]]:
@@ -338,35 +337,31 @@ def transcribe_with(audio_path, cfg: PipelineConfig, art: Artifacts, keep_dir=No
 # -- shared input readers ------------------------------------------------------
 
 
-def _read_manifest(path, with_text: bool) -> list:
-    """Rows "utt-id TAB wav-path[ TAB transcript]"; ids must be unique.
-    Raises ValueError for text that is not UTF-8 or a malformed row and
-    PipelineError for a duplicate id, each naming the file."""
-    rows = read_tsv(path, 3 if with_text else 2)
+def _read_id_table(path, n_fields: int) -> list[list[str]]:
+    """The fields of `read_tsv(path, n_fields)`, whose first field, the
+    utterance id, must be unique. Raises ValueError for text that is not
+    UTF-8 or a row of too few fields, naming the file and line, and
+    PipelineError for a duplicate id, naming the file."""
+    rows = read_tsv(path, n_fields)
     seen = set()
-    out = []
-    for parts in rows:
-        utt = parts[0]
+    for utt, *_ in rows:
         if utt in seen:
             raise PipelineError(f"{path}: duplicate utterance id {utt!r}")
         seen.add(utt)
-        out.append((utt, parts[1], "\t".join(parts[2:]) if with_text else None))
-    return out
+    return rows
+
+
+def _read_manifest(path, with_text: bool) -> list:
+    """Rows "utt-id TAB wav-path[ TAB transcript]" (`_read_id_table`)."""
+    return [
+        (utt, wav, "\t".join(text) if with_text else None)
+        for utt, wav, *text in _read_id_table(path, 3 if with_text else 2)
+    ]
 
 
 def _read_text_table(path) -> list[tuple[str, str]]:
-    """Rows "utt-id TAB text" in file order; ids must be unique. Raises
-    ValueError for text that is not UTF-8 or a line without a tab, naming
-    the file and line, and PipelineError for a duplicate id, naming the
-    file."""
-    seen = set()
-    out = []
-    for utt, *text in read_tsv(path, 2):
-        if utt in seen:
-            raise PipelineError(f"{path}: duplicate utterance id {utt!r}")
-        seen.add(utt)
-        out.append((utt, "\t".join(text)))
-    return out
+    """Rows "utt-id TAB text" in file order (`_read_id_table`)."""
+    return [(utt, "\t".join(text)) for utt, *text in _read_id_table(path, 2)]
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -573,7 +568,8 @@ def _cmd_score(args) -> int:
     refs = _read_text_table(args.ref)
     hyps = dict(_read_text_table(args.hyp))
     missing = [u for u, _ in refs if u not in hyps]
-    extra = [u for u in hyps if u not in {u for u, _ in refs}]
+    ref_ids = {u for u, _ in refs}
+    extra = [u for u in hyps if u not in ref_ids]
     if missing or extra:
         raise PipelineError(
             "score: unmatched utterance ids: "

@@ -137,7 +137,11 @@ def _batch_nll(model, lines):
     return total, int(mask.sum())
 
 
-def perplexity(corpus, lm, chunk: int = 64) -> float:
+# lines per batch of `perplexity`
+_EVAL_LINES = 64
+
+
+def perplexity(corpus, lm) -> float:
     """exp of the mean negative log-likelihood per token, eos included;
     evaluated on a constant copy of `lm`, so no autograd graph is built."""
     lines = list(corpus)
@@ -146,8 +150,8 @@ def perplexity(corpus, lm, chunk: int = 64) -> float:
     lm = frozen(lm, lm.dtype)
     total = 0.0
     count = 0
-    for i in range(0, len(lines), chunk):
-        nll, n = _batch_nll(lm, lines[i : i + chunk])
+    for i in range(0, len(lines), _EVAL_LINES):
+        nll, n = _batch_nll(lm, lines[i : i + _EVAL_LINES])
         total += float(nll.data)
         count += n
     return math.exp(total / count)
@@ -165,7 +169,6 @@ def train_lm(
     vocab_size: int,
     cfg: LmConfig | None = None,
     seed: int | None = None,
-    dtype=np.float32,
     vocab_hash: str = "",
 ) -> LmTrainResult:
     """Cross-entropy training over sos-prefixed lines.
@@ -183,7 +186,7 @@ def train_lm(
             raise ValueError(f"token id out of range [0, {vocab_size})")
 
     rng = make_rng(seed)
-    model = LstmLm(vocab_size, cfg.layers, cfg.units, rng, dtype, vocab_hash)
+    model = LstmLm(vocab_size, cfg.layers, cfg.units, rng, vocab_hash=vocab_hash)
     opt = make_optimizer(cfg.optimizer, model.params())
     batches = make_batches(lines, cfg.batch, length=len)
 
@@ -198,8 +201,8 @@ def train_lm(
     return LmTrainResult(model, perplexities, grad_norms)
 
 
-def save_lm(path, lm: LstmLm, extra: dict | None = None) -> None:
-    config = {"kind": "lm", **lm.config_dict(), **(extra or {})}
+def save_lm(path, lm: LstmLm) -> None:
+    config = {"kind": "lm", **lm.config_dict()}
     save_checkpoint(path, config, lm.state_dict())
 
 

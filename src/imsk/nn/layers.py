@@ -33,8 +33,8 @@ INIT_SCALE = 0.1
 NEG_FILL = -1.0e30  # finite stand-in for -inf inside masked conv stacks
 
 
-def uniform_init(rng: np.random.Generator, shape, dtype, scale: float = INIT_SCALE) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 
 
 class Module:

@@ -329,8 +329,8 @@ def exp(a: Tensor) -> Tensor:
     return Tensor._result(y, (a,), backward)
 
 
-def sqrt_clamped(a: Tensor, grad_floor: float = 1e-6) -> Tensor:
-    """sqrt(max(a, 0)); the derivative denominator is floored at `grad_floor`.
+def sqrt_clamped(a: Tensor) -> Tensor:
+    """sqrt(max(a, 0)); the derivative denominator is floored at 1e-6.
 
     Used for standard deviations so that exactly-constant inputs yield
     exactly zero instead of a jittered epsilon.
@@ -339,7 +339,7 @@ def sqrt_clamped(a: Tensor, grad_floor: float = 1e-6) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g / (2.0 * np.maximum(y, grad_floor)))
+            a._accumulate(g / (2.0 * np.maximum(y, 1e-6)))
 
     return Tensor._result(y, (a,), backward)
 
@@ -379,14 +379,14 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         n = a.data.size
     elif isinstance(axis, int):
         n = a.data.shape[axis]
     else:
         n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(np.asarray(1.0 / n, dtype=a.dtype)))
+    return mul(sum_(a, axis=axis), Tensor(np.asarray(1.0 / n, dtype=a.dtype)))
 
 
 # -- shape surgery ------------------------------------------------------------

@@ -21,7 +21,7 @@ from .nn import tensor as tt
 from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
 from .nn.layers import Linear, Module, StatsPooling, frozen
 from .nn.optim import fit, make_optimizer
-from .util import make_rng, read_tsv_lines
+from .util import make_rng, read_tsv_lines, write_tsv
 
 SILENCE, SPEECH, GARBAGE = 0, 1, 2
 CLASS_NAMES = ("Silence", "Speech", "Garbage")
@@ -361,7 +361,7 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
     return SadTrainResult(model, priors, losses, grad_norms)
 
 
-def save_sad(path, model: SadModel, priors, extra: dict | None = None) -> None:
+def save_sad(path, model: SadModel, priors) -> None:
     """Persist the network together with the training-set class priors."""
     config = {
         "kind": "sad",
@@ -370,7 +370,6 @@ def save_sad(path, model: SadModel, priors, extra: dict | None = None) -> None:
         "hidden": list(model.cfg.hidden),
         "pool_radius": model.cfg.pool_radius,
         "priors": [float(p) for p in priors],
-        **(extra or {}),
     }
     save_checkpoint(path, config, model.state_dict())
 
@@ -397,12 +396,8 @@ def load_sad(path) -> tuple[SadModel, tuple[float, float, float], dict]:
 
 def write_segments(path, items: list[tuple[str, SegmentList]]) -> None:
     """TSV rows "segment-id | recording-id | start | end", 2-decimal seconds."""
-    lines = []
-    for rec_id, segs in items:
-        for i, (s, e) in enumerate(segs):
-            lines.append(f"{rec_id}-{i:04d}\t{rec_id}\t{s:.2f}\t{e:.2f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    rows = [(rec, i, s, e) for rec, segs in items for i, (s, e) in enumerate(segs)]
+    write_tsv(path, [(f"{rec}-{i:04d}", rec, f"{s:.2f}", f"{e:.2f}") for rec, i, s, e in rows])
 
 
 def read_segments(path) -> list[tuple[str, str, float, float]]:

@@ -37,7 +37,7 @@ LOG_P_UNK = math.log(1e-10)
 DEFAULT_TARGET_SIZE = 100
 DEFAULT_SEED_MAX_LEN = 8
 DEFAULT_PRUNE_FRACTION = 0.2
-DEFAULT_EM_ITERS = 2
+EM_ITERS_PER_ROUND = 2
 
 
 def teacher_forcing(labels, dtype):
@@ -304,7 +304,6 @@ def train_unigram(
     target_size: int = DEFAULT_TARGET_SIZE,
     seed_max_len: int = DEFAULT_SEED_MAX_LEN,
     prune_fraction: float = DEFAULT_PRUNE_FRACTION,
-    em_iters_per_round: int = DEFAULT_EM_ITERS,
 ) -> SubwordVocab:
     """Learn a subword vocabulary of at most ``target_size`` pieces.
 
@@ -342,7 +341,7 @@ def train_unigram(
     n_target_multi = target_size - len(singles)
     while True:
         counts = {}
-        for _ in range(em_iters_per_round):
+        for _ in range(EM_ITERS_PER_ROUND):
             log_p, _, counts = em_step(word_counts, log_p)
         log_p = _floor_and_clean(log_p)
         current_multis = [p for p in log_p if len(p) > 1]

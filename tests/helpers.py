@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from imsk.audio import Waveform, extract_mfcc
+from imsk.beam import decode_batch
 from imsk.ctc import ctc_prefix_extend, ctc_prefix_score_all
 from imsk.nn.tensor import Parameter, Tensor
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
@@ -256,6 +257,11 @@ def unblocked_windowed_sum_data(x, radius):
     valid = lo >= 0
     out[valid] -= c[lo[valid]]
     return out.astype(x.dtype)
+
+
+def decode_one(feat, model, lm=None, cfg=None):
+    """Best hypothesis of one utterance, decoded alone."""
+    return decode_batch([feat], model, lm, cfg)[0]
 
 
 def extend_one(prefixes, label, log_posteriors, blank):

@@ -16,6 +16,7 @@ import pytest
 
 from helpers import (
     check_gradients,
+    decode_one,
     frame_accuracy,
     ids_to_words,
     sad_corpus,
@@ -31,7 +32,7 @@ from imsk.asr import (
     train_asr,
 )
 from imsk.audio import save_audio
-from imsk.beam import DecodeConfig, decode, decode_batch, rescore
+from imsk.beam import DecodeConfig, decode_batch, rescore
 from imsk.cli import run_cli
 from imsk.ctc import InfeasibleAlignmentError, ctc_forward_backward, ctc_loss_op, min_frames
 from imsk.lm import LmConfig, train_lm
@@ -314,20 +315,20 @@ def test_joint_decoding_score_contracts(toy):
     feats = [f for f, _ in toy["train"][:10]]
     cfg = DecodeConfig(beam=5, ctc_weight=0.5, lm_weight=0.4)
     for f in feats:
-        h = decode(f, model, lm, cfg)
+        h = decode_one(f, model, lm, cfg)
         att_s, ctc_s, lm_s = rescore(f, model, h.output_ids, lm)
         assert h.score == pytest.approx(
             0.5 * ctc_s + 0.5 * att_s + 0.4 * lm_s, abs=1e-5
         )
     for f in feats[:3]:
         scores = [
-            decode(f, model, lm, DecodeConfig(beam=b, ctc_weight=0.5, lm_weight=0.4)).score
+            decode_one(f, model, lm, DecodeConfig(beam=b, ctc_weight=0.5, lm_weight=0.4)).score
             for b in (1, 2, 5, 10, 20)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:])), scores
     zero = DecodeConfig(beam=5, ctc_weight=0.5, lm_weight=0.0)
     for f in feats:
-        assert decode(f, model, lm, zero).output_ids == decode(f, model, None, zero).output_ids
+        assert decode_one(f, model, lm, zero).output_ids == decode_one(f, model, None, zero).output_ids
 
 
 def test_batched_decoding_identical_and_faster(toy):

@@ -20,7 +20,6 @@ from imsk.asr import (
     save_asr,
     train_asr,
 )
-from imsk.beam import _ENCODER
 from imsk.ctc import ctc_loss_op
 from imsk.nn import tensor as tt
 from imsk.nn.layers import frozen
@@ -104,27 +103,28 @@ def length_mixes(draw):
 @example(lengths=[3, 12, 20, 90], seed=8)
 @example(lengths=[1, 60, 4, 7, 33, 2], seed=0)
 @example(lengths=[41] * 5, seed=1)
-def check_encode_each_equals_alone(lengths, seed):
-    """Each row of the joint decode-time encoder equals the utterance
+def check_constant_encoder_rows_equal_alone(lengths, seed):
+    """Each row of a constant encoder's `encode_batch` equals the utterance
     encoded alone, bit for bit, at the desk encoder's size (80-dim input,
     VGG (8, 16)), where a padded batch through the VGG blocks changes short
-    utterances' bits. On the decoding copies: float64 keeping the float32
+    utterances' bits. On both decoding copies: float64 keeping the float32
     encoder, as the search uses, and all float32. Run at fixed BLAS thread
     counts by the test below."""
     m = AsrModel(VOCAB, rng=np.random.default_rng(5))
     rng = np.random.default_rng(seed)
     fs = [rng.normal(0, 1, (n, 80)) for n in lengths]
-    for enc in (frozen(m, np.float64, keep=_ENCODER), frozen(m, np.float32)):
-        got = enc.encode_each(fs)
-        assert len(got) == len(fs)
-        for f, h in zip(fs, got):
+    for enc in (frozen(m, np.float64, keep=AsrModel.ENCODER_ATTRS), frozen(m, np.float32)):
+        h, got = enc.encode_batch(fs)
+        assert list(got) == [encoder_output_length(n) for n in lengths]
+        for b, (f, n) in enumerate(zip(fs, got)):
             alone, _ = enc.encode_batch([f])
-            assert h.shape == alone.shape and np.array_equal(h.data, alone.data), len(f)
+            row = h.data[b : b + 1, :n]
+            assert row.shape == alone.shape and np.array_equal(row, alone.data), len(f)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_encode_each_equals_alone(threads):
-    run_at_blas_threads(threads, "test_asr.check_encode_each_equals_alone")
+def test_constant_encoder_rows_equal_alone(threads):
+    run_at_blas_threads(threads, "test_asr.check_constant_encoder_rows_equal_alone")
 
 
 def attend_reference(m, a_prev, q, h):
@@ -530,9 +530,8 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         m = tiny_model(dtype=np.float32, seed=2)
         path = tmp_path / "asr.nnk"
-        save_asr(path, m, extra={"vocab_sha": "abc123"})
+        save_asr(path, m)
         m2, config = load_asr(path)
-        assert config["vocab_sha"] == "abc123"
         assert config["vocab_size"] == VOCAB
         for (_, p1), (_, p2) in zip(m.named_params(), m2.named_params()):
             assert np.array_equal(p1.data, p2.data)

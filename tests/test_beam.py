@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import extend_one
+from helpers import decode_one, extend_one
 from imsk.asr import AsrModel, AttentionConfig, DecoderConfig, EncoderConfig
 from imsk.beam import (
     DecodeConfig,
     Hypothesis,
-    decode,
     decode_batch,
     decode_nbest,
     rescore,
@@ -82,24 +81,24 @@ class TestErrors:
     def test_empty_features(self):
         m = tiny_model()
         with pytest.raises(ValueError, match="empty"):
-            decode(np.zeros((0, 8)), m)
+            decode_one(np.zeros((0, 8)), m)
 
     def test_vocab_hash_mismatch(self):
         m, lm = tiny_model(), tiny_lm()
         m.vocab_hash, lm.vocab_hash = "aaa", "bbb"
         with pytest.raises(ValueError, match="mismatch"):
-            decode(feats(1)[0], m, lm)
+            decode_one(feats(1)[0], m, lm)
 
     def test_vocab_size_mismatch(self):
         m = tiny_model()
         lm = LstmLm(VOCAB + 1, 1, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="mismatch"):
-            decode(feats(1)[0], m, lm)
+            decode_one(feats(1)[0], m, lm)
 
     def test_lm_without_hash_decodes_when_sizes_agree(self):
         m, lm = tiny_model(), tiny_lm()
         m.vocab_hash = "aaa"
-        assert decode(feats(1)[0], m, lm).finished
+        assert decode_one(feats(1)[0], m, lm).finished
 
     def test_lm_size_mismatch_names_both(self):
         lm = LstmLm(VOCAB + 1, 1, 8, np.random.default_rng(0))
@@ -117,21 +116,21 @@ class TestDegenerate:
         m = tiny_model()
         cfg = DecodeConfig(beam=1, ctc_weight=0.0, lm_weight=0.0)
         for f in feats(4, seed=2):
-            assert decode(f, m, cfg=cfg).output_ids == greedy_attention(m, f)
+            assert decode_one(f, m, cfg=cfg).output_ids == greedy_attention(m, f)
 
     def test_zero_lm_weight_equals_no_lm(self):
         m, lm = tiny_model(), tiny_lm()
         cfg = DecodeConfig(beam=3, ctc_weight=0.5, lm_weight=0.0)
         for f in feats(3, seed=4):
-            with_lm = decode(f, m, lm, cfg)
-            without = decode(f, m, None, cfg)
+            with_lm = decode_one(f, m, lm, cfg)
+            without = decode_one(f, m, None, cfg)
             assert with_lm.tokens == without.tokens
             assert with_lm.score == without.score
             assert with_lm.score_lm == 0.0
 
     def test_pure_ctc_weight_runs(self):
         m = tiny_model()
-        h = decode(feats(1)[0], m, cfg=DecodeConfig(beam=2, ctc_weight=1.0, lm_weight=0.0))
+        h = decode_one(feats(1)[0], m, cfg=DecodeConfig(beam=2, ctc_weight=1.0, lm_weight=0.0))
         assert np.isfinite(h.score)
         assert h.finished
 
@@ -141,14 +140,14 @@ class TestSearchProperties:
         m, lm = tiny_model(), tiny_lm()
         f = feats(1, seed=9)[0]
         cfg = DecodeConfig(beam=4, lm_weight=0.3)
-        h1, h2 = decode(f, m, lm, cfg), decode(f, m, lm, cfg)
+        h1, h2 = decode_one(f, m, lm, cfg), decode_one(f, m, lm, cfg)
         assert h1.tokens == h2.tokens and h1.score == h2.score
 
     def test_beam_monotone_scores(self):
         m = tiny_model()
         f = feats(1, seed=11)[0]
         scores = [
-            decode(f, m, cfg=DecodeConfig(beam=b, lm_weight=0.0)).score
+            decode_one(f, m, cfg=DecodeConfig(beam=b, lm_weight=0.0)).score
             for b in (1, 2, 5, 10, 20)
         ]
         for lo, hi in zip(scores, scores[1:]):
@@ -158,18 +157,18 @@ class TestSearchProperties:
         m = tiny_model()
         f = feats(1, seed=5, lo=16, hi=17)[0]
         t_out = 4  # ceil(ceil(16/2)/2)
-        full = decode(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0))
+        full = decode_one(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0))
         assert len(full.output_ids) <= t_out
-        capped = decode(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0, max_ratio=0.5))
+        capped = decode_one(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0, max_ratio=0.5))
         assert len(capped.output_ids) <= 2
-        empty = decode(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0, max_ratio=0.05))
+        empty = decode_one(f, m, cfg=DecodeConfig(beam=2, lm_weight=0.0, max_ratio=0.05))
         assert capped.finished and empty.output_ids == ()
 
     def test_combined_score_invariant(self):
         m, lm = tiny_model(), tiny_lm()
         cfg = DecodeConfig(beam=3, ctc_weight=0.3, lm_weight=0.7)
         for f in feats(3, seed=6):
-            h = decode(f, m, lm, cfg)
+            h = decode_one(f, m, lm, cfg)
             combo = 0.3 * h.score_ctc + 0.7 * h.score_att + 0.7 * h.score_lm
             assert abs(h.score - combo) < 1e-9
 
@@ -177,7 +176,7 @@ class TestSearchProperties:
         m, lm = tiny_model(), tiny_lm()
         cfg = DecodeConfig(beam=3, ctc_weight=0.4, lm_weight=0.6)
         f = feats(1, seed=8)[0]
-        h = decode(f, m, lm, cfg)
+        h = decode_one(f, m, lm, cfg)
         att, ctc, lms = rescore(f, m, h.output_ids, lm)
         assert h.score_att == pytest.approx(att, abs=1e-9)
         assert h.score_ctc == pytest.approx(ctc, abs=1e-9)
@@ -194,7 +193,7 @@ class TestBatched:
         m, lm = tiny_model(), tiny_lm()
         cfg = DecodeConfig(beam=3, ctc_weight=0.5, lm_weight=0.3)
         fs = feats(6, seed=0)
-        seq = [decode(f, m, lm, cfg) for f in fs]
+        seq = [decode_one(f, m, lm, cfg) for f in fs]
         for bs in (1, 2, 4, 6):
             got = decode_batch(fs, m, lm, cfg, batch_size=bs)
             assert [h.tokens for h in got] == [h.tokens for h in seq]
@@ -206,7 +205,7 @@ class TestBatched:
         fs = feats(4, seed=13)
         got = decode_batch(fs, m, cfg=cfg, batch_size=4)
         for f, h in zip(fs, got):
-            assert decode(f, m, cfg=cfg).tokens == h.tokens
+            assert decode_one(f, m, cfg=cfg).tokens == h.tokens
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -226,7 +225,7 @@ class TestBatched:
         rng = np.random.default_rng(seed)
         fs = [rng.normal(0, 0.5, (n, 8)) for n in lengths]
         cfg = DecodeConfig(beam=3, ctc_weight=0.5, lm_weight=0.3, max_ratio=max_ratio)
-        seq = [decode(f, m, lm, cfg) for f in fs]
+        seq = [decode_one(f, m, lm, cfg) for f in fs]
         got = decode_batch(fs, m, lm, cfg, batch_size=batch_size)
         assert [_fields(h) for h in got] == [_fields(h) for h in seq]
 
@@ -502,9 +501,9 @@ class TestPruning:
             scored.append(len(labels))
             return score_all(prefixes, rows, labels, *rest)
 
-        def offered(lane, hyps, *rest):
-            columns.append(len(hyps) * rest[-1].size)
-            return prefix_scores(lane, hyps, *rest)
+        def offered(lane, *rest):
+            columns.append(len(lane.tokens) * rest[-1].size)
+            return prefix_scores(lane, *rest)
 
         monkeypatch.setattr(beam_mod, "ctc_prefix_score_all", counting)
         monkeypatch.setattr(beam_mod, "_prefix_scores", offered)

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import TONE_WORDS, corrupt, sad_recording, tone_recording, tone_utterance
+from helpers import TONE_WORDS, corrupt, decode_one, sad_recording, tone_recording, tone_utterance
 from imsk import cli
 from imsk.asr import (
     AsrTrainConfig,
@@ -31,7 +32,7 @@ from imsk.audio import (
     load_cmvn,
     save_audio,
 )
-from imsk.beam import DecodeConfig, decode, decode_nbest
+from imsk.beam import DecodeConfig, decode_nbest
 from imsk.cli import (
     PipelineConfig,
     PipelineError,
@@ -219,6 +220,19 @@ def test_score_subcommand(tmp_path, capsys):
     assert "unmatched utterance ids: u2" in capsys.readouterr().err
 
 
+def test_score_time_is_linear_in_utterances(tmp_path, capsys):
+    # each hypothesis id once rebuilt the set of reference ids: 20,000
+    # ids took about 35 s, against under half a second when built once
+    rows = "".join(f"u{i}\tda re\n" for i in range(20_000))
+    ref, hyp = tmp_path / "ref.tsv", tmp_path / "hyp.tsv"
+    ref.write_text(rows, encoding="utf-8")
+    hyp.write_text(rows, encoding="utf-8")
+    started = time.perf_counter()
+    assert run_cli(["score", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+    assert time.perf_counter() - started < 10.0
+    assert "WER 0.00%" in capsys.readouterr().out
+
+
 def test_transcribe_silence_gives_empty_transcript(world, tmp_path):
     rng = make_rng(7)
     sil = Waveform((0.004 * rng.standard_normal(32000)).astype(np.float32), 16000)
@@ -247,7 +261,7 @@ def test_transcribe_full_speech_matches_direct_decode(world, tmp_path):
     vocab = load_vocab(root / "vocab.tsv")
     stats = load_cmvn(root / "cmvn.bin")
     feat = apply_cmvn(extract_logmel(loaded), stats)
-    hy = decode(feat, asr, lm, DecodeConfig(beam=3))
+    hy = decode_one(feat, asr, lm, DecodeConfig(beam=3))
     assert entries[0][2] == detokenize(hy.output_ids, vocab)
 
 

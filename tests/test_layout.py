@@ -1,8 +1,11 @@
 """The library holds what imsk runs: every module-level function and class
 in src/imsk is referenced by src/ or bench/ code outside its own
-definition. Code that only tests run belongs in tests/."""
+definition, and no two modules define the same module-level name, so a
+reference by name finds the one definition. Code that only tests run
+belongs in tests/."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -79,3 +82,26 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_in_src_is_used_by_imsk():
     assert unreferenced() == []
+
+
+def defined_twice() -> dict[str, list[str]]:
+    """Each module-level name (function, class or assigned variable, but
+    no dunder) that two or more modules of src/imsk define, with those
+    modules."""
+    where = defaultdict(list)
+    for path in sorted(SRC.rglob("*.py")):
+        names = set()
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for name in names:
+            if not name.startswith("__"):
+                where[name].append(str(path.relative_to(SRC)))
+    return {name: mods for name, mods in where.items() if len(mods) > 1}
+
+
+def test_no_two_modules_define_one_name():
+    assert defined_twice() == {}
