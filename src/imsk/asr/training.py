@@ -36,6 +36,7 @@ class EpochStats:
     valid_accuracy: float
     eps: float
     grad_norm_max: float  # largest pre-clip gradient norm of the epoch
+    wall_s: float  # wall seconds of the epoch's training steps
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def train_asr(
     best_acc = -1.0
     best_epoch = 0
     history = []
-    for epoch, train_loss, norm_max in fit(
+    for epoch, train_loss, norm_max, wall_s in fit(
         model.params(), opt, batches, rng, loss_of, cfg.epochs, cfg.clip
     ):
         acc = float(metric_fn(model))
@@ -95,6 +96,7 @@ def train_asr(
                 valid_accuracy=acc,
                 eps=opt.eps,
                 grad_norm_max=norm_max,
+                wall_s=wall_s,
             )
         )
     return TrainResult(

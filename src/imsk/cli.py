@@ -407,8 +407,8 @@ def _cmd_train_lm(args) -> int:
             vocab_hash=vocab_fingerprint(vocab),
         )
         save_lm(args.out, res.model)
-    for i, (pp, norm) in enumerate(zip(res.perplexities, res.grad_norms), 1):
-        print(f"epoch {i}: perplexity {pp:.3f} grad norm max {norm:.4f}")
+    for i, (pp, wall, norm) in enumerate(zip(res.perplexities, res.epoch_seconds, res.grad_norms), 1):
+        print(f"epoch {i}: perplexity {pp:.3f} wall {wall:.2f} s grad norm max {norm:.4f}")
     return 0
 
 
@@ -454,7 +454,7 @@ def _cmd_train_asr(args) -> int:
         print(
             f"epoch {st.epoch}: loss {st.train_loss:.4f} "
             f"valid accuracy {st.valid_accuracy:.4f} eps {st.eps:g} "
-            f"grad norm max {st.grad_norm_max:.4f}"
+            f"wall {st.wall_s:.2f} s grad norm max {st.grad_norm_max:.4f}"
         )
     print(f"best epoch {res.best_epoch}: accuracy {res.best_accuracy:.4f}")
     return 0
@@ -483,8 +483,8 @@ def _cmd_train_sad(args) -> int:
     with _stage("train-sad", args.manifest):
         res = train_sad(feats, labels, cfg)
         save_sad(args.out, res.model, res.priors)
-    for i, (loss, norm) in enumerate(zip(res.losses, res.grad_norms), 1):
-        print(f"epoch {i}: loss {loss:.4f} grad norm max {norm:.4f}")
+    for i, (loss, wall, norm) in enumerate(zip(res.losses, res.epoch_seconds, res.grad_norms), 1):
+        print(f"epoch {i}: loss {loss:.4f} wall {wall:.2f} s grad norm max {norm:.4f}")
     print("priors:", " ".join(f"{p:.4f}" for p in res.priors))
     return 0
 

@@ -162,6 +162,7 @@ class LmTrainResult:
     model: LstmLm
     perplexities: list[float]
     grad_norms: list[float]  # largest pre-clip gradient norm of each epoch
+    epoch_seconds: list[float]  # wall seconds of each epoch's training steps
 
 
 def train_lm(
@@ -174,8 +175,8 @@ def train_lm(
     """Cross-entropy training over sos-prefixed lines.
 
     Returns the final model together with the training-corpus perplexity
-    measured after each epoch and the epoch's largest pre-clip gradient
-    norm.
+    measured after each epoch, the epoch's largest pre-clip gradient norm
+    and the wall seconds of its steps.
     """
     cfg = cfg or LmConfig()
     lines = [list(map(int, y)) for y in corpus]
@@ -194,11 +195,12 @@ def train_lm(
         nll, n_tokens = _batch_nll(model, batch)
         return tt.mul(nll, tt.Tensor(np.asarray(1.0 / n_tokens, dtype=model.dtype))), n_tokens
 
-    perplexities, grad_norms = [], []
-    for _, _, norm_max in fit(model.params(), opt, batches, rng, loss_of, cfg.epochs):
+    perplexities, grad_norms, seconds = [], [], []
+    for _, _, norm_max, wall_s in fit(model.params(), opt, batches, rng, loss_of, cfg.epochs):
         perplexities.append(perplexity(lines, model))
         grad_norms.append(norm_max)
-    return LmTrainResult(model, perplexities, grad_norms)
+        seconds.append(wall_s)
+    return LmTrainResult(model, perplexities, grad_norms, seconds)
 
 
 def save_lm(path, lm: LstmLm) -> None:

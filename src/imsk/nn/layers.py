@@ -16,15 +16,14 @@ from .tensor import (
     Tensor,
     concat,
     conv2d,
+    lstm_gates,
     matmul,
     maxpool2d_ceil,
     mul,
     relu,
-    sigmoid,
     sqrt_clamped,
     stack,
     take,
-    tanh,
     windowed_sum,
     window_counts,
 )
@@ -116,21 +115,7 @@ class LstmCell(Module):
         self.b = Parameter(np.zeros(4 * n_hidden, dtype=dtype))
 
     def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        z = matmul(concat([x, h], axis=1), self.w) + self.b
-        with np.errstate(over="ignore"):
-            return self._apply_gates(z, c)
-
-    def _apply_gates(self, z: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """Callers hold np.errstate(over="ignore"): a sigmoid gate of a
-        large negative input overflows exp to inf and correctly gives 0."""
-        H = self.n_hidden
-        i = sigmoid(take(z, (slice(None), slice(0, H))))
-        f = sigmoid(take(z, (slice(None), slice(H, 2 * H))))
-        g = tanh(take(z, (slice(None), slice(2 * H, 3 * H))))
-        o = sigmoid(take(z, (slice(None), slice(3 * H, 4 * H))))
-        c_new = f * c + i * g
-        h_new = o * tanh(c_new)
-        return h_new, c_new
+        return lstm_gates(matmul(concat([x, h], axis=1), self.w) + self.b, c, self.n_hidden)
 
     def zero_state(self, batch: int, dtype) -> tuple[Tensor, Tensor]:
         z = np.zeros((batch, self.n_hidden), dtype=dtype)
@@ -171,11 +156,10 @@ class Lstm(Module):
         wh = take(self.cell.w, (slice(n_in, n_in + H), slice(None)))
         h, c = self.cell.zero_state(B, xw.dtype)
         outs = []
-        with np.errstate(over="ignore"):
-            for t in range(T):
-                z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
-                h, c = self.cell._apply_gates(z, c)
-                outs.append(h)
+        for t in range(T):
+            z = take(xw, (slice(None), t)) + matmul(h, wh) + self.cell.b
+            h, c = lstm_gates(z, c, H)
+            outs.append(h)
         y = stack(outs, axis=1)
         return take(y, flip) if self.reverse else y
 

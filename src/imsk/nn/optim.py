@@ -7,6 +7,8 @@ accuracy stalls. SGD and Adam exist for the language models.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .tensor import Parameter
@@ -145,8 +147,10 @@ def fit(params, opt, batches, rng, loss_of, epochs: int, clip: float = CLIP):
     """Visit `batches` in a new random order each epoch, taking one clipped
     step per batch on loss_of(batch) = (scalar loss, weight in the epoch's
     mean); after each epoch yield (epoch, weighted mean loss, largest
-    pre-clip gradient norm), and resume only when asked for the next."""
+    pre-clip gradient norm, wall seconds of its steps), and resume only
+    when asked for the next."""
     for epoch in range(1, epochs + 1):
+        started = time.perf_counter()
         total = weight_sum = norm_max = 0.0
         for bi in rng.permutation(len(batches)):
             loss, weight = loss_of(batches[bi])
@@ -159,4 +163,4 @@ def fit(params, opt, batches, rng, loss_of, epochs: int, clip: float = CLIP):
             opt.step()
             total += loss.item() * weight
             weight_sum += weight
-        yield epoch, total / weight_sum, norm_max
+        yield epoch, total / weight_sum, norm_max, time.perf_counter() - started

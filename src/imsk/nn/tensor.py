@@ -260,16 +260,6 @@ def _tiled(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # -- activations --------------------------------------------------------------
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - y * y))
-
-    return Tensor._result(y, (a,), backward)
-
-
 def tanh_addmm(a: Tensor, x: Tensor, w: Tensor, c: Tensor) -> Tensor:
     """tanh((a + x @ w) + c), bit for bit as `tanh(add(add(a, matmul(x, w)),
     c))` computes it, forward and backward, but with one array for the
@@ -299,14 +289,40 @@ def tanh_addmm(a: Tensor, x: Tensor, w: Tensor, c: Tensor) -> Tensor:
     return Tensor._result(y, (a, xw, c), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
+def lstm_gates(z: Tensor, c: Tensor, H: int) -> tuple[Tensor, Tensor]:
+    """(h_new, c_new) of an LSTM cell from its (B, 4H) gate inputs `z` (gates
+    i, f, g, o) and (B, H) state `c`: two graph nodes with the bits of the 13
+    of `lstm_gates_composed` (tests/helpers.py); README's Determinism section
+    says how. exp of a large negative gate input overflows to inf, which
+    correctly gives 0."""
+    zd = z.data
+    with np.errstate(over="ignore"):
+        i, f, o = [1.0 / (1.0 + np.exp(-zd[:, k * H : (k + 1) * H])) for k in (0, 1, 3)]
+    g = np.tanh(zd[:, 2 * H : 3 * H])
+    cd = f * c.data + i * g
+    y = np.tanh(cd)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
+    def c_backward(gc):
+        if z.requires_grad:
+            gz = np.zeros_like(zd)
+            gz[:, :H] += gc * g * i * (1.0 - i)
+            gz[:, H : 2 * H] += gc * c.data * f * (1.0 - f)
+            gz[:, 2 * H : 3 * H] += gc * i * (1.0 - g * g)
+            z._accumulate(gz)
+        if c.requires_grad:
+            c._accumulate(gc * f)
 
-    return Tensor._result(y, (a,), backward)
+    c_new = Tensor._result(cd, (z, c), c_backward)
+
+    def h_backward(gh):
+        if z.requires_grad:
+            gz = np.zeros_like(zd)
+            gz[:, 3 * H :] += gh * y * o * (1.0 - o)
+            z._accumulate(gz)
+        if c_new.requires_grad:
+            c_new._accumulate(gh * o * (1.0 - y * y))
+
+    return Tensor._result(o * y, (z, c_new), h_backward), c_new
 
 
 def relu(a: Tensor) -> Tensor:
@@ -422,12 +438,18 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Numpy indexing (slices or integer arrays) with scatter-add backward."""
+    """Numpy indexing with scatter-add backward. A basic index (slices and
+    ints) picks each element once, so its backward adds into zeros in place;
+    np.add.at accumulates the repeats an integer array may hold."""
+    basic = all(isinstance(p, (slice, int)) for p in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            if basic:
+                full[idx] += g
+            else:
+                np.add.at(full, idx, g)
             a._accumulate(full)
 
     return Tensor._result(a.data[idx], (a,), backward)
@@ -440,6 +462,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """'Same' 2-D convolution, stride 1.
 
     x: (B, H, W, Cin); w: (kh, kw, Cin, Cout); b: (Cout,)
+
+    The input gradient adds g @ w[i, j].T tap by tap, with the bits of the
+    (B H W, kh kw Cin) product it replaced (README, Determinism), but not at
+    Cin = 1, whose only use, on the features, needs no input gradient.
     """
     B, H, W, Ci = x.data.shape
     kh, kw, wci, Co = w.data.shape
@@ -463,11 +489,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b._accumulate(gflat.sum(axis=0))
         if x.requires_grad:
-            gcols = (gflat @ wmat.T).reshape(B, H, W, kh, kw, Ci)
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, i : i + H, j : j + W, :] += gcols[:, :, :, i, j, :]
+                    gxp[:, i : i + H, j : j + W, :] += (gflat @ w.data[i, j].T).reshape(B, H, W, Ci)
             x._accumulate(gxp[:, ph : ph + H, pw : pw + W, :])
 
     parents = (x, w) if b is None else (x, w, b)
@@ -587,8 +612,7 @@ __all__ = [
     "neg",
     "mul",
     "matmul",
-    "tanh",
-    "sigmoid",
+    "lstm_gates",
     "relu",
     "exp",
     "sqrt_clamped",

@@ -314,6 +314,7 @@ class SadTrainResult:
     priors: tuple[float, float, float]
     losses: list[float]
     grad_norms: list[float]  # largest pre-clip gradient norm of each epoch
+    epoch_seconds: list[float]  # wall seconds of each epoch's training steps
 
 
 def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTrainResult:
@@ -351,14 +352,15 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
         logp = model.log_posteriors(f)
         return tt.neg(tt.mean_(tt.take(logp, (np.arange(logp.shape[0]), y)))), logp.shape[0]
 
-    losses, grad_norms = [], []
-    for _, loss, norm_max in fit(
+    losses, grad_norms, seconds = [], [], []
+    for _, loss, norm_max, wall_s in fit(
         model.params(), opt, list(zip(features, labs)), rng, loss_of, cfg.epochs
     ):
         losses.append(loss)
         grad_norms.append(norm_max)
+        seconds.append(wall_s)
     priors = tuple(counts / counts.sum())
-    return SadTrainResult(model, priors, losses, grad_norms)
+    return SadTrainResult(model, priors, losses, grad_norms, seconds)
 
 
 def save_sad(path, model: SadModel, priors) -> None:

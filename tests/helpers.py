@@ -1,8 +1,8 @@
 """Shared synthetic fixtures for segmentation and recognition tests,
 random corruptions of files for parser tests, an autograd-graph spy, a
 runner for checks at a fixed BLAS thread count, one-prefix CTC
-extension, the whole-sequence windowed sum, and the finite-difference
-gradient check."""
+extension, the whole-sequence windowed sum, the compositions that fused
+tensor ops replaced, and the finite-difference gradient check."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from imsk.audio import Waveform, extract_mfcc
 from imsk.beam import decode_batch
 from imsk.ctc import ctc_prefix_extend, ctc_prefix_score_all
+from imsk.nn import tensor as tt
 from imsk.nn.tensor import Parameter, Tensor
 from imsk.sad import GARBAGE, SILENCE, SPEECH, sad_posteriors
 
@@ -257,6 +258,48 @@ def unblocked_windowed_sum_data(x, radius):
     valid = lo >= 0
     out[valid] -= c[lo[valid]]
     return out.astype(x.dtype)
+
+
+# -- the compositions of tt.tanh_addmm and tt.lstm_gates, kept as their
+# oracles, with the activations only they use
+
+
+def tanh(a: Tensor) -> Tensor:
+    y = np.tanh(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * (1.0 - y * y))
+
+    return Tensor._result(y, (a,), backward)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * y * (1.0 - y))
+
+    return Tensor._result(y, (a,), backward)
+
+
+def tanh_addmm_composed(a, x, w, c):
+    return tanh(tt.add(tt.add(a, tt.matmul(x, w)), c))
+
+
+def lstm_gates_composed(z: Tensor, c: Tensor, H: int) -> tuple[Tensor, Tensor]:
+    """(h_new, c_new) from gate slices, sigmoids, tanh, products and the
+    sum: the graph LstmCell built before `tt.lstm_gates`. A sigmoid gate of
+    a large negative input overflows exp to inf and correctly gives 0."""
+    with np.errstate(over="ignore"):
+        i = sigmoid(tt.take(z, (slice(None), slice(0, H))))
+        f = sigmoid(tt.take(z, (slice(None), slice(H, 2 * H))))
+        g = tanh(tt.take(z, (slice(None), slice(2 * H, 3 * H))))
+        o = sigmoid(tt.take(z, (slice(None), slice(3 * H, 4 * H))))
+    c_new = f * c + i * g
+    h_new = o * tanh(c_new)
+    return h_new, c_new
 
 
 def decode_one(feat, model, lm=None, cfg=None):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import check_gradients, run_at_blas_threads
+from helpers import (
+    check_gradients,
+    lstm_gates_composed,
+    run_at_blas_threads,
+    tanh_addmm_composed,
+)
 from imsk.asr import (
     AsrModel,
     AsrTrainConfig,
@@ -23,6 +28,7 @@ from imsk.asr import (
 from imsk.ctc import ctc_loss_op
 from imsk.nn import tensor as tt
 from imsk.nn.layers import frozen
+import imsk.nn.layers as layers
 import imsk.nn.optim as optim
 from imsk.nn.optim import DivergedError
 from imsk.lm import LmConfig, train_lm
@@ -45,6 +51,15 @@ def tiny_model(dtype=np.float64, seed=7):
 
 def feat(t, d=8, scale=0.5):
     return RNG.normal(0, scale, (t, d))
+
+
+def desk_loss_and_grads(feats, dtype):
+    """The desk-config hybrid loss of three utterances' `feats`, padded into
+    one batch, and every parameter's gradient."""
+    m = AsrModel(VOCAB, rng=np.random.default_rng(3), dtype=dtype)
+    loss = m.hybrid_loss(feats, [[3, 4, 5], [6], [4, 3, 4, 5]], 0.3)
+    loss.backward()
+    return loss.data, [p.grad for p in m.params()]
 
 
 class TestEncoder:
@@ -251,19 +266,9 @@ class TestAttention:
         # fused tanh(vh + f @ W + wq) and with the composition it replaced:
         # the loss and every parameter's gradient are bit-equal
         feats = [feat(t, 80) for t in (37, 12, 60)]
-        labels = [[3, 4, 5], [6], [4, 3, 4, 5]]
-
-        def run():
-            m = AsrModel(VOCAB, rng=np.random.default_rng(3))
-            loss = m.hybrid_loss(feats, labels, 0.3)
-            loss.backward()
-            return loss.data, [p.grad for p in m.params()]
-
-        fused = run()
-        monkeypatch.setattr(
-            tt, "tanh_addmm", lambda a, x, w, c: tt.tanh(tt.add(tt.add(a, tt.matmul(x, w)), c))
-        )
-        composed = run()
+        fused = desk_loss_and_grads(feats, np.float32)
+        monkeypatch.setattr(tt, "tanh_addmm", tanh_addmm_composed)
+        composed = desk_loss_and_grads(feats, np.float32)
         assert np.array_equal(fused[0], composed[0])
         assert len(fused[1]) == len(composed[1])
         for f, c in zip(fused[1], composed[1]):
@@ -424,6 +429,37 @@ class TestLosses:
         ]
         report = check_gradients(loss, tensors)
         assert report.passed(1e-5), report.per_tensor
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_lstm_gates_keep_every_training_gradient(self, monkeypatch, dtype):
+        # a padded batch through the hybrid loss at the desk config, with
+        # the BLSTMs' and the decoder's gates fused and composed: the loss
+        # and every parameter's gradient are bit-equal
+        feats = [feat(t, 80) for t in (37, 12, 60)]
+        fused = desk_loss_and_grads(feats, dtype)
+        monkeypatch.setattr(layers, "lstm_gates", lstm_gates_composed)
+        composed = desk_loss_and_grads(feats, dtype)
+        assert np.array_equal(fused[0], composed[0])
+        assert len(fused[1]) == len(composed[1])
+        for f, c in zip(fused[1], composed[1]):
+            assert f.dtype == dtype and np.array_equal(f, c)
+
+    @pytest.mark.parametrize("lengths", [(20, 20), (37, 12)])
+    def test_no_one_channel_convolution_needs_an_input_gradient(self, monkeypatch, lengths):
+        # conv2d's per-tap input gradient keeps the bits of the product it
+        # replaced for more than one input channel only; the one convolution
+        # with one, block 1's first, reads the features, which need none
+        seen = []
+        conv2d = layers.conv2d
+
+        def spy(x, w, b=None):
+            seen.append((x.shape[-1], x.requires_grad))
+            return conv2d(x, w, b)
+
+        monkeypatch.setattr(layers, "conv2d", spy)
+        m = AsrModel(VOCAB, rng=np.random.default_rng(3))
+        m.hybrid_loss([feat(t, 80) for t in lengths], [[3, 4], [5]], 0.3).backward()
+        assert seen == [(1, False), (8, True), (8, True), (16, True)]
 
 
 def memorization_task(n=6):

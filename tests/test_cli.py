@@ -519,44 +519,61 @@ def test_a_checkpoint_without_its_parameters_is_named_once(world, tmp_path, caps
     assert err.startswith(f"error: config: {bad}: state mismatch: missing=") and err.count(str(bad)) == 1
 
 
+def timed_cli(argv) -> float:
+    """Seconds run_cli(argv) took; the command must succeed."""
+    started = time.perf_counter()
+    assert run_cli(argv) == 0
+    return time.perf_counter() - started
+
+
+def epoch_wall(line: str) -> float:
+    """The epoch's wall seconds, printed just before its gradient norm."""
+    wall, rest = line.split(" wall ")[1].split(" s ", 1)
+    assert rest.startswith("grad norm max ")
+    return float(wall)
+
+
 def test_train_asr_reports_gradient_norm(world, tmp_path, capsys):
     man = tmp_path / "man.tsv"
     write_tsv(man, world["tone_rows"][:3])
-    assert run_cli(["train-asr", "--manifest", str(man), "--vocab", str(world["root"] / "vocab.tsv"),
-                    "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "cmvn.bin"),
-                    "--epochs", "1", "--seed", "3", "--enc-layers", "1", "--enc-units", "4",
-                    "--vgg-channels", "2,2", "--attn-dim", "4", "--conv-filters", "3",
-                    "--dec-units", "4", "--embed-dim", "4"]) == 0
+    elapsed = timed_cli(["train-asr", "--manifest", str(man), "--vocab", str(world["root"] / "vocab.tsv"),
+                         "--out", str(tmp_path / "asr.ckpt"), "--cmvn-out", str(tmp_path / "cmvn.bin"),
+                         "--epochs", "1", "--seed", "3", "--enc-layers", "1", "--enc-units", "4",
+                         "--vgg-channels", "2,2", "--attn-dim", "4", "--conv-filters", "3",
+                         "--dec-units", "4", "--embed-dim", "4"])
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("epoch 1: ")
     # the first epoch always improves on no model, so it keeps the initial eps
     assert float(line.split(" eps ")[1].split()[0]) == AsrTrainConfig().eps
     norm = float(line.split("grad norm max ")[1])
     assert np.isfinite(norm) and norm > 0.0
+    assert 0.0 <= epoch_wall(line) <= elapsed
 
 
 def test_train_lm_reports_gradient_norm(world, tmp_path, capsys):
-    assert run_cli(["train-lm", "--corpus", str(world["root"] / "text.txt"),
-                    "--vocab", str(world["root"] / "vocab.tsv"), "--out", str(tmp_path / "lm.ckpt"),
-                    "--layers", "1", "--units", "4", "--epochs", "2", "--seed", "3"]) == 0
+    elapsed = timed_cli(["train-lm", "--corpus", str(world["root"] / "text.txt"),
+                         "--vocab", str(world["root"] / "vocab.tsv"), "--out", str(tmp_path / "lm.ckpt"),
+                         "--layers", "1", "--units", "4", "--epochs", "2", "--seed", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0] for ln in lines] == ["epoch 1", "epoch 2"]
     for line in lines:
         assert " perplexity " in line
         norm = float(line.split("grad norm max ")[1])
         assert np.isfinite(norm) and norm > 0.0
+    assert 0.0 <= sum(epoch_wall(line) for line in lines) <= elapsed
 
 
 def test_train_sad_reports_gradient_norm(world, tmp_path, capsys):
     man = tmp_path / "man.tsv"
     rows = read_tsv(world["root"] / "sadcorpus" / "manifest.tsv", 3)
     write_tsv(man, rows[:2])
-    assert run_cli(["train-sad", "--manifest", str(man), "--out", str(tmp_path / "sad.ckpt"),
-                    "--hidden", "4", "--epochs", "1", "--seed", "5"]) == 0
+    elapsed = timed_cli(["train-sad", "--manifest", str(man), "--out", str(tmp_path / "sad.ckpt"),
+                         "--hidden", "4", "--epochs", "1", "--seed", "5"])
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("epoch 1: loss ")
     norm = float(line.split("grad norm max ")[1])
     assert np.isfinite(norm) and norm > 0.0
+    assert 0.0 <= epoch_wall(line) <= elapsed
 
 
 def test_train_asr_rejects_even_conv_filters(world, tmp_path, capsys):

@@ -136,6 +136,19 @@ def test_embedding_lookup_and_grads():
     check(lambda: tt.sum_(tt.mul(emb(ids), emb(ids))), [emb.table])
 
 
+def test_embedding_rows_that_recur_get_their_summed_gradient():
+    # a token that recurs in a batch takes the sum of its rows' gradients,
+    # added in batch order
+    emb = Embedding(5, 3, RNG, dtype=np.float64)
+    ids = np.array([1, 3, 1, 1])
+    g = RNG.normal(0, 1, (4, 3))
+    tt.sum_(tt.mul(emb(ids), tt.Tensor(g))).backward()
+    expected = np.zeros((5, 3))
+    expected[1] = ((0.0 + g[0]) + g[2]) + g[3]
+    expected[3] = 0.0 + g[1]
+    assert emb.table.grad.tobytes() == expected.tobytes()
+
+
 def test_stats_pooling_constant_input_zero_std():
     pool = StatsPooling(radius=3)
     x = tt.Tensor(np.full((6, 2), 0.7))

@@ -4,9 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import check_gradients, run_at_blas_threads, unblocked_windowed_sum_data
+from helpers import (
+    check_gradients,
+    lstm_gates_composed,
+    run_at_blas_threads,
+    sigmoid,
+    tanh,
+    tanh_addmm_composed,
+    unblocked_windowed_sum_data,
+)
 from imsk.nn import tensor as tt
 
 RNG = np.random.default_rng(703)
@@ -150,14 +158,10 @@ def test_constant_product_copies_no_operand(n):
     assert peak <= out.data.nbytes + tile + 4096, peak - out.data.nbytes
 
 
-@pytest.mark.parametrize("op", [tt.tanh, tt.sigmoid, tt.exp])
+@pytest.mark.parametrize("op", [tanh, sigmoid, tt.exp])
 def test_unary_grads(op):
     a = t64((4, 3), scale=0.5)
     check(lambda: tt.sum_(tt.mul(op(a), op(a))), [a])
-
-
-def tanh_addmm_composed(a, x, w, c):
-    return tt.tanh(tt.add(tt.add(a, tt.matmul(x, w)), c))
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,6 +205,69 @@ def test_tanh_addmm_rejects_mixed_dtypes():
     a, x, w = t64((1, 3, 2)), t64((2, 3, 4)), t64((4, 2))
     with pytest.raises(ValueError, match="dtypes"):
         tt.tanh_addmm(a, x, w, tt.Tensor(np.zeros((2, 1, 2), dtype=np.float32)))
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike np.array_equal, tells -0.0
+    from +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 5),
+    h=st.integers(1, 12),
+    steps=st.integers(1, 4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+@example(b=8, h=64, steps=3, dtype=np.float32, seed=0)
+@example(b=3, h=5, steps=4, dtype=np.float64, seed=1)
+def test_lstm_gates_equal_the_composition(b, h, steps, dtype, seed):
+    # `steps` cells chained through c, so each c_new but the last feeds
+    # tanh and the next cell; gate inputs include saturated ones (exp
+    # overflows float32 at 120 and float64 at 800), and the upstream
+    # gradients include -0.0. Values and the gradients of every z and of
+    # the first c agree bit for bit, sign bits of zeros included.
+    rng = np.random.default_rng(seed)
+    zs = rng.normal(0, 2, (steps, b, 4 * h)).astype(dtype)
+    saturated = rng.random(zs.shape) < 0.1
+    zs[saturated] = rng.choice([-800.0, -120.0, 120.0, 800.0], size=int(saturated.sum()))
+    c0 = rng.normal(0, 1, (b, h)).astype(dtype)
+    weights = rng.normal(0, 1, (steps + 1, b, h)).astype(dtype)
+    weights[rng.random(weights.shape) < 0.2] = -0.0
+    results = []
+    for op in (tt.lstm_gates, lstm_gates_composed):
+        zt = [tt.Tensor(z.copy(), requires_grad=True) for z in zs]
+        first = c = tt.Tensor(c0.copy(), requires_grad=True)
+        loss, values = None, []
+        for t in range(steps):
+            hn, c = op(zt[t], c, h)
+            values.append(hn.data)
+            term = tt.sum_(tt.mul(hn, tt.Tensor(weights[t])))
+            loss = term if loss is None else loss + term
+        values.append(c.data)
+        (loss + tt.sum_(tt.mul(c, tt.Tensor(weights[steps])))).backward()
+        results.append(values + [z.grad for z in zt] + [first.grad])
+    fused, composed = results
+    assert len(fused) == len(composed) == 2 * steps + 2
+    for f, c in zip(fused, composed):
+        assert same_bits(f, c)
+    # any -0.0 in a gradient of z came from an upstream -0.0 and became
+    # +0.0 in the scatter into zeros, as the composition's slices did
+    assert not any(np.signbit(z.grad[z.grad == 0]).any() for z in zt)
+
+
+def test_lstm_gates_grads():
+    h = 3
+    z1, z2, c = t64((2, 4 * h)), t64((2, 4 * h)), t64((2, h))
+
+    def loss():
+        h1, c1 = tt.lstm_gates(z1, c, h)
+        h2, c2 = tt.lstm_gates(z2, c1, h)
+        return tt.sum_(tt.mul(h1, h2)) + tt.sum_(tt.mul(c2, c2)) + tt.sum_(tt.mul(h2, h2))
+
+    check(loss, [z1, z2, c])
 
 
 def test_relu_grad_away_from_kink():
@@ -254,6 +321,58 @@ def test_take_with_slices_and_arrays():
     check(loss, [a])
 
 
+def basic_index(ndim):
+    """A basic index of an array of `ndim` axes, each at most 6 long: a
+    slice, an int, or a tuple of them."""
+    part = st.one_of(
+        st.integers(-6, 5),
+        st.builds(slice, st.none() | st.integers(-7, 7), st.none() | st.integers(-7, 7),
+                  st.none() | st.sampled_from([-2, -1, 1, 2])),
+    )
+    return part | st.lists(part, min_size=1, max_size=ndim).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_basic_take_backward_equals_add_at(shape, dtype, seed, data):
+    # an index of slices and ints picks each element once, so adding the
+    # gradient into zeros in place gives np.add.at's bits, -0.0 included
+    idx = data.draw(basic_index(len(shape)))
+    rng = np.random.default_rng(seed)
+    a = tt.Tensor(rng.normal(0, 1, shape).astype(dtype), requires_grad=True)
+    try:
+        picked = tt.take(a, idx)
+    except IndexError:
+        return
+    g = rng.normal(0, 1, picked.shape).astype(dtype)
+    g[rng.random(g.shape) < 0.3] = -0.0
+    tt.sum_(tt.mul(picked, tt.Tensor(g))).backward()
+    expected = np.zeros_like(a.data)
+    np.add.at(expected, idx, g)
+    assert same_bits(a.grad, expected)
+
+
+def test_take_with_repeated_indices_accumulates():
+    # an integer array that repeats rows adds their gradients, in order
+    a = t64((5, 3))
+    idx = np.array([2, 0, 2, 4, 2])
+    g = RNG.normal(0, 1, (5, 3))
+    tt.sum_(tt.mul(tt.take(a, idx), tt.Tensor(g))).backward()
+    expected = np.zeros((5, 3))
+    expected[2] = ((0.0 + g[0]) + g[2]) + g[4]
+    expected[0], expected[4] = 0.0 + g[1], 0.0 + g[3]
+    assert same_bits(a.grad, expected)
+    a.grad = None
+    rows, cols = np.array([1, 1, 3]), np.array([2, 2, 0])
+    tt.sum_(tt.take(a, (rows, cols))).backward()
+    assert a.grad[1, 2] == 2.0 and a.grad[3, 0] == 1.0 and a.grad.sum() == 3.0
+
+
 def test_sqrt_clamped_value_and_grad():
     a = tt.Tensor(RNG.uniform(0.5, 2.0, (6,)), requires_grad=True)
     check(lambda: tt.sum_(tt.sqrt_clamped(a)), [a])
@@ -266,6 +385,62 @@ def test_conv2d_grads():
     w = t64((3, 3, 3, 2), scale=0.5)
     b = t64((2,))
     check(lambda: tt.sum_(tt.mul(tt.conv2d(x, w, b), tt.conv2d(x, w, b))), [x, w, b], tol=1e-6)
+
+
+def gcols_input_grad(g, w):
+    """conv2d's input gradient as it was computed before the per-tap
+    products: one (B H W, kh kw Ci) product with the whole kernel, whose
+    column blocks are added tap by tap."""
+    B, H, W, Co = g.shape
+    kh, kw, Ci, _ = w.shape
+    gcols = (g.reshape(-1, Co) @ w.reshape(-1, Co).T).reshape(B, H, W, kh, kw, Ci)
+    gxp = np.zeros((B, H + kh - 1, W + kw - 1, Ci), g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i : i + H, j : j + W, :] += gcols[:, :, :, i, j, :]
+    return gxp[:, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W, :]
+
+
+# input and output channels of the desk VGG blocks (1 -> 8 -> 8, 8 -> 16 ->
+# 16), of ENCODER_LARGE's (64, 128), and others between
+CONV_CHANNELS = [3, 5, 8, 12, 16, 64, 128]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.integers(1, 3),
+    h=st.integers(1, 30),
+    w=st.sampled_from([80, 40]),
+    ci=st.sampled_from(CONV_CHANNELS),
+    co=st.sampled_from(CONV_CHANNELS),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+@example(b=2, h=150, w=80, ci=8, co=8, dtype=np.float32, seed=0)
+@example(b=2, h=75, w=40, ci=8, co=16, dtype=np.float64, seed=1)
+@example(b=2, h=75, w=40, ci=16, co=16, dtype=np.float32, seed=2)
+@example(b=1, h=20, w=80, ci=64, co=64, dtype=np.float64, seed=3)
+@example(b=1, h=1, w=40, ci=64, co=128, dtype=np.float32, seed=4)
+@example(b=1, h=1, w=40, ci=128, co=128, dtype=np.float64, seed=5)
+def check_conv2d_input_grad_per_tap(b, h, w, ci, co, dtype, seed):
+    """conv2d's per-tap input gradient has the bits of the column blocks
+    of one product with the whole kernel, at the widths the VGG blocks see
+    at 80 features, so at 40 rows or more. Not for Ci <= 16 < 64 <= Co: at
+    up to 400 rows OpenBLAS 0.3.31 gave those some different bits, and no
+    encoder imsk ships has such a convolution. Run at fixed BLAS thread
+    counts by the test below."""
+    assume(not (ci <= 16 and co >= 64))
+    rng = np.random.default_rng(seed)
+    x = tt.Tensor(rng.normal(0, 1, (b, h, w, ci)).astype(dtype), requires_grad=True)
+    k = tt.Tensor(rng.normal(0, 0.3, (3, 3, ci, co)).astype(dtype))
+    g = rng.normal(0, 1, (b, h, w, co)).astype(dtype)
+    tt.sum_(tt.mul(tt.conv2d(x, k), tt.Tensor(g))).backward()
+    assert same_bits(x.grad, gcols_input_grad(g, k.data)), (b, h, w, ci, co, dtype)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_conv2d_input_grad_per_tap_is_stable(threads):
+    run_at_blas_threads(threads, "test_tensor.check_conv2d_input_grad_per_tap")
 
 
 def test_conv2d_channel_mismatch():
