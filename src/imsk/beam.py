@@ -26,7 +26,7 @@ those by (-score, tokens). Every score is the same floating-point
 expression, in the same order, as a loop over single candidates would
 compute, so pruning changes no result. Then one CTC frame recursion
 builds the prefix states of the extensions that entered the beams of all
-utterances and go on.
+the group's utterances and go on.
 
 The steps are the model's own layers (`AsrModel.attend`, `decode_step`,
 `LstmLm.lm_step`), run on constant copies of the model and LM made once
@@ -40,7 +40,7 @@ on; a `Hypothesis` is made only for a row that finishes.
 It owns their CTC prefix states as (T, R) arrays too (`ctc.CtcPrefixes`);
 the frame recursion writes a lane's survivors as columns in beam order,
 so they need no gather. Attention runs once per lane over the lane's own
-frames; the decoder and LM steps stack the rows of all lanes.
+frames; the decoder and LM steps stack the rows of all lanes in a group.
 
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
@@ -51,10 +51,23 @@ on the other rows, and every other operation is elementwise or reduces
 within a row. The encoder (`AsrModel.encode_batch`, on the constant
 copy) runs its BLSTMs once on the padded batch of all lanes, and its
 convolutional blocks per utterance.
+
+After the encoder, a batch's lanes are split into one group per core the
+process may use, at most one per lane, and each group runs its own search
+on a worker thread (`_lane_groups`: longest lane first, each to the group
+with the fewest encoder frames so far). Since a lane's result does not
+depend on which lanes share its steps, and the searches only read the
+copies, any split gives the same bits; numpy's elementwise operations
+and BLAS products release the interpreter lock, so the groups overlap.
+With one group the search runs on the calling thread, and no thread
+outlives the call. Encoding stays sequential: run per group it would
+hold several groups' im2col buffers at once.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,11 +360,13 @@ def decode_nbest(
     """Top-n finished hypotheses of each utterance, best first.
 
     Ranking follows the (score, token sequence) order the search itself
-    uses. Up to `batch_size` utterances share the encoder's BLSTMs
-    and each search step, yet every list is identical to the one decoding
-    its utterance alone gives. The model and LM are used through constant
-    copies (`nn.layers.frozen`), so no autograd graph is built and their
-    parameters and gradients are left as they are.
+    uses. Up to `batch_size` utterances share the encoder's BLSTMs, and
+    their searches run in concurrent groups of lanes that share each step,
+    yet every list is identical to the one decoding its utterance alone
+    gives. An error in any group reaches the caller. The model and LM are
+    used through constant copies (`nn.layers.frozen`), so no autograd
+    graph is built and their parameters and gradients are left as they
+    are.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -362,12 +377,32 @@ def decode_nbest(
     m64 = frozen(model, np.float64, keep=model.ENCODER_ATTRS)
     lm64 = frozen(lm, np.float64) if lm is not None and cfg.lm_weight > 0.0 else None
     arrs = [_frames(f) for f in feats]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     results: list[list[Hypothesis]] = []
     for i in range(0, len(arrs), batch_size):
         h, lengths = m64.encode_batch(arrs[i : i + batch_size])
         lanes = [_Lane(h.data[b : b + 1, :t], m64, lm64, cfg) for b, t in enumerate(lengths)]
-        results.extend(ranked[:n] for ranked in _search(lanes, m64, lm64, cfg))
+        groups = _lane_groups(lengths, min(cores or 1, len(lanes)))
+        search = lambda g: _search([lanes[k] for k in g], m64, lm64, cfg)
+        ranked: dict[int, list[Hypothesis]] = {}
+        with ThreadPoolExecutor(len(groups)) as pool:
+            for g, part in zip(groups, (pool.map if len(groups) > 1 else map)(search, groups)):
+                ranked.update(zip(g, part))
+        results.extend(ranked[k][:n] for k in range(len(lanes)))
     return results
+
+
+def _lane_groups(frames, n_groups: int) -> list[list[int]]:
+    """Split lanes, given their encoder frame counts, into `n_groups` lists
+    of lane indices, each ascending: longest lane first, each to the group
+    with the fewest frames so far, ties to the lowest group index."""
+    groups: list[list[int]] = [[] for _ in range(n_groups)]
+    load = [0] * n_groups
+    for k in sorted(range(len(frames)), key=lambda k: -int(frames[k])):
+        g = load.index(min(load))
+        groups[g].append(k)
+        load[g] += int(frames[k])
+    return [sorted(g) for g in groups]
 
 
 def decode_batch(

@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctc-weight", type=float)
     p.add_argument("--lm-weight", type=float)
     p.add_argument("--max-ratio", type=float)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=PipelineConfig.batch_size)
     p.add_argument("--dump-nbest", help="per-hypothesis score TSV")
     p.add_argument("--nbest", type=int, default=5)
     p.set_defaults(func=_cmd_decode)

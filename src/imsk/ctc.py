@@ -213,10 +213,10 @@ def ctc_prefix_extend(lanes, blank: int) -> list[CtcPrefixes]:
     `lanes` holds (prefixes, rows, labels, log_posteriors) per utterance:
     the utterance's prefixes, and its (T, V) array; its new prefix k is
     prefix rows[k] extended by labels[k], which is not the blank. The
-    frame recursion runs once over the extensions of all utterances, each
-    padded with -inf to the longest T; its operations are elementwise, so
-    each column equals the recursion of that prefix alone. An utterance's
-    columns, in order, are its new prefixes.
+    frame recursion runs once over the extensions of the lanes it is
+    given, each padded with -inf to the longest T; its operations are
+    elementwise, so each column equals the recursion of that prefix alone.
+    An utterance's columns, in order, are its new prefixes.
     """
     lanes = [(pre, np.asarray(rows, dtype=np.int64), np.asarray(labels, dtype=np.int64), lp)
              for pre, rows, labels, lp in lanes]

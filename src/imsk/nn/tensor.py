@@ -499,26 +499,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._result(out, parents, backward)
 
 
+# The taps of a 2x2 pooling window, in window (row-major) order.
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2d_ceil(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; odd trailing rows/cols kept (ceil mode)."""
-    B, H, W, C = x.data.shape
-    Ho, Wo = (H + 1) // 2, (W + 1) // 2
-    xp = np.pad(
-        x.data,
-        ((0, 0), (0, 2 * Ho - H), (0, 2 * Wo - W), (0, 0)),
-        constant_values=-np.inf,
-    )
-    win = xp.reshape(B, Ho, 2, Wo, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, Ho, Wo, C, 4)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    """2x2 max pooling with stride 2; odd trailing rows/cols kept (ceil mode).
+
+    One pass over the taps in window order: a tap replaces the running
+    maximum where it is greater, or where it is NaN and no NaN came before.
+    So each output is its window's first maximum, as `argmax` picks it: of
+    -0.0 and +0.0 the earlier tap wins, and a window holding a NaN gives its
+    first NaN. The gradient goes to that one tap; the winning tap's index
+    is recorded in the same pass."""
+    out = x.data[:, ::2, ::2].copy()
+    arg = np.zeros(out.shape, np.int8)
+    for k, (i, j) in enumerate(_POOL_TAPS[1:], 1):
+        v = x.data[:, i::2, j::2]
+        m = out[:, : v.shape[1], : v.shape[2]]
+        a = arg[:, : v.shape[1], : v.shape[2]]
+        wins = ~(v <= m)
+        wins &= m == m
+        np.copyto(m, v, where=wins)
+        # the last tap to win has the largest index
+        np.maximum(a, wins.view(np.int8) * np.int8(k), out=a)
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        gw = np.zeros_like(win)
-        np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
-        gxp = gw.reshape(B, Ho, Wo, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * Ho, 2 * Wo, C)
-        x._accumulate(gxp[:, :H, :W, :])
+        gx = np.zeros_like(x.data)
+        for k, (i, j) in enumerate(_POOL_TAPS):
+            v = gx[:, i::2, j::2]
+            h, w = v.shape[1:3]
+            np.copyto(v, g[:, :h, :w], where=arg[:, :h, :w] == k)
+        x._accumulate(gx)
 
     return Tensor._result(out, (x,), backward)
 

@@ -1,10 +1,22 @@
-"""Shared fixtures: a full artifact set built through the command line."""
+"""Shared fixtures: a full artifact set built through the command line,
+and a guard against threads that outlive a test."""
+
+import threading
 
 import pytest
 
 from helpers import write_sad_corpus, write_tone_corpus
 from imsk.cli import run_cli
 from imsk.util import make_rng
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves threads alive which it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left running after the test: {', '.join(leaked)}"
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 random corruptions of files for parser tests, an autograd-graph spy, a
 runner for checks at a fixed BLAS thread count, one-prefix CTC
 extension, the whole-sequence windowed sum, the compositions that fused
-tensor ops replaced, and the finite-difference gradient check."""
+tensor ops replaced, the argmax form of max pooling, and the
+finite-difference gradient check."""
 
 import os
 import subprocess
@@ -282,6 +283,29 @@ def sigmoid(a: Tensor) -> Tensor:
             a._accumulate(g * y * (1.0 - y))
 
     return Tensor._result(y, (a,), backward)
+
+
+def maxpool2d_ceil_argmax(x: Tensor) -> Tensor:
+    """The argmax and take_along_axis form of `tensor.maxpool2d_ceil` that
+    its one pass over the taps replaced, kept as its oracle."""
+    B, H, W, C = x.data.shape
+    Ho, Wo = (H + 1) // 2, (W + 1) // 2
+    xp = np.pad(
+        x.data,
+        ((0, 0), (0, 2 * Ho - H), (0, 2 * Wo - W), (0, 0)),
+        constant_values=-np.inf,
+    )
+    win = xp.reshape(B, Ho, 2, Wo, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, Ho, Wo, C, 4)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        gw = np.zeros_like(win)
+        np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
+        gxp = gw.reshape(B, Ho, Wo, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * Ho, 2 * Wo, C)
+        x._accumulate(gxp[:, :H, :W, :])
+
+    return Tensor._result(out, (x,), backward)
 
 
 def tanh_addmm_composed(a, x, w, c):

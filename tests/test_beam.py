@@ -1,10 +1,16 @@
 """Beam search: contracts, batching equality, score bookkeeping."""
 
+import os
+import sys
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import decode_one, extend_one
+from helpers import decode_one, extend_one, run_at_blas_threads
+from imsk import beam
 from imsk.asr import AsrModel, AttentionConfig, DecoderConfig, EncoderConfig
 from imsk.beam import (
     DecodeConfig,
@@ -261,6 +267,119 @@ class TestBatched:
 
 def _fields(h):
     return h.tokens, h.score, h.score_ctc, h.score_att, h.score_lm
+
+
+def _hex_fields(h):
+    return h.tokens, *(x.hex() for x in (h.score, h.score_ctc, h.score_att, h.score_lm))
+
+
+@contextmanager
+def usable_cores(n):
+    """Make the process look as if it may use `n` cores."""
+    saved = getattr(os, "sched_getaffinity", None)
+    os.sched_getaffinity = lambda pid: set(range(n))
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.sched_getaffinity
+        else:
+            os.sched_getaffinity = saved
+
+
+def check_lane_groups_equal_alone():
+    """`decode_nbest` with a batch's lanes split over 2, 3 or 7 concurrent
+    groups gives every utterance the hypotheses decoding it alone gives,
+    tokens and float hex of all four scores: lanes of mixed lengths, with
+    and without the LM, n = 1 and n = 5, on the tiny model and at the desk
+    encoder's size. Run at fixed BLAS thread counts by the test below, since
+    the groups call the BLAS from two threads at once. The interpreter
+    that runs it switches threads every 10 us, so that the groups' steps
+    interleave finely."""
+    sys.setswitchinterval(1e-5)
+    rng = np.random.default_rng(21)
+    tiny = (tiny_model(), [rng.normal(0, 0.5, (n, 8)) for n in (3, 40, 9, 17, 1, 28, 12)])
+    desk = (AsrModel(VOCAB, rng=np.random.default_rng(5)),
+            [rng.normal(0, 1, (n, 80)) for n in (3, 12, 20, 90, 41)])
+    cfg = DecodeConfig(beam=4, ctc_weight=0.5, lm_weight=0.3)
+    fields = lambda ranked: [list(map(_hex_fields, hs)) for hs in ranked]
+    for m, fs in (tiny, desk):
+        for lm in (None, tiny_lm()):
+            for n in (1, 5):
+                alone = fields([decode_nbest([f], m, lm, cfg, n)[0] for f in fs])
+                for cores in (2, 3, 7):
+                    with usable_cores(cores):
+                        got = decode_nbest(fs, m, lm, cfg, n, batch_size=len(fs))
+                    assert fields(got) == alone, (cores, lm is not None, n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lane_groups_equal_alone(threads):
+    run_at_blas_threads(threads, "test_beam.check_lane_groups_equal_alone")
+
+
+class TestLaneGroups:
+    def test_groups_search_at_once_on_their_own_threads(self, monkeypatch):
+        searched, barrier = [], None
+        search = beam._search
+
+        def spy(lanes, *args):
+            searched.append((threading.current_thread(), len(lanes)))
+            barrier.wait()  # returns only once every group is searching
+            return search(lanes, *args)
+
+        monkeypatch.setattr(beam, "_search", spy)
+        fs, cfg = feats(5, seed=3), DecodeConfig(beam=3)
+        for cores in (1, 2, 4, 9):
+            searched.clear()
+            barrier = threading.Barrier(min(cores, 5), timeout=10)
+            with usable_cores(cores):
+                decode_nbest(fs, tiny_model(), cfg=cfg, batch_size=5)
+            assert len(searched) == min(cores, 5) and sum(n for _, n in searched) == 5
+            threads = {t for t, _ in searched}
+            if cores == 1:
+                assert threads == {threading.main_thread()}
+            else:
+                assert len(threads) == len(searched) and threading.main_thread() not in threads
+
+    def test_an_error_in_one_group_reaches_the_caller(self, monkeypatch):
+        # the 60-frame utterance is the only lane with 15 encoder frames
+        fs = feats(5, seed=6, lo=8, hi=20) + [np.zeros((60, 8))]
+        prefix_scores = beam._prefix_scores
+        lost = RuntimeError("beam search lost all hypotheses")
+
+        def failing(lane, *args):
+            if lane.T == 15:
+                raise lost
+            return prefix_scores(lane, *args)
+
+        monkeypatch.setattr(beam, "_prefix_scores", failing)
+        before = threading.active_count()
+        for cores in (1, 2, 3):
+            with usable_cores(cores), pytest.raises(RuntimeError) as info:
+                decode_nbest(fs, tiny_model(), cfg=DecodeConfig(beam=3), batch_size=6)
+            assert info.value is lost
+            assert threading.active_count() == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(st.integers(1, 500), min_size=1, max_size=12), data=st.data())
+    def test_assignment_is_a_function_of_the_frame_counts(self, frames, data):
+        n_groups = data.draw(st.integers(1, len(frames)))
+        groups = beam._lane_groups(frames, n_groups)
+        assert groups == beam._lane_groups(list(frames), n_groups)
+        assert len(groups) == n_groups and all(groups)
+        assert sorted(k for g in groups for k in g) == list(range(len(frames)))
+        assert all(g == sorted(g) for g in groups)
+        # longest first, each to the lightest group: no group's load exceeds
+        # the lightest one's by more than its own smallest lane
+        loads = [sum(frames[k] for k in g) for g in groups]
+        assert all(load - min(loads) <= min(frames[k] for k in g)
+                   for g, load in zip(groups, loads))
+
+    def test_assignment_examples(self):
+        assert beam._lane_groups([5, 9, 9, 2, 7], 2) == [[1, 4], [0, 2, 3]]
+        assert beam._lane_groups([4, 4, 4], 3) == [[0], [1], [2]]
+        assert beam._lane_groups([1, 2, 3], 1) == [[0, 1, 2]]
 
 
 def _leaf(module, path):

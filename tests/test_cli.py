@@ -204,6 +204,30 @@ def test_decode_subcommand_and_nbest(world, tmp_path, capsys):
     assert nbest.read_text(encoding="utf-8") == "".join(expected)
 
 
+def test_decode_batch_size_defaults_to_the_pipelines(world, tmp_path, monkeypatch):
+    root = world["root"]
+    man = tmp_path / "manifest.tsv"
+    write_tsv(man, [(u, p) for u, p, _ in world["tone_rows"][:10]])
+    sizes = []
+    decode = cli.decode_nbest
+
+    def spy(*args, batch_size, **kwargs):
+        sizes.append(batch_size)
+        return decode(*args, batch_size=batch_size, **kwargs)
+
+    monkeypatch.setattr(cli, "decode_nbest", spy)
+    outputs = []
+    for flags in ([], ["--batch-size", "1"]):
+        hyp, nbest = tmp_path / f"hyp{len(flags)}.tsv", tmp_path / f"nbest{len(flags)}.tsv"
+        assert run_cli(["decode", "--manifest", str(man), "--model", str(root / "asr.ckpt"),
+                        "--tokenizer", str(root / "vocab.tsv"), "--cmvn", str(root / "cmvn.bin"),
+                        "--lm", str(root / "lm.ckpt"), "--beam", "3", "--dump-nbest", str(nbest),
+                        "--out", str(hyp), *flags]) == 0
+        outputs.append((hyp.read_bytes(), nbest.read_bytes()))
+    assert sizes == [PipelineConfig.batch_size, 1]
+    assert outputs[0] == outputs[1]
+
+
 def test_score_subcommand(tmp_path, capsys):
     ref = tmp_path / "ref.tsv"
     hyp = tmp_path / "hyp.tsv"

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     check_gradients,
     lstm_gates_composed,
+    maxpool2d_ceil_argmax,
     run_at_blas_threads,
     sigmoid,
     tanh,
@@ -458,6 +460,52 @@ def test_maxpool_ceil_shapes_and_constant():
 def test_maxpool_grads():
     x = t64((2, 6, 4, 2))
     check(lambda: tt.sum_(tt.mul(tt.maxpool2d_ceil(x), tt.maxpool2d_ceil(x))), [x])
+
+
+def pooled_with_grad(pool, x, g):
+    """The pooled output and input gradient of `pool` on a copy of x, for
+    the output gradient g."""
+    xt = tt.Tensor(x.copy(), requires_grad=True)
+    tt.sum_(tt.mul(pool(xt), tt.Tensor(g))).backward()
+    return pool(tt.Tensor(x)).data, xt.grad
+
+
+# ties of -0.0 and +0.0 (relu emits -0.0), repeated values and NaN
+POOL_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.5]), st.floats(-4, 4), st.just(np.nan))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)),
+    data=st.data(),
+)
+@example(dtype=np.float32, shape=(1, 3, 5, 1), data=None)
+def test_maxpool_equals_argmax_oracle(dtype, shape, data):
+    """Output and input gradient bytes equal the argmax form's, signed zeros
+    and NaN included, for odd and even sizes (ceil mode)."""
+    if data is None:
+        x = np.array([-0.0, 0.0, -0.0, 0.0, 1.0] * 3, dtype).reshape(shape)
+    else:
+        x = data.draw(arrays(dtype, shape, elements=POOL_VALUES.map(dtype)))
+    pooled = (shape[0], (shape[1] + 1) // 2, (shape[2] + 1) // 2, shape[3])
+    g = np.random.default_rng(x.size).normal(0, 1, pooled).astype(dtype)
+    got, want = pooled_with_grad(tt.maxpool2d_ceil, x, g), pooled_with_grad(maxpool2d_ceil_argmax, x, g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_maxpool_nan_gives_the_windows_first_nan():
+    # two NaNs with different payloads; window 0's taps are 1.0, a, b, 3.0
+    # and window 1's are b, 5.0, a, 2.0
+    a, b = 0x7FF8000000000000, 0x7FF8000000000001
+    one, three, five, two = np.array([1.0, 3.0, 5.0, 2.0]).view(np.uint64)
+    x = np.array([[one, a, b, five], [b, three, a, two]], np.uint64).view(np.float64)
+    xt = tt.Tensor(x.reshape(1, 2, 4, 1), requires_grad=True)
+    y = tt.maxpool2d_ceil(xt)
+    tt.sum_(y).backward()
+    assert y.data.ravel().view(np.uint64).tolist() == [a, b]
+    assert xt.grad[0, :, :, 0].tolist() == [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 
 
 def test_conv1d_grads():
