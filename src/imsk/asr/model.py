@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ctc import _check_labels, ctc_loss_op
 from ..nn import tensor as tt
-from ..nn.checkpoint import building_from, load_checkpoint, save_checkpoint
+from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import (
     NEG_FILL,
     Blstm,
@@ -94,6 +94,9 @@ def encoder_output_length(t: int) -> int:
 
 
 class AsrModel(Module):
+    """With no `rng`, every parameter starts at zero, to be loaded."""
+
+    KIND = "asr"
     # the encoder, which decoding keeps in float32 on the model's arrays
     ENCODER_ATTRS = ("block1", "block2", "blstms")
 
@@ -106,7 +109,6 @@ class AsrModel(Module):
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
-        rng = np.random.default_rng(0) if rng is None else rng
         self.vocab_size = vocab_size
         self.enc_cfg = enc
         self.att_cfg = att
@@ -337,28 +339,26 @@ class AsrModel(Module):
             "encoder": asdict(self.enc_cfg),
             "attention": asdict(self.att_cfg),
             "decoder": asdict(self.dec_cfg),
+            "vocab_hash": self.vocab_hash,
         }
 
-
-def save_asr(path, model: AsrModel) -> None:
-    config = {"kind": "asr", "vocab_hash": model.vocab_hash, **model.config_dict()}
-    save_checkpoint(path, config, model.state_dict())
-
-
-def load_asr(path) -> tuple[AsrModel, dict]:
-    config, params = load_checkpoint(path)
-    if config.get("kind") != "asr":
-        raise ValueError(f"{path} is not a recognizer checkpoint")
-    with building_from(path):
+    @staticmethod
+    def from_config(config: dict) -> "AsrModel":
         enc = dict(config["encoder"])
         enc["vgg_channels"] = tuple(enc["vgg_channels"])
         model = AsrModel(
-            vocab_size=config["vocab_size"],
-            enc=EncoderConfig(**enc),
-            att=AttentionConfig(**config["attention"]),
-            dec=DecoderConfig(**config["decoder"]),
-            rng=np.random.default_rng(0),
+            config["vocab_size"],
+            EncoderConfig(**enc),
+            AttentionConfig(**config["attention"]),
+            DecoderConfig(**config["decoder"]),
         )
-        model.load_state_dict(params)
-    model.vocab_hash = config.get("vocab_hash", "")
-    return model, config
+        model.vocab_hash = config.get("vocab_hash", "")
+        return model
+
+
+def save_asr(path, model: AsrModel) -> None:
+    save_model(path, model)
+
+
+def load_asr(path) -> tuple[AsrModel, dict]:
+    return load_model(path, AsrModel, "recognizer")

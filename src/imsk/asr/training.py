@@ -89,19 +89,5 @@ def train_asr(
             best_state = model.state_dict()
         else:
             opt.halve_eps()
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=train_loss,
-                valid_accuracy=acc,
-                eps=opt.eps,
-                grad_norm_max=norm_max,
-                wall_s=wall_s,
-            )
-        )
-    return TrainResult(
-        best_state=best_state,
-        best_accuracy=best_acc,
-        best_epoch=best_epoch,
-        history=history,
-    )
+        history.append(EpochStats(epoch, train_loss, acc, opt.eps, norm_max, wall_s))
+    return TrainResult(best_state, best_acc, best_epoch, history)

@@ -354,6 +354,14 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
     return [sorted(lane.finished, key=lambda hy: (-hy.score, hy.tokens)) for lane in lanes]
 
 
+def check_search_sizes(n: int, batch_size: int) -> None:
+    """Raise a ValueError unless the n-best size and the batch size are >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
 def decode_nbest(
     feats, model, lm=None, cfg: DecodeConfig | None = None, n: int = 1, batch_size: int = 1
 ) -> list[list[Hypothesis]]:
@@ -368,10 +376,7 @@ def decode_nbest(
     graph is built and their parameters and gradients are left as they
     are.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_search_sizes(n, batch_size)
     cfg = cfg or DecodeConfig()
     check_vocabularies(model, lm)
     m64 = frozen(model, np.float64, keep=model.ENCODER_ATTRS)

@@ -44,7 +44,7 @@ from .audio import (
     save_cmvn,
     write_feature_dump,
 )
-from .beam import DecodeConfig, check_vocabularies, decode_batch, decode_nbest
+from .beam import DecodeConfig, check_search_sizes, check_vocabularies, decode_batch, decode_nbest
 from .lm import LmConfig, load_lm, train_lm, save_lm
 from .sad import (
     SadConfig,
@@ -516,6 +516,9 @@ def _cmd_segment(args) -> int:
 
 def _cmd_decode(args) -> int:
     dcfg = _config(DecodeConfig, args)
+    # the n-best lists come from the same search as the 1-best output
+    n = args.nbest if args.dump_nbest is not None else 1
+    check_search_sizes(n, args.batch_size)
     vocab, model, lm, stats = _load_decoding(args.model, args.tokenizer, args.cmvn, args.lm)
 
     rows = _read_manifest(args.manifest, with_text=False)
@@ -528,8 +531,6 @@ def _cmd_decode(args) -> int:
         audio_s += wav.duration
         with _stage("features", utt):
             feats.append(apply_cmvn(extract_logmel(wav), stats))
-    # the n-best lists come from the same search as the 1-best output
-    n = args.nbest if args.dump_nbest is not None else 1
     with _stage("decode", args.manifest):
         ranked = decode_nbest(feats, model, lm, dcfg, n=n, batch_size=args.batch_size)
     out_rows = [

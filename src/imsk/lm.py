@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import tensor as tt
-from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
+from .nn.checkpoint import load_model, save_model
 from .nn.layers import Embedding, Linear, LstmCell, Module, frozen
 from .nn.optim import fit, make_batches, make_optimizer
 from .tokenizer import SOS_EOS_ID, teacher_forcing
@@ -55,15 +55,18 @@ class LstmLm(Module):
 
     The embedding width equals the hidden width. States are lists of
     (h, c) pairs, one per layer; they are plain values and may be shared
-    between search branches without copying.
+    between search branches without copying. With no `rng`, every
+    parameter starts at zero, to be loaded.
     """
+
+    KIND = "lm"
 
     def __init__(
         self,
         vocab_size: int,
         layers: int,
         units: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None = None,
         dtype=np.float32,
         vocab_hash: str = "",
     ):
@@ -104,6 +107,12 @@ class LstmLm(Module):
             "units": self.units,
             "vocab_hash": self.vocab_hash,
         }
+
+    @staticmethod
+    def from_config(config: dict) -> "LstmLm":
+        return LstmLm(
+            config["vocab_size"], config["layers"], config["units"], vocab_hash=config.get("vocab_hash", "")
+        )
 
 
 def sequence_log_prob(lm, ids, include_eos: bool = True) -> float:
@@ -195,30 +204,16 @@ def train_lm(
         nll, n_tokens = _batch_nll(model, batch)
         return tt.mul(nll, tt.Tensor(np.asarray(1.0 / n_tokens, dtype=model.dtype))), n_tokens
 
-    perplexities, grad_norms, seconds = [], [], []
-    for _, _, norm_max, wall_s in fit(model.params(), opt, batches, rng, loss_of, cfg.epochs):
-        perplexities.append(perplexity(lines, model))
-        grad_norms.append(norm_max)
-        seconds.append(wall_s)
-    return LmTrainResult(model, perplexities, grad_norms, seconds)
+    epochs = [
+        (perplexity(lines, model), norm_max, wall_s)
+        for _, _, norm_max, wall_s in fit(model.params(), opt, batches, rng, loss_of, cfg.epochs)
+    ]
+    return LmTrainResult(model, *map(list, zip(*epochs)))
 
 
 def save_lm(path, lm: LstmLm) -> None:
-    config = {"kind": "lm", **lm.config_dict()}
-    save_checkpoint(path, config, lm.state_dict())
+    save_model(path, lm)
 
 
 def load_lm(path) -> tuple[LstmLm, dict]:
-    config, params = load_checkpoint(path)
-    if config.get("kind") != "lm":
-        raise ValueError(f"{path} is not a language model checkpoint")
-    with building_from(path):
-        lm = LstmLm(
-            vocab_size=config["vocab_size"],
-            layers=config["layers"],
-            units=config["units"],
-            rng=np.random.default_rng(0),
-            vocab_hash=config.get("vocab_hash", ""),
-        )
-        lm.load_state_dict(params)
-    return lm, config
+    return load_model(path, LstmLm, "language model")

@@ -1,4 +1,5 @@
-"""Binary checkpoint container: "NNK1" magic, JSON config, named float32 arrays.
+"""Binary checkpoint container: "NNK1" magic, JSON config, named float32 arrays,
+and the one path between a model and its file (`save_model`, `load_model`).
 
 Layout (little-endian throughout):
     magic "NNK1"
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +25,8 @@ class CheckpointError(ValueError):
     """Raised for malformed or truncated checkpoint files."""
 
 
-@contextmanager
-def building_from(path):
-    """Re-raise an error met while a model is built from the config and
-    parameters of checkpoint `path` (a missing field, a wrong shape) as a
-    CheckpointError that names the path."""
-    try:
-        yield
-    except KeyError as e:
-        raise CheckpointError(f"{path}: checkpoint config lacks {e}") from e
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: {e}") from e
-
-
 def save_checkpoint(path, config: dict, params: dict[str, np.ndarray]):
-    blob = bytearray()
-    blob += MAGIC
+    blob = bytearray(MAGIC)
     cfg = json.dumps(config, sort_keys=True).encode("utf-8")
     blob += struct.pack("<I", len(cfg)) + cfg
     blob += struct.pack("<I", len(params))
@@ -48,19 +34,18 @@ def save_checkpoint(path, config: dict, params: dict[str, np.ndarray]):
         nb = name.encode("utf-8")
         a = np.ascontiguousarray(arr, dtype="<f4")
         blob += struct.pack("<I", len(nb)) + nb
-        blob += struct.pack("<I", a.ndim)
-        blob += struct.pack(f"<{a.ndim}I", *a.shape)
+        blob += struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape)
         blob += a.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    Path(path).write_bytes(blob)
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path):
+    def __init__(self, buf: memoryview, path):
         self.buf = buf
         self.pos = 0
         self.path = path
 
-    def read(self, n: int) -> bytes:
+    def read(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError(f"truncated checkpoint: {self.path}")
         out = self.buf[self.pos : self.pos + n]
@@ -72,13 +57,15 @@ class _Reader:
 
     def text(self) -> str:
         try:
-            return self.read(self.u32()).decode("utf-8")
+            return str(self.read(self.u32()), "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"invalid UTF-8 in checkpoint: {self.path}") from e
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    r = _Reader(Path(path).read_bytes(), path)
+    """The config and the named arrays of checkpoint `path`, the arrays
+    read-only views of the file's bytes."""
+    r = _Reader(memoryview(Path(path).read_bytes()), path)
     if r.read(4) != MAGIC:
         raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
     try:
@@ -93,8 +80,30 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.read(4 * ndim))
         count = math.prod(shape)
-        data = np.frombuffer(r.read(4 * count), dtype="<f4").reshape(shape)
-        params[name] = data.astype(np.float32)
+        params[name] = np.frombuffer(r.read(4 * count), dtype="<f4").reshape(shape)
     if r.pos != len(r.buf):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
     return config, params
+
+
+def save_model(path, model, **extra) -> None:
+    """Write `model` (kind `model.KIND`), its `config_dict()` and `extra` config fields."""
+    save_checkpoint(path, {"kind": model.KIND, **extra, **model.config_dict()}, model.state_dict())
+
+
+def load_model(path, cls, what: str):
+    """(model, config) of checkpoint `path`, of kind `cls.KIND`: the model
+    is `cls.from_config(config)` with the file's arrays. An error met while
+    building it (a missing field, a wrong shape) is a CheckpointError that
+    names the path."""
+    config, params = load_checkpoint(path)
+    if config.get("kind") != cls.KIND:
+        raise ValueError(f"{path} is not a {what} checkpoint")
+    try:
+        model = cls.from_config(config)
+        model.load_state_dict(params)
+    except KeyError as e:
+        raise CheckpointError(f"{path}: checkpoint config lacks {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    return model, config

@@ -1,8 +1,10 @@
 """Neural layers: dense, LSTM/BLSTM, VGG-style conv blocks, statistics pooling.
 
-Layers hold ``Parameter`` leaves and compose the ops from ``tensor``; all
-parameters are initialized uniformly in [-init_scale, init_scale] from the
-generator passed in, so a fixed seed reproduces a model bit for bit.
+Layers hold ``Parameter`` leaves and compose the ops from ``tensor``. Their
+weights are drawn uniformly in [-INIT_SCALE, INIT_SCALE] from the generator
+passed in, so a fixed seed reproduces a model bit for bit; with no
+generator, as in a model that is to be loaded, every parameter starts at
+zero and nothing is drawn.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ INIT_SCALE = 0.1
 NEG_FILL = -1.0e30  # finite stand-in for -inf inside masked conv stacks
 
 
-def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+def uniform_init(rng: np.random.Generator | None, shape, dtype) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, dtype)
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 
 
@@ -74,10 +78,10 @@ class Module:
         if missing or extra:
             raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
+            shape = np.shape(state[name])
+            if shape != p.data.shape:
+                raise ValueError(f"shape mismatch for '{name}': {shape} vs {p.data.shape}")
+            p.data = np.array(state[name], dtype=p.data.dtype)
 
 
 def frozen(module: Module, dtype, keep=()) -> Module:
@@ -97,7 +101,7 @@ def frozen(module: Module, dtype, keep=()) -> Module:
 
 
 class Linear(Module):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None, dtype=np.float32):
         self.w = Parameter(uniform_init(rng, (n_in, n_out), dtype))
         self.b = Parameter(np.zeros(n_out, dtype=dtype))
 
@@ -108,7 +112,7 @@ class Linear(Module):
 class LstmCell(Module):
     """Fused-weight LSTM cell; gate order i, f, g, o along the last axis."""
 
-    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None, dtype=np.float32):
         self.n_in = n_in
         self.n_hidden = n_hidden
         self.w = Parameter(uniform_init(rng, (n_in + n_hidden, 4 * n_hidden), dtype))
@@ -138,7 +142,9 @@ class Lstm(Module):
     then recurs only through the hidden term, one step for all rows.
     """
 
-    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32, reverse: bool = False):
+    def __init__(
+        self, n_in: int, n_hidden: int, rng: np.random.Generator | None, dtype=np.float32, reverse: bool = False
+    ):
         self.cell = LstmCell(n_in, n_hidden, rng, dtype)
         self.reverse = reverse
 
@@ -165,7 +171,7 @@ class Lstm(Module):
 
 
 class Blstm(Module):
-    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None, dtype=np.float32):
         self.fw = Lstm(n_in, n_hidden, rng, dtype)
         self.bw = Lstm(n_in, n_hidden, rng, dtype, reverse=True)
 
@@ -181,7 +187,7 @@ class VggBlock(Module):
     and single-utterance forward passes agree regardless of pad contents.
     """
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None, dtype=np.float32):
         self.w1 = Parameter(uniform_init(rng, (3, 3, c_in, c_out), dtype))
         self.b1 = Parameter(np.zeros(c_out, dtype=dtype))
         self.w2 = Parameter(uniform_init(rng, (3, 3, c_out, c_out), dtype))
@@ -210,7 +216,7 @@ class VggBlock(Module):
 
 
 class Embedding(Module):
-    def __init__(self, n_tokens: int, dim: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, n_tokens: int, dim: int, rng: np.random.Generator | None, dtype=np.float32):
         self.table = Parameter(uniform_init(rng, (n_tokens, dim), dtype))
 
     def __call__(self, ids: np.ndarray) -> Tensor:

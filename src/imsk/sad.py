@@ -12,13 +12,13 @@ overlong segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio import BLOCK, flush_blocks
 from .nn import tensor as tt
-from .nn.checkpoint import building_from, load_checkpoint, save_checkpoint
+from .nn.checkpoint import load_model, save_model
 from .nn.layers import Linear, Module, StatsPooling, frozen
 from .nn.optim import fit, make_optimizer
 from .util import make_rng, read_tsv_lines, write_tsv
@@ -44,10 +44,12 @@ class SadConfig:
 
 
 class SadModel(Module):
-    """Spliced feed-forward stack, statistics pooling, 3-class softmax."""
+    """Spliced feed-forward stack, statistics pooling, 3-class softmax.
+    With no `rng`, every parameter starts at zero, to be loaded."""
+
+    KIND = "sad"
 
     def __init__(self, cfg: SadConfig = SadConfig(), rng=None, dtype=np.float32):
-        rng = np.random.default_rng(0) if rng is None else rng
         self.cfg = cfg
         self.dtype = dtype
         dims = [cfg.input_dim * (2 * cfg.context + 1), *cfg.hidden]
@@ -81,6 +83,16 @@ class SadModel(Module):
     def _output(self, pooled: tt.Tensor) -> tt.Tensor:
         n = pooled.shape[0]
         return tt.log_softmax(tt.reshape(self.out(tt.reshape(pooled, (1, n, -1))), (n, 3)))
+
+    def config_dict(self) -> dict:
+        return asdict(self.cfg)
+
+    @staticmethod
+    def from_config(config: dict) -> "SadModel":
+        """The network of a SAD checkpoint's config, whose priors must be valid too."""
+        _priors(config)
+        hidden = tuple(config["hidden"])
+        return SadModel(SadConfig(config["input_dim"], config["context"], hidden, config["pool_radius"]))
 
     def log_posteriors(self, f) -> tt.Tensor:
         # the frames form one (1, T, D) item: one product per layer in
@@ -352,45 +364,23 @@ def train_sad(features, labels, cfg: SadTrainConfig = SadTrainConfig()) -> SadTr
         logp = model.log_posteriors(f)
         return tt.neg(tt.mean_(tt.take(logp, (np.arange(logp.shape[0]), y)))), logp.shape[0]
 
-    losses, grad_norms, seconds = [], [], []
-    for _, loss, norm_max, wall_s in fit(
-        model.params(), opt, list(zip(features, labs)), rng, loss_of, cfg.epochs
-    ):
-        losses.append(loss)
-        grad_norms.append(norm_max)
-        seconds.append(wall_s)
-    priors = tuple(counts / counts.sum())
-    return SadTrainResult(model, priors, losses, grad_norms, seconds)
+    epochs = fit(model.params(), opt, list(zip(features, labs)), rng, loss_of, cfg.epochs)
+    _, losses, grad_norms, seconds = map(list, zip(*epochs))
+    return SadTrainResult(model, tuple(counts / counts.sum()), losses, grad_norms, seconds)
 
 
 def save_sad(path, model: SadModel, priors) -> None:
     """Persist the network together with the training-set class priors."""
-    config = {
-        "kind": "sad",
-        "input_dim": model.cfg.input_dim,
-        "context": model.cfg.context,
-        "hidden": list(model.cfg.hidden),
-        "pool_radius": model.cfg.pool_radius,
-        "priors": [float(p) for p in priors],
-    }
-    save_checkpoint(path, config, model.state_dict())
+    save_model(path, model, priors=[float(p) for p in priors])
+
+
+def _priors(config: dict) -> tuple[float, float, float]:
+    return SadTransform(priors=tuple(float(p) for p in config["priors"])).priors
 
 
 def load_sad(path) -> tuple[SadModel, tuple[float, float, float], dict]:
-    config, params = load_checkpoint(path)
-    if config.get("kind") != "sad":
-        raise ValueError(f"{path} is not a speech activity detection checkpoint")
-    with building_from(path):
-        cfg = SadConfig(
-            input_dim=config["input_dim"],
-            context=config["context"],
-            hidden=tuple(config["hidden"]),
-            pool_radius=config["pool_radius"],
-        )
-        model = SadModel(cfg, np.random.default_rng(0))
-        model.load_state_dict(params)
-        priors = SadTransform(priors=tuple(float(p) for p in config["priors"])).priors
-    return model, priors, config
+    model, config = load_model(path, SadModel, "speech activity detection")
+    return model, _priors(config), config
 
 
 # -- segments file ------------------------------------------------------------

@@ -20,9 +20,7 @@ from imsk.asr import (
     EncoderConfig,
     HybridLossConfig,
     encoder_output_length,
-    load_asr,
     make_batches,
-    save_asr,
     train_asr,
 )
 from imsk.ctc import ctc_loss_op
@@ -560,22 +558,3 @@ class TestTrainLoop:
         batches = make_batches(data, 2)
         lengths = [[item[0].shape[0] for item in b] for b in batches]
         assert lengths == [[10, 20], [30, 40]]
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        m = tiny_model(dtype=np.float32, seed=2)
-        path = tmp_path / "asr.nnk"
-        save_asr(path, m)
-        m2, config = load_asr(path)
-        assert config["vocab_size"] == VOCAB
-        for (_, p1), (_, p2) in zip(m.named_params(), m2.named_params()):
-            assert np.array_equal(p1.data, p2.data)
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from imsk.nn.checkpoint import save_checkpoint
-
-        path = tmp_path / "x.nnk"
-        save_checkpoint(path, {"kind": "other"}, {"w": np.zeros(2, dtype=np.float32)})
-        with pytest.raises(ValueError):
-            load_asr(path)

@@ -2,7 +2,7 @@
 in src/imsk is referenced by src/ or bench/ code outside its own
 definition, and no two modules define the same module-level name, so a
 reference by name finds the one definition. Code that only tests run
-belongs in tests/."""
+belongs in tests/. Every random number flows from `util.make_rng`."""
 
 import ast
 from collections import defaultdict
@@ -105,3 +105,47 @@ def defined_twice() -> dict[str, list[str]]:
 
 def test_no_two_modules_define_one_name():
     assert defined_twice() == {}
+
+
+def _dotted(node: ast.AST) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def random_sources() -> list[str]:
+    """'module:line' of each place in src/imsk outside `util.make_rng` that
+    calls into numpy.random (making a generator or drawing a number) or
+    imports numpy.random or the standard `random` module. A seeded model
+    draws from the generator handed to it, so one seed fixes every number."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        if module == "util":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "make_rng":
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                found = _dotted(node.func).startswith(("np.random.", "numpy.random."))
+            elif isinstance(node, ast.Import):
+                found = any(a.name in ("random", "numpy.random") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found = node.module in ("random", "numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names)
+                )
+            else:
+                continue
+            if found and node.lineno not in allowed:
+                out.append(f"{module}:{node.lineno}")
+    return out
+
+
+def test_random_numbers_flow_from_make_rng_only():
+    assert random_sources() == []

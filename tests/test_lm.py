@@ -12,9 +12,7 @@ from imsk.lm import (
     LM_GERMAN,
     LmConfig,
     LstmLm,
-    load_lm,
     perplexity,
-    save_lm,
     sequence_log_prob,
     train_lm,
 )
@@ -219,24 +217,3 @@ class TestTrainLm:
         # batches sort by length, so the long line is batch 1
         with pytest.raises(DivergedError, match="at epoch 1, batch 1$"):
             train_lm([[A, B_TOK], [A]], 5, LmConfig(layers=1, units=4, epochs=1, batch=1), seed=0)
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        lm = tiny_lm(vocab=6, units=5)
-        lm.vocab_hash = "cafe01"
-        path = tmp_path / "lm.bin"
-        save_lm(path, lm)
-        lm2, cfg = load_lm(path)
-        assert cfg["vocab_hash"] == "cafe01"
-        a, _ = lm.lm_step(lm.initial_state(1), np.array([3]))
-        b, _ = lm2.lm_step(lm2.initial_state(1), np.array([3]))
-        assert np.array_equal(a.data, b.data)
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from imsk.nn.checkpoint import save_checkpoint
-
-        path = tmp_path / "other.bin"
-        save_checkpoint(path, {"kind": "asr"}, {"w": np.zeros((2, 2), dtype=np.float32)})
-        with pytest.raises(ValueError):
-            load_lm(path)

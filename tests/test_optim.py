@@ -1,11 +1,15 @@
-"""Optimizer, gradient clipping and checkpoint serialization tests."""
+"""Optimizer, gradient clipping, checkpoint serialization and model file tests."""
+
+import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import check_gradients, corrupt
-from imsk.asr import load_asr
+from imsk.asr import AsrModel, load_asr, save_asr
+from imsk.lm import LstmLm, load_lm, save_lm
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from imsk.nn.optim import (
@@ -17,6 +21,8 @@ from imsk.nn.optim import (
     global_grad_norm,
     make_optimizer,
 )
+from imsk.sad import SadConfig, SadModel, load_sad, save_sad
+from imsk.util import make_rng
 
 
 def make_param(value, grad=None):
@@ -222,6 +228,93 @@ class TestCheckpoint:
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+
+SAD_PRIORS = (0.5, 0.375, 0.125)
+
+# each kind of model file: its desk-config model drawn from `rng`, how it is
+# saved, how it is loaded, and what the wrong-kind error calls it
+MODEL_FILES = {
+    "asr": (lambda rng: AsrModel(7, rng=rng), save_asr, load_asr, "recognizer"),
+    "lm": (lambda rng: LstmLm(7, 2, 64, rng), save_lm, load_lm, "language model"),
+    "sad": (
+        lambda rng: SadModel(SadConfig(), rng),
+        lambda path, m: save_sad(path, m, SAD_PRIORS),
+        load_sad,
+        "speech activity detection",
+    ),
+}
+
+# sha256 of each desk-config model drawn from seed 0, as training starts
+SEEDED_STATE = {
+    "asr": "0056aae3e9d8a5bc7768cf709d9df63373fba959dd6efe91b90ab989e7c35834",
+    "lm": "80ece2e6042bc25bfb7c685590eb357de612d8458f56ae9710127ad6a5623e9c",
+    "sad": "ccce857afc70554fc3b8fcf0e633def69d59f9777a8691daa5db07b169c9798a",
+}
+
+
+def state_sha256(model) -> str:
+    """sha256 over each parameter's name and array bytes, in order."""
+    h = hashlib.sha256()
+    for name, a in model.state_dict().items():
+        h.update(name.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILES))
+class TestModelFiles:
+    def test_round_trip(self, tmp_path, monkeypatch, kind):
+        make, save, load, _ = MODEL_FILES[kind]
+        model = make(make_rng(2))
+        model.vocab_hash = "cafe01"  # kept by the recognizer and the LM
+        path = tmp_path / "model.ckpt"
+        save(path, model)
+
+        # loading takes the file's arrays and draws nothing
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading drew random numbers")
+
+        for name in np.random.__all__:
+            monkeypatch.setattr(np.random, name, no_draws)
+        loaded = load(path)
+        got, config = loaded[0], loaded[-1]
+        assert config["kind"] == kind
+        assert got.config_dict() == model.config_dict()
+        assert state_sha256(got) == state_sha256(model)
+        # arrays of its own, which training may update in place
+        assert all(p.data.flags.owndata and p.data.flags.writeable for p in got.params())
+        if kind == "sad":
+            assert loaded[1] == SAD_PRIORS
+
+    def test_wrong_kind_rejected(self, tmp_path, kind):
+        _, _, load, what = MODEL_FILES[kind]
+        path = tmp_path / "other.ckpt"
+        save_checkpoint(path, {"kind": "sad" if kind == "lm" else "lm"}, {"w": np.zeros(2, dtype=np.float32)})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a {what} checkpoint$"):
+            load(path)
+
+    def test_bad_contents_raise_a_checkpoint_error_naming_the_file(self, tmp_path, kind):
+        make, save, load, _ = MODEL_FILES[kind]
+        save(tmp_path / "model.ckpt", make(make_rng(2)))
+        config, params = load_checkpoint(tmp_path / "model.ckpt")
+        field = min(k for k in config if k not in ("kind", "vocab_hash"))
+        first = next(iter(params))
+        bad = tmp_path / "bad.ckpt"
+        cases = [
+            ({k: v for k, v in config.items() if k != field}, params, f"checkpoint config lacks '{field}'$"),
+            (config, {k: v for k, v in params.items() if k != first},
+             re.escape(f"state mismatch: missing={[first]} extra=[]") + "$"),
+            (config, {**params, first: params[first].reshape(-1)}, f"shape mismatch for '{first}': "),
+        ]
+        for cfg, arrays, message in cases:
+            save_checkpoint(bad, cfg, arrays)
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {message}"):
+                load(bad)
+
+    def test_seeded_initial_state_is_pinned(self, kind):
+        # training starts from these draws, so they must not drift
+        assert state_sha256(MODEL_FILES[kind][0](make_rng(0))) == SEEDED_STATE[kind]
 
 
 def test_gradcheck_catches_corrupted_backward():
