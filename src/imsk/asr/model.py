@@ -25,7 +25,6 @@ from ..ctc import _check_labels, ctc_loss_op
 from ..nn import tensor as tt
 from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import (
-    NEG_FILL,
     Blstm,
     Embedding,
     Linear,
@@ -36,6 +35,8 @@ from ..nn.layers import (
     uniform_init,
 )
 from ..tokenizer import BLANK_ID, teacher_forcing
+
+NEG_FILL = -1.0e30  # finite stand-in for -inf at attention's masked frames
 
 
 @dataclass(frozen=True)
@@ -148,45 +149,27 @@ class AsrModel(Module):
     def encode_batch(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
         """(B, T', 2H) encodings of one zero-padded batch and per-utterance
         output lengths; frames past an utterance's length hold no encoding.
-        The BLSTMs run once on the padded batch, and so do the convolutional
-        blocks of a trainable encoder. A constant one (the `nn.layers.frozen`
-        decoding copies) runs its blocks per utterance: with `matmul` taking
-        each row alone there, every row then equals its utterance encoded
-        alone, bit for bit. A padded pass would change short utterances'
-        bits, and need one im2col array for the whole batch, (B T 80, 72)
-        floats in block 1's second convolution, which outweighs the rest of
-        decoding."""
-        if self.block1.w1.requires_grad:
-            y, lengths = self._vgg(feats)
-        else:
-            lengths = np.array([encoder_output_length(f.shape[0]) for f in feats])
-            # allocated before the blocks run, so it sits below their
-            # temporaries on the heap
-            out = np.zeros((len(feats), lengths.max(), self.blstms[0].fw.cell.n_in), self.block1.w1.dtype)
-            for b, f in enumerate(feats):
-                out[b, : lengths[b]] = self._vgg([f])[0].data[0]
-            y = tt.Tensor(out)
-        for layer in self.blstms:
-            y = layer(y, lengths)
-        return y, lengths
-
-    def _vgg(self, feats: list) -> tuple[tt.Tensor, np.ndarray]:
-        """(B, T', F) output of the convolutional blocks over a zero-padded
-        batch, and per-utterance output lengths."""
+        The convolutional blocks run on each utterance alone and the BLSTMs
+        once on the padded batch, in training and decoding alike. With
+        `matmul`'s row tiles, every row then equals its utterance encoded
+        alone, bit for bit."""
         d = self.enc_cfg.input_dim
         for f in feats:
             if f.shape[1] != d:
                 raise ValueError(f"feature dim {f.shape[1]} does not match input_dim {d}")
-        lengths = np.array([f.shape[0] for f in feats])
-        t_max = int(lengths.max())
-        # in the encoder's own dtype, which a decoding copy may not share
-        x = np.zeros((len(feats), t_max, d, 1), dtype=self.block1.w1.dtype)
-        for b, f in enumerate(feats):
-            x[b, : f.shape[0], :, 0] = f
-        y, le = self.block1(tt.Tensor(x), lengths)
-        y, le = self.block2(y, le)
-        B, t2, f2, c = y.shape
-        return tt.reshape(y, (B, t2, f2 * c)), le
+        lengths = np.array([encoder_output_length(f.shape[0]) for f in feats])
+        t_max = lengths.max()
+        rows = []
+        for f, n in zip(feats, lengths):
+            # in the encoder's own dtype, which a decoding copy may not share
+            x = tt.Tensor(np.asarray(f, dtype=self.block1.w1.dtype)[None, :, :, None])
+            y = tt.reshape(self.block2(self.block1(x)), (1, n, -1))
+            pad = np.zeros((1, t_max - n, y.shape[2]), y.dtype)
+            rows.append(tt.concat([y, tt.Tensor(pad)], axis=1))
+        y = tt.concat(rows)
+        for layer in self.blstms:
+            y = layer(y, lengths)
+        return y, lengths
 
     def encode(self, feat: np.ndarray) -> tt.Tensor:
         """(T', 2H) encoding of a single utterance."""

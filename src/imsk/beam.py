@@ -45,12 +45,12 @@ frames; the decoder and LM steps stack the rows of all lanes in a group.
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
 never on how many other rows share a call: every product goes through
-`tt.matmul`, which multiplies the rows of the copies' constant weights
-in fixed tiles of `tt.TILE_ROWS` rows, where a row's bits do not depend
-on the other rows, and every other operation is elementwise or reduces
-within a row. The encoder (`AsrModel.encode_batch`, on the constant
-copy) runs its BLSTMs once on the padded batch of all lanes, and its
-convolutional blocks per utterance.
+`tt.matmul`, which multiplies the rows of every 2-D weight in fixed
+tiles of `tt.TILE_ROWS` rows, where a row's bits do not depend on the
+other rows, and every other operation is elementwise or reduces within
+a row. The encoder (`AsrModel.encode_batch`, on the constant copy) runs
+its BLSTMs once on the padded batch of all lanes, and its convolutional
+blocks per utterance.
 
 After the encoder, a batch's lanes are split into one group per core the
 process may use, at most one per lane, and each group runs its own search
@@ -91,8 +91,8 @@ class DecodeConfig:
             raise ValueError("beam must be >= 1")
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError("ctc_weight must lie in [0, 1]")
-        if self.lm_weight < 0.0:
-            raise ValueError("lm_weight must be >= 0")
+        if not 0.0 <= self.lm_weight < np.inf:
+            raise ValueError("lm_weight must be finite and >= 0")
         if not 0.0 < self.max_ratio <= 1.0:
             raise ValueError("max_ratio must lie in (0, 1]")
 

@@ -156,12 +156,13 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.p_stay < 1.0:
             raise ValueError("p_stay must lie strictly between 0 and 1")
-        if self.max_speech <= 0:
+        if not self.max_speech > 0:
             raise ValueError("max_speech must be > 0")
-        if self.merge_max < 0:
+        if not self.merge_max >= 0:
             raise ValueError("merge_max must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        _config(DecodeConfig, self)  # the decoding settings, as decoding checks them
 
 
 # the INI sections and the PipelineConfig fields each one holds
@@ -418,6 +419,8 @@ def _cmd_train_asr(args) -> int:
     att = _config(AttentionConfig, args)
     dec = _config(DecoderConfig, args)
     train_cfg = _config(AsrTrainConfig, args)
+    if not 0.0 < args.valid_fraction < 1.0:
+        raise ValueError("valid_fraction must lie in (0, 1)")
     with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(args.vocab)
     rows = _read_manifest(args.manifest, with_text=True)

@@ -31,7 +31,6 @@ from .tensor import (
 )
 
 INIT_SCALE = 0.1
-NEG_FILL = -1.0e30  # finite stand-in for -inf inside masked conv stacks
 
 
 def uniform_init(rng: np.random.Generator | None, shape, dtype) -> np.ndarray:
@@ -87,10 +86,8 @@ class Module:
 def frozen(module: Module, dtype, keep=()) -> Module:
     """A deep copy of `module` for inference: every parameter becomes a
     constant `Tensor` cast to `dtype`, so calls on the copy build no
-    autograd graph, and `matmul` multiplies rows against its weights in
-    fixed row tiles, so a row's bits do not depend on the batch. Parameters
-    under the attributes named in `keep` keep their own dtype and share the
-    module's arrays."""
+    autograd graph. Parameters under the attributes named in `keep` keep
+    their own dtype and share the module's arrays."""
     memo = {}
     for path, p in module.named_params():
         kept = path.split(".")[0] in keep
@@ -182,9 +179,9 @@ class Blstm(Module):
 class VggBlock(Module):
     """Two same-padded 3x3 convolutions with ReLU, then ceil-mode 2x2 max pool.
 
-    Time and frequency each shrink to ceil(n/2). Padded time frames are
-    zeroed before and after every conv and excluded from pooling so batched
-    and single-utterance forward passes agree regardless of pad contents.
+    Time and frequency each shrink to ceil(n/2). Nothing is masked, so a
+    (B, T, F, C) input holds utterances of T frames each; the recognizer
+    passes one utterance at a time.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None, dtype=np.float32):
@@ -193,26 +190,9 @@ class VggBlock(Module):
         self.w2 = Parameter(uniform_init(rng, (3, 3, c_out, c_out), dtype))
         self.b2 = Parameter(np.zeros(c_out, dtype=dtype))
 
-    def __call__(self, x: Tensor, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        B, T, F, _ = x.shape
-        dtype = x.dtype
-        full = bool(np.all(lengths == T))
-        if not full:
-            m = Tensor((np.arange(T)[None, :] < lengths[:, None]).astype(dtype)[:, :, None, None])
-            x = x * m
+    def __call__(self, x: Tensor) -> Tensor:
         h = relu(conv2d(x, self.w1, self.b1))
-        if not full:
-            h = h * m
-        h = relu(conv2d(h, self.w2, self.b2))
-        if not full:
-            h = h * m + Tensor(((1.0 - m.data) * NEG_FILL).astype(dtype))
-        y = maxpool2d_ceil(h)
-        new_lengths = (lengths + 1) // 2
-        if not full:
-            T2 = y.shape[1]
-            m2 = Tensor((np.arange(T2)[None, :] < new_lengths[:, None]).astype(dtype)[:, :, None, None])
-            y = y * m2
-        return y, new_lengths
+        return maxpool2d_ceil(relu(conv2d(h, self.w2, self.b2)))
 
 
 class Embedding(Module):

@@ -103,8 +103,8 @@ class Parameter(Tensor):
         self.name = name
 
 
-# Rows of the fixed GEMM tiles that `matmul` multiplies constant operands
-# in. Not more: in tiles of 16 rows and up, OpenBLAS gave some float64 rows
+# Rows of the fixed GEMM tiles that `matmul` multiplies 2-D weights in.
+# Not more: in tiles of 16 rows and up, OpenBLAS gave some float64 rows
 # (O = 500, 1025, 1100) different bits at different positions.
 TILE_ROWS = 8
 
@@ -195,24 +195,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Row-stable product: a row's bits depend only on the row and on the
     matrix shapes, never on which other rows share the call. This is what
-    keeps batched decoding bit-identical to sequential decoding.
+    keeps batched decoding bit-identical to sequential decoding, and
+    training on the same products as decoding.
 
     `a` is (N, I) or (N, M, I); `b` is a shared (I, O), or (N, I, O) or
     (1, I, O) with one matrix per item or one shared by all.
 
-    A 2-D `b` that needs no gradient (a constant weight, as in the
-    `frozen` decoding copies) multiplies `a`'s rows, its leading axes
+    A 2-D `b`, trainable or not, multiplies `a`'s rows, its leading axes
     flattened, in tiles of TILE_ROWS rows, the last one zero-padded. BLAS
     runs every row of a full GEMM tile through the same kernel code (Goto
     and van de Geijn, "Anatomy of High-Performance Matrix Multiplication",
     ACM TOMS 2008), so a row gets the same bits at any position in any
     tile (tests/test_tensor.py holds this at one and two BLAS threads).
-
-    Against a trainable `b`, each item along the leading axis is multiplied
-    on its own: a 2-D `a` row by row, a 3-D one item by item. np.matmul
-    computes every leading-axis slice of stacked operands with its own BLAS
-    call, so an item's result never depends on how many items share the
-    call. These paths keep training's bits as they were.
+    A 3-D `b` goes to np.matmul, which computes every leading-axis slice
+    of stacked operands with its own BLAS call.
     """
     A, B = a.data, b.data
     shared = B.ndim == 2 or B.shape[0] == 1
@@ -231,12 +227,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.matmul(np.swapaxes(A, 1, 2), g)
             b._accumulate(gb.reshape(B.shape))
 
-    if B.ndim == 2 and not b.requires_grad:
-        out = _tiled(A, B)
-    elif A.ndim == 3:
-        out = np.matmul(A, B)
-    else:
-        out = np.matmul(A[:, None, :], B)[:, 0]
+    out = _tiled(A, B) if B.ndim == 2 else np.matmul(A, B)
     return Tensor._result(out, (a, b), backward)
 
 

@@ -69,20 +69,19 @@ class SadModel(Module):
         return f
 
     def _hidden(self, f: np.ndarray, start: int, stop: int) -> tt.Tensor:
-        """(1, stop - start, H) last hidden layer of frames start..stop-1
+        """(stop - start, H) last hidden layer of frames start..stop-1
         of the (T, input_dim) features, spliced with their clamped
         neighbours."""
         c = self.cfg.context
         idx = np.clip(np.arange(start, stop)[:, None] + np.arange(-c, c + 1)[None, :], 0, f.shape[0] - 1)
         x = tt.Tensor(np.asarray(f, dtype=self.dtype))
-        h = tt.reshape(tt.take(x, idx), (1, stop - start, (2 * c + 1) * self.cfg.input_dim))
+        h = tt.reshape(tt.take(x, idx), (stop - start, (2 * c + 1) * self.cfg.input_dim))
         for lin in self.layers:
             h = tt.relu(lin(h))
         return h
 
     def _output(self, pooled: tt.Tensor) -> tt.Tensor:
-        n = pooled.shape[0]
-        return tt.log_softmax(tt.reshape(self.out(tt.reshape(pooled, (1, n, -1))), (n, 3)))
+        return tt.log_softmax(self.out(pooled))
 
     def config_dict(self) -> dict:
         return asdict(self.cfg)
@@ -95,11 +94,8 @@ class SadModel(Module):
         return SadModel(SadConfig(config["input_dim"], config["context"], hidden, config["pool_radius"]))
 
     def log_posteriors(self, f) -> tt.Tensor:
-        # the frames form one (1, T, D) item: one product per layer in
-        # training, row tiles on a constant copy, never one per frame
         f = self._frames(f)
-        T = f.shape[0]
-        return self._output(self.pool(tt.reshape(self._hidden(f, 0, T), (T, -1))))
+        return self._output(self.pool(self._hidden(f, 0, f.shape[0])))
 
 
 def sad_posteriors(f, model: SadModel) -> np.ndarray:
@@ -123,7 +119,7 @@ def sad_posteriors(f, model: SadModel) -> np.ndarray:
     carry = None  # running sums of the rows before the block's first
     for t0, t_next in zip(starts, [*starts[1:], T]):
         h0, h1 = max(t0 - r, 0), min(t0 + n + r, T)
-        h = net._hidden(f, h0, h1).data[0]
+        h = net._hidden(f, h0, h1).data
         sums, running = tt._windowed_sum_data(np.concatenate([h, h * h], axis=1), r, carry, h1 == T)
         # sums start at row h0 + r of the sequence after a carry, at 0 before
         at = t0 - h0 - (0 if carry is None else r)

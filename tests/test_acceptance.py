@@ -216,7 +216,7 @@ def test_gradient_checks_cover_every_layer():
     xb = tt.Tensor(rng.normal(0, 1, (1, 4, 4, 1)), requires_grad=True)
 
     def conv_loss():
-        y, _ = block(xb, np.array([4]))
+        y = block(xb)
         return tt.sum_(tt.mul(y, y))
 
     reports["conv_block"] = check_gradients(conv_loss, [xb] + block.params())

@@ -116,17 +116,17 @@ def length_mixes(draw):
 @example(lengths=[3, 12, 20, 90], seed=8)
 @example(lengths=[1, 60, 4, 7, 33, 2], seed=0)
 @example(lengths=[41] * 5, seed=1)
-def check_constant_encoder_rows_equal_alone(lengths, seed):
-    """Each row of a constant encoder's `encode_batch` equals the utterance
-    encoded alone, bit for bit, at the desk encoder's size (80-dim input,
-    VGG (8, 16)), where a padded batch through the VGG blocks changes short
-    utterances' bits. On both decoding copies: float64 keeping the float32
-    encoder, as the search uses, and all float32. Run at fixed BLAS thread
-    counts by the test below."""
+def check_encoder_rows_equal_alone(lengths, seed):
+    """Each row of `encode_batch` equals the utterance encoded alone, bit
+    for bit, at the desk encoder's size (80-dim input, VGG (8, 16)), where
+    a padded batch through the VGG blocks would change short utterances'
+    bits. On the trainable model and both decoding copies: float64 keeping
+    the float32 encoder, as the search uses, and all float32. Run at fixed
+    BLAS thread counts by the test below."""
     m = AsrModel(VOCAB, rng=np.random.default_rng(5))
     rng = np.random.default_rng(seed)
     fs = [rng.normal(0, 1, (n, 80)) for n in lengths]
-    for enc in (frozen(m, np.float64, keep=AsrModel.ENCODER_ATTRS), frozen(m, np.float32)):
+    for enc in (m, frozen(m, np.float64, keep=AsrModel.ENCODER_ATTRS), frozen(m, np.float32)):
         h, got = enc.encode_batch(fs)
         assert list(got) == [encoder_output_length(n) for n in lengths]
         for b, (f, n) in enumerate(zip(fs, got)):
@@ -136,8 +136,8 @@ def check_constant_encoder_rows_equal_alone(lengths, seed):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_constant_encoder_rows_equal_alone(threads):
-    run_at_blas_threads(threads, "test_asr.check_constant_encoder_rows_equal_alone")
+def test_encoder_rows_equal_alone(threads):
+    run_at_blas_threads(threads, "test_asr.check_encoder_rows_equal_alone")
 
 
 def attend_reference(m, a_prev, q, h):
@@ -446,18 +446,19 @@ class TestLosses:
     def test_no_one_channel_convolution_needs_an_input_gradient(self, monkeypatch, lengths):
         # conv2d's per-tap input gradient keeps the bits of the product it
         # replaced for more than one input channel only; the one convolution
-        # with one, block 1's first, reads the features, which need none
+        # with one, block 1's first, reads the features, which need none.
+        # Every convolution sees one utterance, as in decoding.
         seen = []
         conv2d = layers.conv2d
 
         def spy(x, w, b=None):
-            seen.append((x.shape[-1], x.requires_grad))
+            seen.append((x.shape[0], x.shape[-1], x.requires_grad))
             return conv2d(x, w, b)
 
         monkeypatch.setattr(layers, "conv2d", spy)
         m = AsrModel(VOCAB, rng=np.random.default_rng(3))
         m.hybrid_loss([feat(t, 80) for t in lengths], [[3, 4], [5]], 0.3).backward()
-        assert seen == [(1, False), (8, True), (8, True), (16, True)]
+        assert seen == [(1, 1, False), (1, 8, True), (1, 8, True), (1, 16, True)] * len(lengths)
 
 
 def memorization_task(n=6):

@@ -71,8 +71,9 @@ class TestConfig:
             DecodeConfig(beam=0)
         with pytest.raises(ValueError):
             DecodeConfig(ctc_weight=1.5)
-        with pytest.raises(ValueError):
-            DecodeConfig(lm_weight=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lm_weight must be finite and >= 0"):
+                DecodeConfig(lm_weight=bad)
         with pytest.raises(ValueError):
             DecodeConfig(max_ratio=0.0)
         with pytest.raises(ValueError):
@@ -397,13 +398,14 @@ class TestFrozen:
     @example(length=1, seed=0)
     @example(length=4, seed=1)
     def test_encodings_equal_the_model(self, length, seed):
-        m = tiny_model(seed)
-        f = np.random.default_rng(seed).normal(0, 0.5, (length, 8))
-        h, lengths = m.encode_batch([f])
-        h2, lengths2 = frozen(m, m.dtype).encode_batch([f])
-        assert np.array_equal(h2.data, h.data) and np.array_equal(lengths2, lengths)
-        assert h.requires_grad
-        assert not h2.requires_grad and h2._parents == ()
+        # at the toy size and at the desk size (80-dim input, VGG (8, 16))
+        for m in (tiny_model(seed), AsrModel(VOCAB, rng=np.random.default_rng(seed))):
+            f = np.random.default_rng(seed).normal(0, 0.5, (length, m.enc_cfg.input_dim))
+            h, lengths = m.encode_batch([f])
+            h2, lengths2 = frozen(m, m.dtype).encode_batch([f])
+            assert np.array_equal(h2.data, h.data) and np.array_equal(lengths2, lengths)
+            assert h.requires_grad
+            assert not h2.requires_grad and h2._parents == ()
 
     def test_keep_shares_arrays_and_casts_the_rest(self):
         m = tiny_model()

@@ -375,7 +375,11 @@ def test_config_file_and_override_precedence(world):
     ("p_stay", 0.0, "p_stay must lie strictly between 0 and 1"),
     ("p_stay", 1.0, "p_stay must lie strictly between 0 and 1"),
     ("max_speech", 0.0, "max_speech must be > 0"),
+    ("max_speech", float("nan"), "max_speech must be > 0"),
     ("merge_max", -0.5, "merge_max must be >= 0"),
+    ("merge_max", float("nan"), "merge_max must be >= 0"),
+    ("lm_weight", float("nan"), "lm_weight must be finite and >= 0"),
+    ("beam", 0, "beam must be >= 1"),
     ("batch_size", 0, "batch_size must be >= 1"),
 ])
 def test_pipeline_config_checks_its_fields(field, value, message):
@@ -794,6 +798,8 @@ def _missing_audio_manifest(tmp_path, third):
     (["--batch-size", "0"], "batch_size must be >= 1"),
     (["--ctc-weight", "1.5"], "ctc weight must lie in [0, 1]"),
     (["--enc-units", "0"], "encoder layers and units must be >= 1"),
+    (["--valid-fraction", "nan"], "valid_fraction must lie in (0, 1)"),
+    (["--valid-fraction", "-0.1"], "valid_fraction must lie in (0, 1)"),
 ])
 def test_train_asr_checks_configs_before_reading_input(tmp_path, capsys, flags, message):
     # neither the vocabulary nor any audio file exists: the config fails first
@@ -824,6 +830,7 @@ def test_train_lm_checks_configs_before_reading_input(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--batch-size", "0"], "batch_size must be >= 1"),
     (["--nbest", "0", "--dump-nbest", "nbest.tsv"], "n must be >= 1"),
+    (["--lm-weight", "nan"], "lm_weight must be finite and >= 0"),
 ])
 def test_decode_checks_settings_before_reading_input(world, tmp_path, capsys, flags, message):
     # the artifacts are valid and every WAV is missing: the setting fails first
@@ -835,6 +842,25 @@ def test_decode_checks_settings_before_reading_input(world, tmp_path, capsys, fl
                     "--cmvn", str(root / "cmvn.bin"), "--out", str(tmp_path / "hyp.tsv"), *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "hyp.tsv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-speech", "nan"], "max_speech must be > 0"),
+    (["--merge-max", "nan"], "merge_max must be >= 0"),
+])
+def test_segment_checks_settings_before_reading_input(tmp_path, capsys, flags, message):
+    # neither the model nor the WAV exists: the setting fails first
+    assert run_cli(["segment", "--sad-model", str(tmp_path / "missing.ckpt"),
+                    "--wav", str(tmp_path / "missing.wav"), "--out", str(tmp_path / "s.tsv"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+
+
+def test_transcribe_checks_ini_settings_before_reading_input(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[decode]\nlm_weight = nan\n", encoding="utf-8")
+    assert run_cli(["transcribe", "--config", str(ini), "--wav", str(tmp_path / "missing.wav"),
+                    "--out", str(tmp_path / "t.tsv")]) == 1
+    assert capsys.readouterr().err == "error: config: lm_weight must be finite and >= 0\n"
 
 
 def test_bad_vocabulary_is_reported_as_config(world, tmp_path, capsys):

@@ -95,26 +95,19 @@ def test_blstm_grads():
     check(lambda: tt.sum_(tt.mul(layer(x, np.array([3])), layer(x, np.array([3])))), tensors)
 
 
-def test_vgg_block_halves_and_masks():
+def test_vgg_block_halves():
     block = VggBlock(1, 2, RNG, dtype=np.float64)
     x = RNG.normal(0, 1, (2, 10, 6, 1))
-    y, lengths = block(tt.Tensor(x), np.array([10, 7]))
-    assert y.shape == (2, 5, 3, 2)
-    assert list(lengths) == [5, 4]
-    # frames past each new length are exactly zero
-    assert np.all(y.data[1, 4:] == 0.0)
-    # the valid part of the short row matches an unpadded run
-    y1, _ = block(tt.Tensor(x[1:2, :7]), np.array([7]))
-    assert np.allclose(y.data[1, :4], y1.data[0], atol=1e-12)
+    assert block(tt.Tensor(x)).shape == (2, 5, 3, 2)
+    # odd sizes keep their trailing row and column (ceil mode)
+    assert block(tt.Tensor(x[1:2, :7, :5])).shape == (1, 4, 3, 2)
 
 
 def test_two_vgg_blocks_quarter_time():
     b1 = VggBlock(1, 2, RNG, dtype=np.float64)
     b2 = VggBlock(2, 2, RNG, dtype=np.float64)
     x = tt.Tensor(RNG.normal(0, 1, (1, 100, 8, 1)))
-    y, le = b1(x, np.array([100]))
-    y, le = b2(y, le)
-    assert y.shape[1] == 25 and list(le) == [25]
+    assert b2(b1(x)).shape[1] == 25
 
 
 def test_vgg_block_grads():
@@ -122,7 +115,7 @@ def test_vgg_block_grads():
     x = tt.Tensor(RNG.normal(0, 1, (1, 4, 4, 1)), requires_grad=True)
 
     def loss():
-        y, _ = block(x, np.array([4]))
+        y = block(x)
         return tt.sum_(tt.mul(y, y))
 
     check(loss, [x] + block.params())

@@ -72,10 +72,14 @@ def test_posterior_rows_normalized():
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-6)
 
 
-def test_posteriors_build_no_graph(monkeypatch):
+@pytest.mark.parametrize(
+    "cfg, T", [(TINY, 13), (SadConfig(), 13), (SadConfig(), 5000)], ids=["tiny-13", "default-13", "default-5000"]
+)
+def test_posteriors_build_no_graph(monkeypatch, cfg, T):
+    # training's forward and the blocked constant copy: the same bits
     rng = make_rng(0)
-    m = SadModel(TINY, rng)
-    f = rng.standard_normal((13, 5))
+    m = SadModel(cfg, rng)
+    f = rng.standard_normal((T, cfg.input_dim))
     expected = np.exp(m.log_posteriors(f).data)
     made = record_requires_grad(monkeypatch)
     assert np.array_equal(sad_posteriors(f, m), expected)

@@ -78,8 +78,8 @@ def test_matmul_rejects_bad_shapes():
     data=st.data(),
 )
 def test_matmul_items_do_not_depend_on_other_items(n, m, i, o, per_item, trainable, seed, data):
-    # m = 0 draws 2-D (N, I) rows, otherwise (N, M, I) items; a trainable
-    # matrix takes the per-row and per-item paths, a constant one the tiles
+    # m = 0 draws 2-D (N, I) rows, otherwise (N, M, I) items; a 2-D matrix,
+    # trainable or not, takes the tiles, a per-item one np.matmul's items
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, m, i) if m else (n, i))
     b = rng.normal(size=(n, i, o) if m and per_item else (i, o))
