@@ -45,12 +45,15 @@ frames; the decoder and LM steps stack the rows of all lanes in a group.
 Batched decoding is bit-identical to sequential decoding because a row's
 result depends only on its own inputs and on shapes its lane fixes,
 never on how many other rows share a call: every product goes through
-`tt.matmul`, which multiplies the rows of every 2-D weight in fixed
-tiles of `tt.TILE_ROWS` rows, where a row's bits do not depend on the
-other rows, and every other operation is elementwise or reduces within
-a row. The encoder (`AsrModel.encode_batch`, on the constant copy) runs
-its BLSTMs once on the padded batch of all lanes, and its convolutional
-blocks per utterance.
+`tt.matmul`, which gives each row of a 2-D weight's product the bits of
+its row in a zero-padded tile of `tt.TILE_ROWS` rows, whatever the other
+rows are. It multiplies the tiles one BLAS call each, or all in one call
+where the weight's output width is a multiple of `tt.SINGLE_CALL_WIDTH`
+(the cells of LSTMs whose units are a multiple of 64), at which widths
+the two give the same bits. Every other operation is elementwise or
+reduces within a row. The encoder (`AsrModel.encode_batch`, on the
+constant copy) runs its BLSTMs once on the padded batch of all lanes,
+and its convolutional blocks per utterance.
 
 After the encoder, a batch's lanes are split into one group per core the
 process may use, at most one per lane, and each group runs its own search

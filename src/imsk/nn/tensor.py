@@ -107,6 +107,16 @@ class Parameter(Tensor):
 # Not more: in tiles of 16 rows and up, OpenBLAS gave some float64 rows
 # (O = 500, 1025, 1100) different bits at different positions.
 TILE_ROWS = 8
+# A 2-D weight whose output width is a multiple of this takes all its rows
+# in one call, zero-padded to whole tiles, which gives each row the bits of
+# its 8-row tile. Probed on OpenBLAS 0.3.31 (SkylakeX kernels), float32
+# and float64, 1 and 2 threads: equal for O = 256, 512, 768, 1024, 1280,
+# 2048 and 4096, I = 1 to 1088 and 1 to 2,000 rows; not for many other
+# widths (8, 64, 128, 192, 200, 500, 504, 1000, 1016, 1025, 1100), nor
+# without the padding: 1 row goes to GEMV, and 2-7 rows with
+# n * I * O < 2**20 took other bits as well, which looks like OpenBLAS's
+# small-matrix kernels.
+SINGLE_CALL_WIDTH = 256
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -206,7 +216,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     runs every row of a full GEMM tile through the same kernel code (Goto
     and van de Geijn, "Anatomy of High-Performance Matrix Multiplication",
     ACM TOMS 2008), so a row gets the same bits at any position in any
-    tile (tests/test_tensor.py holds this at one and two BLAS threads).
+    tile. Where `b`'s output width is a multiple of SINGLE_CALL_WIDTH, the
+    tiles are one BLAS call over all rows, which packs `b` once instead of
+    once per tile; at those widths a row of that call gets its tile's bits
+    (tests/test_tensor.py holds both at one and two BLAS threads).
     A 3-D `b` goes to np.matmul, which computes every leading-axis slice
     of stacked operands with its own BLAS call.
     """
@@ -234,10 +247,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _tiled(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B with A's rows in (TILE_ROWS, I) tiles. The full tiles are a
     view of A, and only the last n % TILE_ROWS rows are copied, into one
-    zero-padded tile, so no operand is copied whole."""
+    zero-padded tile. An output width that is a multiple of
+    SINGLE_CALL_WIDTH makes the tiles one call: A's rows as they are when
+    they fill whole tiles, else a copy zero-padded to whole tiles."""
     rows = A.reshape(-1, A.shape[-1])
     n, O = rows.shape[0], B.shape[1]
     full = n - n % TILE_ROWS
+    if O % SINGLE_CALL_WIDTH == 0:
+        if full < n:
+            rows = np.concatenate(
+                (rows, np.zeros((full + TILE_ROWS - n, rows.shape[1]), rows.dtype)))
+        return np.matmul(rows, B)[:n].reshape(*A.shape[:-1], O)
     out = np.empty((n, O), np.result_type(A, B))
     np.matmul(rows[:full].reshape(-1, TILE_ROWS, rows.shape[1]), B,
               out=out[:full].reshape(-1, TILE_ROWS, O))

@@ -264,8 +264,13 @@ def postprocess(
     span (gap included) stays within `merge_max` seconds. Segments longer
     than `max_speech` are then split recursively: at the frame with the
     lowest Speech pseudo-likelihood within the middle half of the segment
-    when `speech_lik` is given, at the midpoint otherwise.
+    when `speech_lik` is given, at the midpoint otherwise. `max_speech`
+    must be > 0 and `merge_max` >= 0, neither NaN.
     """
+    if not max_speech > 0:
+        raise ValueError(f"max_speech must be > 0, got {max_speech}")
+    if not merge_max >= 0:
+        raise ValueError(f"merge_max must be >= 0, got {merge_max}")
     merged: list[tuple[float, float]] = []
     for s, e in segs:
         if merged and e - merged[-1][0] <= merge_max:

@@ -319,6 +319,32 @@ def test_lane_groups_equal_alone(threads):
     run_at_blas_threads(threads, "test_beam.check_lane_groups_equal_alone")
 
 
+def check_mid_config_batches_equal_sequential():
+    """`decode_nbest` n=3 of the `cuts` benchmark's "mid" config (V=500,
+    3x256 BLSTM, 256-unit decoder, 2x256 LM, seeded random weights) gives
+    the same tokens and float hex of all four scores at batch sizes 1, 3
+    and 8, at the benchmark's beam. Its cells have 1024 output columns, so
+    their products take one BLAS call over all rows (tt.SINGLE_CALL_WIDTH),
+    which the toy widths of the other decoding tests never reach; its
+    output layers, 500 wide, keep their tiles, and a batch gives them up
+    to 40 rows a step. Run at fixed BLAS thread counts by the test below."""
+    rng = np.random.default_rng(25)
+    enc = EncoderConfig(input_dim=80, vgg_channels=(8, 16), blstm_layers=3, blstm_units=256)
+    m = AsrModel(500, enc, AttentionConfig(), DecoderConfig(1, 256, 64), rng)
+    lm = LstmLm(500, 2, 256, rng)
+    fs = [rng.normal(0, 1, (int(k), 80)) for k in rng.integers(12, 60, size=8)]
+    cfg = DecodeConfig(beam=10, ctc_weight=0.5, lm_weight=0.5)
+    fields = lambda ranked: [list(map(_hex_fields, hs)) for hs in ranked]
+    alone = fields(decode_nbest(fs, m, lm, cfg, 3, batch_size=1))
+    for bs in (3, 8):
+        assert fields(decode_nbest(fs, m, lm, cfg, 3, batch_size=bs)) == alone, bs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mid_config_batches_equal_sequential(threads):
+    run_at_blas_threads(threads, "test_beam.check_mid_config_batches_equal_sequential")
+
+
 class TestLaneGroups:
     def test_groups_search_at_once_on_their_own_threads(self, monkeypatch):
         searched, barrier = [], None

@@ -396,6 +396,18 @@ def test_postprocess_without_likelihoods_idempotent():
     assert once.spans == postprocess(once, 30.0, 10.0).spans
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+def test_postprocess_rejects_bad_limits(bad):
+    # each once sent the split into unbounded recursion, and a NaN
+    # merge_max turned merging off
+    segs = SegmentList(((0.0, 5.0), (6.0, 9.0)))
+    with pytest.raises(ValueError, match="max_speech"):
+        postprocess(segs, bad, 1.0, speech_lik=np.zeros(1000))
+    if bad != 0.0:
+        with pytest.raises(ValueError, match="merge_max"):
+            postprocess(segs, 30.0, bad, speech_lik=np.zeros(1000))
+
+
 # -- training ------------------------------------------------------------------
 
 

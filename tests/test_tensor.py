@@ -92,48 +92,65 @@ def test_matmul_items_do_not_depend_on_other_items(n, m, i, o, per_item, trainab
 
 # (I, O) of constant products: the cells of the `cuts` model and of the
 # desk model, output layers, the VGG im2col products, ragged widths, small
-# ones, and attention's (A, 1) score vector
+# ones, and attention's (A, 1) score vector. Those with O a multiple of
+# tt.SINGLE_CALL_WIDTH take one call, the others tiles; (512, 1000) and
+# (256, 500) sit just off the rule.
 TILE_SHAPES = [
-    (832, 1024), (512, 1024), (192, 256), (128, 256), (64, 28), (256, 500), (64, 500),
-    (9, 8), (72, 8), (144, 16), (1024, 1025), (256, 1100), (4, 64), (10, 64), (64, 1),
+    (832, 1024), (512, 1024), (320, 1024), (256, 1024), (192, 256), (128, 256), (64, 256),
+    (256, 256), (320, 256), (64, 28), (256, 500), (64, 500), (512, 1000), (9, 8), (72, 8),
+    (144, 16), (1024, 1025), (256, 1100), (4, 64), (10, 64), (64, 1),
 ]
+# the cells of ENCODER_LARGE and DECODER_LARGE, at fewer rows: the oracle
+# makes one tile product per row
+LARGE_SHAPES = [(2560, 4096), (2048, 4096), (1024, 4096), (4096, 4096)]
+
+
+def shape_and_rows(shapes, max_rows):
+    return st.tuples(st.sampled_from(shapes), st.integers(1, max_rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=st.sampled_from(TILE_SHAPES),
+    case=shape_and_rows(TILE_SHAPES, 3 * tt.TILE_ROWS + 1) | shape_and_rows(TILE_SHAPES, 200)
+    | shape_and_rows(LARGE_SHAPES, 3 * tt.TILE_ROWS + 1),
     dtype=st.sampled_from([np.float32, np.float64]),
-    n=st.integers(1, 3 * tt.TILE_ROWS + 1),
     items=st.integers(0, 3),
     seed=st.integers(0, 2**16),
 )
-@example(shape=(832, 1024), dtype=np.float64, n=20, items=0, seed=0)
-@example(shape=(1024, 1025), dtype=np.float64, n=18, items=2, seed=1)
-@example(shape=(256, 1100), dtype=np.float64, n=9, items=3, seed=2)
-@example(shape=(256, 500), dtype=np.float32, n=1, items=0, seed=3)
-def check_tile_rows_are_stable(shape, dtype, n, items, seed):
+@example(case=((832, 1024), 20), dtype=np.float64, items=0, seed=0)
+@example(case=((1024, 1025), 18), dtype=np.float64, items=2, seed=1)
+@example(case=((256, 1100), 9), dtype=np.float64, items=3, seed=2)
+@example(case=((256, 500), 1), dtype=np.float32, items=0, seed=3)
+@example(case=((512, 1024), 1), dtype=np.float64, items=0, seed=4)
+@example(case=((4096, 4096), 13), dtype=np.float64, items=0, seed=5)
+@example(case=((320, 1024), 2003), dtype=np.float32, items=1, seed=6)
+@example(case=((256, 500), 80), dtype=np.float64, items=0, seed=7)
+@example(case=((64, 500), 64), dtype=np.float32, items=0, seed=8)
+def check_tile_rows_are_stable(case, dtype, items, seed):
     """Rows against a constant matrix get the bits of their row in a
     zero-padded tile of TILE_ROWS rows, whichever rows share the call:
     under row subsets, permutations and any position in a tile, with `a`
-    2-D or 3-D (`items` > 0 splits the rows into that many items). Run at
-    fixed BLAS thread counts by the test below."""
+    2-D or 3-D (`items` > 0 splits the rows into that many items). The
+    2,003-row example is a BLSTM input projection of a long utterance.
+    Run at fixed BLAS thread counts by the test below."""
+    (i, o), n = case
     rng = np.random.default_rng(seed)
-    i, o = shape
-    a, b = rng.normal(size=(n, i)).astype(dtype), tt.Tensor(rng.normal(size=shape).astype(dtype))
+    a = rng.standard_normal((n, i), dtype=dtype)
+    b = tt.Tensor(rng.standard_normal((i, o), dtype=dtype))
     tiled = np.empty((n, o), dtype)
     for r in range(n):
         tile = np.zeros((tt.TILE_ROWS, i), dtype)
         tile[0] = a[r]
         tiled[r] = np.matmul(tile, b.data)[0]
     full = tt.matmul(tt.Tensor(a), b).data
-    assert np.array_equal(full, tiled), (shape, dtype, n)
+    assert np.array_equal(full, tiled), (i, o, dtype, n)
     rows = rng.permutation(n)[: rng.integers(1, n + 1)]
-    lead = rng.normal(size=(rng.integers(0, tt.TILE_ROWS), i)).astype(dtype)
+    lead = rng.standard_normal((rng.integers(0, tt.TILE_ROWS), i), dtype=dtype)
     part = tt.matmul(tt.Tensor(np.concatenate([lead, a[rows]])), b).data
-    assert np.array_equal(part[len(lead):], full[rows]), (shape, dtype, len(lead), rows)
+    assert np.array_equal(part[len(lead):], full[rows]), (i, o, dtype, len(lead), rows)
     if items and n % items == 0:
         stacked = tt.matmul(tt.Tensor(a.reshape(items, n // items, i)), b).data
-        assert np.array_equal(stacked.reshape(n, o), full), (shape, dtype, items)
+        assert np.array_equal(stacked.reshape(n, o), full), (i, o, dtype, items)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -158,6 +175,26 @@ def test_constant_product_copies_no_operand(n):
     tile = tt.TILE_ROWS * (i + o) * 4
     assert out.shape == (1, n, o) and np.all(out.data == i)
     assert peak <= out.data.nbytes + tile + 4096, peak - out.data.nbytes
+
+
+@pytest.mark.parametrize("n", [6_000, 6_003])
+def test_single_call_product_copies_rows_only_to_fill_a_tile(n):
+    # a BLSTM input projection of the `cuts` model over four minutes of
+    # encoder frames: one call allocates its output, and copies the rows,
+    # zero-padded, only when they do not fill whole tiles
+    i, o = 320, 1024
+    a = tt.Tensor(np.ones((n, i), np.float32))
+    b = tt.Tensor(np.ones((i, o), np.float32))
+    padded = -(-n // tt.TILE_ROWS) * tt.TILE_ROWS
+    tracemalloc.start()
+    try:
+        out = tt.matmul(tt.reshape(a, (1, n, i)), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copy = padded * i * 4 if padded > n else 0
+    assert out.shape == (1, n, o) and np.all(out.data == i)
+    assert peak <= padded * o * 4 + copy + 4096, peak - padded * o * 4
 
 
 @pytest.mark.parametrize("op", [tanh, sigmoid, tt.exp])
