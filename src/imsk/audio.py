@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAT_MAGIC = b"FEAT1"
 CMVN_MAGIC = b"CMVN1"
 
 
@@ -356,12 +355,12 @@ def apply_cmvn(f: FeatureMatrix, s: CmvnStats) -> FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# binary dump formats
+# CMVN statistics file
 # ---------------------------------------------------------------------------
 
 
 class DumpError(Exception):
-    """Malformed feature or statistics dump."""
+    """Malformed statistics file."""
 
 
 def save_cmvn(path, s: CmvnStats) -> None:
@@ -390,47 +389,3 @@ def load_cmvn(path) -> CmvnStats:
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()) or np.any(variance < 0):
         raise DumpError(f"{path}: statistics must be finite, with variances >= 0")
     return CmvnStats(dim=dim, mean=mean, variance=variance, frame_count=count)
-
-
-def write_feature_dump(path, items) -> None:
-    """Write (utt_id, T x d array) records; one self-delimiting record each."""
-    with open(path, "wb") as f:
-        for utt_id, frames in items:
-            frames = np.ascontiguousarray(frames, dtype="<f4")
-            uid = utt_id.encode("utf-8")
-            f.write(FEAT_MAGIC)
-            f.write(struct.pack("<I", len(uid)))
-            f.write(uid)
-            f.write(struct.pack("<II", frames.shape[0], frames.shape[1]))
-            f.write(frames.tobytes())
-
-
-def read_feature_dump(path) -> list[tuple[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    items = []
-    pos = 0
-    while pos < len(blob):
-        if blob[pos : pos + 5] != FEAT_MAGIC:
-            raise DumpError(f"{path}: bad record magic at byte {pos}")
-        pos += 5
-        if pos + 4 > len(blob):
-            raise DumpError(f"{path}: truncated record header")
-        (id_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if pos + id_len + 8 > len(blob):
-            raise DumpError(f"{path}: truncated record header")
-        try:
-            utt_id = blob[pos : pos + id_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DumpError(f"{path}: invalid UTF-8 utterance id at byte {pos}") from e
-        pos += id_len
-        t, d = struct.unpack_from("<II", blob, pos)
-        pos += 8
-        nbytes = 4 * t * d
-        if pos + nbytes > len(blob):
-            raise DumpError(f"{path}: truncated frame data for '{utt_id}'")
-        frames = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(t, d).copy()
-        pos += nbytes
-        items.append((utt_id, frames))
-    return items

@@ -109,7 +109,6 @@ class Hypothesis:
     score_att: float
     score_ctc: float
     score_lm: float
-    finished: bool = False
 
     @property
     def output_ids(self) -> tuple[int, ...]:
@@ -326,7 +325,7 @@ def _search(lanes: list[_Lane], m64, lm64, cfg: DecodeConfig):
             picked = (cand[keep], att[rows, c], ctc_k, lm_k)
             ended = c == SOS_EOS_ID
             for r, *scored in zip(rows[ended].tolist(), *(x[ended].tolist() for x in picked)):
-                lane.finished.append(Hypothesis(lane.tokens[r], *scored, finished=True))
+                lane.finished.append(Hypothesis(lane.tokens[r], *scored))
             # the survivors, in beam order, and their states, gathered from
             # their parents' rows
             rows, c = rows[~ended], c[~ended]

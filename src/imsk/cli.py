@@ -42,10 +42,10 @@ from .audio import (
     load_audio,
     load_cmvn,
     save_cmvn,
-    write_feature_dump,
 )
 from .beam import DecodeConfig, check_search_sizes, check_vocabularies, decode_batch, decode_nbest
 from .lm import LmConfig, load_lm, train_lm, save_lm
+from .nn.checkpoint import save_checkpoint
 from .sad import (
     SadConfig,
     SadTrainConfig,
@@ -72,7 +72,7 @@ from .tokenizer import (
     train_unigram,
     vocab_fingerprint,
 )
-from .util import make_rng, read_tsv, write_tsv
+from .util import make_rng, read_text, read_tsv, write_tsv
 
 
 class PipelineError(Exception):
@@ -327,8 +327,8 @@ def transcribe_with(audio_path, cfg: PipelineConfig, art: Artifacts, keep_dir=No
         keep = Path(keep_dir)
         keep.mkdir(parents=True, exist_ok=True)
         write_segments(keep / "segments.tsv", [(rec, segs)])
-        write_feature_dump(
-            keep / "features.bin", [(sid, f.frames) for sid, f in zip(seg_ids, feats)]
+        save_checkpoint(
+            keep / "features.bin", {"kind": "features"}, {sid: f.frames for sid, f in zip(seg_ids, feats)}
         )
         write_tsv(keep / "hyp.tsv", [(sid, text) for sid, (_, _, text) in zip(seg_ids, entries)])
         write_transcript(keep / "transcript.tsv", t)
@@ -374,7 +374,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _cmd_train_tokenizer(args) -> int:
     with _stage("train-tokenizer", args.corpus):
-        lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
+        lines = read_text(args.corpus).split("\n")
         vocab = train_unigram(
             lines,
             target_size=args.target_size,
@@ -394,11 +394,7 @@ def _cmd_train_lm(args) -> int:
     with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(args.vocab)
     with _stage("train-lm", args.corpus):
-        lines = [
-            ln
-            for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()
-            if ln.strip()
-        ]
+        lines = [ln for ln in read_text(args.corpus).split("\n") if ln.strip()]
         corpus = [encode_text(ln, vocab) for ln in lines]
         res = train_lm(
             corpus,
@@ -473,10 +469,7 @@ def _cmd_train_sad(args) -> int:
         with _stage("features", utt):
             f = extract_mfcc(load_audio(wav_path))
         with _stage("labels", utt):
-            y = np.array(
-                [int(ln) for ln in Path(labels_path).read_text().split()],
-                dtype=np.int64,
-            )
+            y = np.array([int(ln) for ln in read_text(labels_path).split()], dtype=np.int64)
         if y.size != f.num_frames:
             raise PipelineError(
                 f"labels: {utt}: {y.size} labels for {f.num_frames} frames"

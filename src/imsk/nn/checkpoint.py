@@ -1,6 +1,12 @@
 """Binary checkpoint container: "NNK1" magic, JSON config, named float32 arrays,
 and the one path between a model and its file (`save_model`, `load_model`).
 
+It holds every array file imsk writes: model checkpoints (config kind
+"asr", "lm" or "sad") and the per-segment features that `transcribe
+--keep-intermediates` keeps (kind "features", one array per segment id).
+`save_checkpoint` writes one record at a time to the open file, and a
+contiguous float32 array straight from its own memory, without a copy.
+
 Layout (little-endian throughout):
     magic "NNK1"
     u32 config_json_length, config JSON (UTF-8)
@@ -26,17 +32,14 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: dict, params: dict[str, np.ndarray]):
-    blob = bytearray(MAGIC)
     cfg = json.dumps(config, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(cfg)) + cfg
-    blob += struct.pack("<I", len(params))
-    for name, arr in params.items():
-        nb = name.encode("utf-8")
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        blob += struct.pack("<I", len(nb)) + nb
-        blob += struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape)
-        blob += a.tobytes()
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params)))
+        for name, arr in params.items():
+            nb = name.encode("utf-8")
+            a = np.ascontiguousarray(arr, dtype="<f4")
+            f.write(struct.pack("<I", len(nb)) + nb + struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
+            f.write(a)
 
 
 class _Reader:
@@ -77,6 +80,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.text()
+        if name in params:
+            raise CheckpointError(f"repeated array name {name!r} in checkpoint: {path}")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.read(4 * ndim))
         count = math.prod(shape)
@@ -88,7 +93,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def save_model(path, model, **extra) -> None:
     """Write `model` (kind `model.KIND`), its `config_dict()` and `extra` config fields."""
-    save_checkpoint(path, {"kind": model.KIND, **extra, **model.config_dict()}, model.state_dict())
+    params = {name: p.data for name, p in model.named_params()}
+    save_checkpoint(path, {"kind": model.KIND, **extra, **model.config_dict()}, params)
 
 
 def load_model(path, cls, what: str):

@@ -476,7 +476,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     The input gradient adds g @ w[i, j].T tap by tap, with the bits of the
     (B H W, kh kw Cin) product it replaced (README, Determinism), but not at
-    Cin = 1, whose only use, on the features, needs no input gradient.
+    Cin = 1, whose only use, on the features, needs no input gradient, nor
+    for some products with Co >= 64 and at most 1,200 outputs per tap,
+    which `--vgg-channels` of a first width up to 16 and a second of 64 or
+    more reaches (README, Determinism).
     """
     B, H, W, Ci = x.data.shape
     kh, kw, wci, Co = w.data.shape

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import read_text
+
 MARKER = "▁"  # visible stand-in for a space, attached to the next word
 UNK_GLYPH = "<unk>"
 SOS_EOS_GLYPH = "<sos/eos>"
@@ -393,11 +395,7 @@ def load_vocab(path) -> SubwordVocab:
     """Read a save_vocab file. Any malformed content raises ValueError
     whose message starts with the path, or with `path:line` for a
     malformed row."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            rows = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.rstrip("\n")]
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: {e}") from None
+    rows = [(n, line) for n, line in enumerate(read_text(path).split("\n"), 1) if line]
     if len(rows) < N_SPECIALS:
         raise ValueError(f"{path}: vocabulary file too short")
     expected = [UNK_GLYPH, SOS_EOS_GLYPH, BLANK_GLYPH]

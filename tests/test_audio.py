@@ -377,31 +377,6 @@ class TestCmvn:
 
 
 class TestDumps:
-    def test_feature_dump_roundtrip(self, tmp_path):
-        path = tmp_path / "feats.bin"
-        items = [
-            ("utt-a", RNG.normal(0, 1, (3, 4)).astype(np.float32)),
-            ("utt-b", RNG.normal(0, 1, (2, 4)).astype(np.float32)),
-        ]
-        audio.write_feature_dump(path, items)
-        back = audio.read_feature_dump(path)
-        assert [u for u, _ in back] == ["utt-a", "utt-b"]
-        for (_, a), (_, b) in zip(items, back):
-            assert np.array_equal(a, b) and b.dtype == np.float32
-
-    def test_feature_dump_bad_magic(self, tmp_path):
-        path = tmp_path / "feats.bin"
-        path.write_bytes(b"JUNK" + b"\x00" * 20)
-        with pytest.raises(DumpError):
-            audio.read_feature_dump(path)
-
-    def test_feature_dump_truncated(self, tmp_path):
-        path = tmp_path / "feats.bin"
-        audio.write_feature_dump(path, [("u", np.zeros((2, 3), dtype=np.float32))])
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(DumpError):
-            audio.read_feature_dump(path)
-
     def test_cmvn_roundtrip(self, tmp_path):
         path = tmp_path / "cmvn.bin"
         s = CmvnStats(3, np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 4.0]), 123)
@@ -410,13 +385,6 @@ class TestDumps:
         assert back.dim == 3 and back.frame_count == 123
         assert np.array_equal(back.mean, s.mean)
         assert np.array_equal(back.variance, s.variance)
-
-    def test_feature_dump_invalid_utf8_id(self, tmp_path):
-        path = tmp_path / "feats.bin"
-        audio.write_feature_dump(path, [("utt-é", np.zeros((2, 3), dtype=np.float32))])
-        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xff\xff"))
-        with pytest.raises(DumpError, match="UTF-8"):
-            audio.read_feature_dump(path)
 
     @pytest.mark.parametrize(
         "mean, variance, count",
@@ -444,18 +412,6 @@ class TestDumps:
         path.write_bytes(corrupt(data, path.read_bytes()))
         try:
             audio.load_cmvn(path)
-        except DumpError:
-            pass
-
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_feature_dump_corruptions_raise_only_dump_error(self, tmp_path, data):
-        path = tmp_path / "feats.bin"
-        items = [("utt-é", np.ones((2, 3), dtype=np.float32)), ("b", np.zeros((1, 3), dtype=np.float32))]
-        audio.write_feature_dump(path, items)
-        path.write_bytes(corrupt(data, path.read_bytes()))
-        try:
-            audio.read_feature_dump(path)
         except DumpError:
             pass
 

@@ -332,8 +332,9 @@ def test_keep_intermediates_refeed_matches(world, tmp_path):
     wav, _ = sad_recording(make_rng(13), ["da", "so", "re", "mi"])
     save_audio(tmp_path / "rec.wav", wav)
     keep = tmp_path / "keep"
+    # no merging keeps the clicks apart from the speech: two segments
     assert _transcribe(world, tmp_path / "rec.wav", tmp_path / "out.tsv",
-                       "--keep-intermediates", str(keep)) == 0
+                       "--keep-intermediates", str(keep), "--merge-max", "0") == 0
     for name in ("segments.tsv", "features.bin", "hyp.tsv", "transcript.tsv"):
         assert (keep / name).is_file()
     assert (keep / "transcript.tsv").read_bytes() == (tmp_path / "out.tsv").read_bytes()
@@ -360,6 +361,16 @@ def test_keep_intermediates_refeed_matches(world, tmp_path):
     kept = {r[0]: r[1] if len(r) > 1 else "" for r in read_tsv(keep / "hyp.tsv", 1)}
     redone = {r[0]: r[1] if len(r) > 1 else "" for r in read_tsv(tmp_path / "rehyp.tsv", 1)}
     assert kept == redone
+
+    # features.bin holds each segment's recognizer features, by segment id
+    # in segments.tsv order, in a checkpoint file of kind "features"
+    config, arrays = load_checkpoint(keep / "features.bin")
+    assert config == {"kind": "features"}
+    segments = read_segments(keep / "segments.tsv")
+    assert len(segments) > 1 and list(arrays) == [utt for utt, *_ in segments]
+    stats = load_cmvn(root / "cmvn.bin")
+    for utt, _, s, e in segments:
+        assert np.array_equal(arrays[utt], cli._segment_features(full, (s, e), stats).frames)
 
 
 def test_config_file_and_override_precedence(world):
@@ -608,6 +619,50 @@ def test_train_sad_reports_gradient_norm(world, tmp_path, capsys):
     norm = float(line.split("grad norm max ")[1])
     assert np.isfinite(norm) and norm > 0.0
     assert 0.0 <= epoch_wall(line) <= elapsed + WALL_ROUNDING
+
+
+@pytest.mark.parametrize("command, trainer", [("train-tokenizer", "train_unigram"), ("train-lm", "train_lm")])
+def test_corpus_lines_keep_unicode_line_separators(world, tmp_path, monkeypatch, command, trainer):
+    # str.splitlines once split a sentence at U+2028, U+0085 or \x1c-\x1e
+    lines = ["da\u2028re mi", "so\x1cfa\x85da\x1ere"]
+    corpus = tmp_path / "text.txt"
+    corpus.write_text(f"{lines[0]}\n\n{lines[1]}\n", encoding="utf-8")
+    seen = []
+    train = getattr(cli, trainer)
+
+    def capture(sentences, *args, **kwargs):
+        seen.extend(sentences)
+        return train(sentences, *args, **kwargs)
+
+    monkeypatch.setattr(cli, trainer, capture)
+    vocab = world["root"] / "vocab.tsv"
+    if command == "train-tokenizer":
+        assert run_cli([command, "--corpus", str(corpus), "--out", str(tmp_path / "v.tsv")]) == 0
+        assert [ln for ln in seen if ln.strip()] == lines
+    else:
+        assert run_cli([command, "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "lm.ckpt"),
+                        "--layers", "1", "--units", "4", "--epochs", "1", "--seed", "3"]) == 0
+        assert seen == [cli.encode_text(ln, load_vocab(vocab)) for ln in lines]
+
+
+def test_text_inputs_that_are_not_utf8_name_the_file_and_line(world, tmp_path, capsys):
+    bad = tmp_path / "text.txt"
+    bad.write_bytes(b"da re\nmi \xff so\n")
+    for argv in (["train-tokenizer", "--corpus", str(bad), "--out", str(tmp_path / "v.tsv")],
+                 ["train-lm", "--corpus", str(bad), "--vocab", str(world["root"] / "vocab.tsv"),
+                  "--out", str(tmp_path / "lm.ckpt")]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "line 2)" in err
+    utt, wav, labels = read_tsv(world["root"] / "sadcorpus" / "manifest.tsv", 3)[0]
+    lines = Path(labels).read_bytes().split(b"\n")
+    bad_labels = tmp_path / "labels.txt"
+    bad_labels.write_bytes(b"\n".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
+    write_tsv(tmp_path / "man.tsv", [(utt, wav, str(bad_labels))])
+    assert run_cli(["train-sad", "--manifest", str(tmp_path / "man.tsv"), "--out", str(tmp_path / "sad.ckpt"),
+                    "--hidden", "4", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: labels: {utt}: {bad_labels}: not UTF-8 text") and "line 3)" in err
 
 
 def test_train_asr_rejects_even_conv_filters(world, tmp_path, capsys):

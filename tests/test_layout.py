@@ -12,7 +12,7 @@ ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "imsk"
 
 # library API that reads back what imsk writes; imsk itself never calls it
-READ_BACK = {"read_transcript", "read_segments", "read_feature_dump", "rescore"}
+READ_BACK = {"read_transcript", "read_segments", "rescore"}
 
 # attributes read off these modules name their functions, not imsk's
 FOREIGN = {"np", "math"}

@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from imsk.nn.optim import (
 )
 from imsk.sad import SadConfig, SadModel, load_sad, save_sad
 from imsk.util import make_rng
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 def make_param(value, grad=None):
@@ -218,6 +222,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_asr(path)
 
+    def test_rejects_a_repeated_array_name(self, tmp_path):
+        # two records named w once loaded as one array, the second winning
+        path = tmp_path / "model.nnk"
+        save_checkpoint(path, {}, {"w": np.array([1, 2], np.float32), "v": np.array([7, 8, 9], np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00\x00\x00v", b"\x01\x00\x00\x00w"))
+        with pytest.raises(CheckpointError, match=f"repeated array name 'w' in checkpoint: {re.escape(str(path))}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["asr", "lm", "sad"])
+    def test_fixtures_save_back_to_their_bytes(self, tmp_path, name):
+        fixture = FIXTURES / f"{name}.ckpt"
+        save_checkpoint(tmp_path / "again.ckpt", *load_checkpoint(fixture))
+        assert (tmp_path / "again.ckpt").read_bytes() == fixture.read_bytes()
+
+    def test_saving_copies_no_array(self, tmp_path):
+        # the writer once built the whole file in memory before writing it
+        arrays = {f"w{i}": np.ones((1024, 1024), np.float32) for i in range(8)}  # 32 MB
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "big.nnk", {"kind": "features"}, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (tmp_path / "big.nnk").stat().st_size > 32 * 2**20
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_corruptions_raise_only_checkpoint_error(self, tmp_path, data):
@@ -250,6 +280,14 @@ SEEDED_STATE = {
     "asr": "0056aae3e9d8a5bc7768cf709d9df63373fba959dd6efe91b90ab989e7c35834",
     "lm": "80ece2e6042bc25bfb7c685590eb357de612d8458f56ae9710127ad6a5623e9c",
     "sad": "ccce857afc70554fc3b8fcf0e633def69d59f9777a8691daa5db07b169c9798a",
+}
+
+
+# sha256 of the file each of those models saves to
+SEEDED_FILE = {
+    "asr": "f0cca647b58bf17f5735420d38968f04ea7c09eda3d37893488712dd5b32e6cb",
+    "lm": "689d3db77d2f94496a4e4f067c794277bac4d1e480a2d5d27361dad8152ef118",
+    "sad": "0cbcf545fcc4ae1c68a0b52c87c3d372ec4456462ebcfba51b03afb46cf78be7",
 }
 
 
@@ -315,6 +353,11 @@ class TestModelFiles:
     def test_seeded_initial_state_is_pinned(self, kind):
         # training starts from these draws, so they must not drift
         assert state_sha256(MODEL_FILES[kind][0](make_rng(0))) == SEEDED_STATE[kind]
+
+    def test_seeded_model_file_is_pinned(self, tmp_path, kind):
+        make, save, _, _ = MODEL_FILES[kind]
+        save(tmp_path / "model.ckpt", make(make_rng(0)))
+        assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == SEEDED_FILE[kind]
 
 
 def test_gradcheck_catches_corrupted_backward():
