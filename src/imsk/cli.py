@@ -46,6 +46,7 @@ from .audio import (
 from .beam import DecodeConfig, check_search_sizes, check_vocabularies, decode_batch, decode_nbest
 from .lm import LmConfig, load_lm, train_lm, save_lm
 from .nn.checkpoint import save_checkpoint
+from .nn.optim import OPTIMIZERS
 from .sad import (
     SadConfig,
     SadTrainConfig,
@@ -373,8 +374,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _cmd_train_tokenizer(args) -> int:
-    with _stage("train-tokenizer", args.corpus):
+    with _stage("train-tokenizer"):  # read_text names the file in its errors
         lines = read_text(args.corpus).split("\n")
+    with _stage("train-tokenizer", args.corpus):
         vocab = train_unigram(
             lines,
             target_size=args.target_size,
@@ -393,8 +395,9 @@ def _cmd_train_lm(args) -> int:
     cfg = _config(LmConfig, args)
     with _stage("config"):  # load_vocab names the file in its errors
         vocab = load_vocab(args.vocab)
-    with _stage("train-lm", args.corpus):
+    with _stage("train-lm"):  # read_text names the file in its errors
         lines = [ln for ln in read_text(args.corpus).split("\n") if ln.strip()]
+    with _stage("train-lm", args.corpus):
         corpus = [encode_text(ln, vocab) for ln in lines]
         res = train_lm(
             corpus,
@@ -647,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--layers", type=int)
     p.add_argument("--units", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam", "adadelta"))
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
     p.add_argument("--batch-size", type=int, dest="batch")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
@@ -662,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=_parse_ints)
     p.add_argument("--pool-radius", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam", "adadelta"))
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train_sad)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .nn import tensor as tt
 from .nn.checkpoint import load_model, save_model
 from .nn.layers import Embedding, Linear, LstmCell, Module, frozen
-from .nn.optim import fit, make_batches, make_optimizer
+from .nn.optim import OPTIMIZERS, fit, make_batches, make_optimizer
 from .tokenizer import SOS_EOS_ID, teacher_forcing
 from .util import make_rng
 
@@ -37,7 +37,7 @@ class LmConfig:
             raise ValueError("layers must be >= 1")
         if self.units < 1:
             raise ValueError("units must be >= 1")
-        if self.optimizer not in ("sgd", "adam", "adadelta"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")

@@ -125,15 +125,14 @@ class Adam:
             p.grad = None
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adadelta": AdaDelta}  # the names configs accept
+
+
 def make_optimizer(kind: str, params, **kwargs):
     kind = kind.lower()
-    if kind == "adadelta":
-        return AdaDelta(params, **kwargs)
-    if kind == "sgd":
-        return Sgd(params, **kwargs)
-    if kind == "adam":
-        return Adam(params, **kwargs)
-    raise ValueError(f"unknown optimizer kind '{kind}'")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind '{kind}'")
+    return OPTIMIZERS[kind](params, **kwargs)
 
 
 def make_batches(items: list, batch_size: int, length=lambda item: len(item[0])) -> list[list]:

@@ -20,7 +20,7 @@ from .audio import BLOCK, flush_blocks
 from .nn import tensor as tt
 from .nn.checkpoint import load_model, save_model
 from .nn.layers import Linear, Module, StatsPooling, frozen
-from .nn.optim import fit, make_optimizer
+from .nn.optim import OPTIMIZERS, fit, make_optimizer
 from .util import make_rng, read_tsv_lines, write_tsv
 
 SILENCE, SPEECH, GARBAGE = 0, 1, 2
@@ -319,6 +319,8 @@ class SadTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer: {self.optimizer!r}")
 
 
 @dataclass

@@ -9,6 +9,13 @@ costs the least corpus likelihood until the target size is reached.  Single
 characters are never pruned, so any training-alphabet string stays
 segmentable.
 
+Every pass reads one lattice: `_arcs` lists a word's arcs (start, end,
+piece, log-probability) by end, shortest piece first.  Viterbi (segment(),
+and pruning's best segmentation of a piece without its own arc), the
+forward pass and the expected counts take them in that order, so a piece's
+count adds its occurrences in start order.  The backward pass takes them
+by start descending, then end ascending.
+
 Whitespace handling: each space is replaced by a visible marker glyph
 prefixed to the following word, so word boundaries survive encode/decode
 round-trips.  Words are segmented independently; pieces never span a word
@@ -21,6 +28,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,9 +93,14 @@ class SubwordVocab:
         """Total id count including the three specials."""
         return N_SPECIALS + len(self.pieces)
 
-    @property
+    @cached_property
     def max_piece_len(self) -> int:
         return max(len(p) for p in self.pieces)
+
+    @cached_property
+    def _log_p(self) -> dict:
+        """Piece -> log-probability, built on the first segmentation."""
+        return dict(zip(self.pieces, self.log_probs))
 
     def has_piece(self, piece: str) -> bool:
         return piece in self._index
@@ -127,8 +140,38 @@ def mark_words(line: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Viterbi segmentation
+# the segmentation lattice
 # ---------------------------------------------------------------------------
+
+
+def _arcs(word: str, log_p: dict, max_len: int, unk: float | None = None) -> list:
+    """Every arc (start, end, piece, log-probability) of ``word``'s lattice:
+    each span of at most ``max_len`` characters that is a piece of
+    ``log_p``, by end, shortest piece first.  With ``unk``, a character that
+    is not a piece is an arc of log-probability ``unk``."""
+    arcs = []
+    for j in range(1, len(word) + 1):
+        for i in range(j - 1, max(j - max_len, 0) - 1, -1):
+            piece = word[i:j]
+            lp = log_p.get(piece, unk if j - i == 1 else None)
+            if lp is not None:
+                arcs.append((i, j, piece, lp))
+    return arcs
+
+
+def _best_path(n: int, arcs) -> tuple:
+    """(score, piece count, pieces) of the best path through the lattice of
+    an ``n``-character string, given its arcs by end.  Ties break toward
+    fewer pieces, then the lexicographically smallest piece sequence."""
+    best: list[tuple | None] = [(0.0, 0, ())] + [None] * n
+    for i, j, piece, lp in arcs:
+        prev, cur = best[i], best[j]
+        if prev is None:
+            continue
+        cand = (prev[0] + lp, prev[1] + 1, prev[2] + (piece,))
+        if cur is None or (-cand[0], cand[1], cand[2]) < (-cur[0], cur[1], cur[2]):
+            best[j] = cand
+    return best[n]
 
 
 def segment(text: str, vocab: SubwordVocab) -> Segmentation:
@@ -140,37 +183,9 @@ def segment(text: str, vocab: SubwordVocab) -> Segmentation:
     """
     if not text:
         raise ValueError("cannot segment empty text")
-    n = len(text)
-    max_len = vocab.max_piece_len
-    # per position: (score, piece_count, pieces) of the best prefix
-    best: list[tuple | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
-    for j in range(1, n + 1):
-        for l in range(1, min(max_len, j) + 1):
-            prev = best[j - l]
-            if prev is None:
-                continue
-            piece = text[j - l : j]
-            if vocab.has_piece(piece):
-                lp = vocab.log_prob(piece)
-            elif l == 1:
-                lp = LOG_P_UNK
-            else:
-                continue
-            cand = (prev[0] + lp, prev[1] + 1, prev[2] + (piece,))
-            cur = best[j]
-            if cur is None or _better(cand, cur):
-                best[j] = cand
-    score, _, pieces = best[n]
+    arcs = _arcs(text, vocab._log_p, vocab.max_piece_len, unk=LOG_P_UNK)
+    score, _, pieces = _best_path(len(text), arcs)
     return Segmentation(pieces=pieces, log_prob=score)
-
-
-def _better(a: tuple, b: tuple) -> bool:
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
 
 
 def encode(text: str, vocab: SubwordVocab) -> list[int]:
@@ -192,65 +207,40 @@ def decode(ids, vocab: SubwordVocab) -> str:
     return "".join(parts).replace(MARKER, " ")
 
 
-# ---------------------------------------------------------------------------
-# EM over the segmentation lattice
-# ---------------------------------------------------------------------------
-
-
-def _forward_log(word: str, log_p: dict, max_len: int) -> np.ndarray:
-    n = len(word)
-    alpha = np.full(n + 1, -np.inf)
-    alpha[0] = 0.0
-    for j in range(1, n + 1):
-        for l in range(1, min(max_len, j) + 1):
-            lp = log_p.get(word[j - l : j])
-            if lp is not None and alpha[j - l] != -np.inf:
-                alpha[j] = np.logaddexp(alpha[j], alpha[j - l] + lp)
-    return alpha
-
-
-def _backward_log(word: str, log_p: dict, max_len: int) -> np.ndarray:
-    n = len(word)
-    beta = np.full(n + 1, -np.inf)
-    beta[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        for l in range(1, min(max_len, n - i) + 1):
-            lp = log_p.get(word[i : i + l])
-            if lp is not None and beta[i + l] != -np.inf:
-                beta[i] = np.logaddexp(beta[i], beta[i + l] + lp)
-    return beta
-
-
 def em_step(word_counts: Counter, log_p: dict) -> tuple[dict, float, dict]:
     """One EM iteration.
 
     Returns (new log-probabilities, corpus log-likelihood under the OLD
     probabilities, expected piece counts).  Expected counts come from
-    forward-backward posteriors over each word's segmentation lattice.
+    forward-backward posteriors over each word's segmentation lattice.  A
+    piece whose share of the expected counts underflows gets probability 0.
     """
     max_len = max(len(p) for p in log_p)
     counts = {p: 0.0 for p in log_p}
     total_ll = 0.0
     for word, c in sorted(word_counts.items()):
         n = len(word)
-        alpha = _forward_log(word, log_p, max_len)
-        beta = _backward_log(word, log_p, max_len)
+        arcs = _arcs(word, log_p, max_len)
+        alpha = np.full(n + 1, -np.inf)
+        alpha[0] = 0.0
+        for i, j, _, lp in arcs:
+            if alpha[i] != -np.inf:
+                alpha[j] = np.logaddexp(alpha[j], alpha[i] + lp)
+        beta = np.full(n + 1, -np.inf)
+        beta[n] = 0.0
+        for i, j, _, lp in sorted(arcs, key=lambda a: -a[0]):  # stable: ends ascend
+            if beta[j] != -np.inf:
+                beta[i] = np.logaddexp(beta[i], beta[j] + lp)
         z = alpha[n]
         if z == -np.inf:
             raise ValueError(f"word {word!r} is not segmentable with current pieces")
         total_ll += c * z
-        for i in range(n):
-            if alpha[i] == -np.inf:
-                continue
-            for l in range(1, min(max_len, n - i) + 1):
-                piece = word[i : i + l]
-                lp = log_p.get(piece)
-                if lp is not None and beta[i + l] != -np.inf:
-                    counts[piece] += c * math.exp(alpha[i] + lp + beta[i + l] - z)
+        for i, j, piece, lp in arcs:
+            if alpha[i] != -np.inf and beta[j] != -np.inf:
+                counts[piece] += c * math.exp(alpha[i] + lp + beta[j] - z)
     total = sum(counts.values())
-    new_log_p = {}
-    for p, cnt in counts.items():
-        new_log_p[p] = math.log(cnt / total) if cnt > 0.0 else -np.inf
+    shares = {p: cnt / total if cnt > 0.0 else 0.0 for p, cnt in counts.items()}
+    new_log_p = {p: math.log(r) if r > 0.0 else -np.inf for p, r in shares.items()}
     return new_log_p, total_ll, counts
 
 
@@ -259,46 +249,18 @@ def em_step(word_counts: Counter, log_p: dict) -> tuple[dict, float, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _seed_pieces(word_counts: Counter, seed_max_len: int, cap: int):
-    """Single characters plus frequent substrings up to seed_max_len."""
-    singles = set()
-    substr_freq = Counter()
-    for word, c in word_counts.items():
-        n = len(word)
-        for i in range(n):
-            singles.add(word[i])
-            for l in range(2, min(seed_max_len, n - i) + 1):
-                substr_freq[word[i : i + l]] += c
-    multis = [s for s, f in substr_freq.items() if f >= 2]
-    multis.sort(key=lambda s: (-substr_freq[s], s))
-    return sorted(singles), multis[:cap], substr_freq
-
-
-def _viterbi_log_prob(text: str, log_p: dict, max_len: int) -> float:
-    """Best segmentation score of ``text`` under ``log_p`` (no unk)."""
-    n = len(text)
-    best = np.full(n + 1, -np.inf)
-    best[0] = 0.0
-    for j in range(1, n + 1):
-        for l in range(1, min(max_len, j) + 1):
-            lp = log_p.get(text[j - l : j])
-            if lp is not None:
-                best[j] = max(best[j], best[j - l] + lp)
-    return best[n]
+def _normalized(log_p: dict) -> dict:
+    norm = float(np.logaddexp.reduce(np.array(list(log_p.values()))))
+    return {p: lp - norm for p, lp in log_p.items()}
 
 
 def _floor_and_clean(log_p: dict) -> dict:
     """Drop zero-probability multi-char pieces; keep starved single
     characters alive at the unk floor so the alphabet stays segmentable."""
-    out = {}
-    for p, lp in log_p.items():
-        if math.isfinite(lp):
-            out[p] = lp
-        elif len(p) == 1:
-            out[p] = LOG_P_UNK
-    logs = np.array(list(out.values()))
-    norm = float(np.logaddexp.reduce(logs))
-    return {p: lp - norm for p, lp in out.items()}
+    return _normalized({
+        p: lp if math.isfinite(lp) else LOG_P_UNK
+        for p, lp in log_p.items() if math.isfinite(lp) or len(p) == 1
+    })
 
 
 def train_unigram(
@@ -309,12 +271,14 @@ def train_unigram(
 ) -> SubwordVocab:
     """Learn a subword vocabulary of at most ``target_size`` pieces.
 
-    Rounds alternate EM refinement with pruning of the ``prune_fraction``
-    of multi-character pieces scoring lowest on likelihood impact: expected
-    count times (own log-probability minus the best alternative segmentation
-    of the same span).  Single characters are kept unconditionally.  If the
-    corpus offers fewer than ``target_size`` distinct frequent substrings
-    the result is smaller than requested.
+    The seeds are the single characters and the ``20 * target_size`` most
+    frequent substrings of 2 to ``seed_max_len`` characters seen twice.
+    Rounds alternate EM refinement with pruning of the ``prune_fraction`` of
+    multi-character pieces scoring lowest on likelihood impact: expected
+    count times (own log-probability minus the best alternative
+    segmentation of the same span).  Single characters are kept
+    unconditionally.  If the corpus offers fewer than ``target_size``
+    distinct frequent substrings the result is smaller than requested.
     """
     if not 0.0 < prune_fraction < 1.0:
         raise ValueError("prune_fraction must be in (0, 1)")
@@ -324,21 +288,21 @@ def train_unigram(
             word_counts[word] += 1
     if not word_counts:
         raise ValueError("empty corpus")
-    singles, multis, substr_freq = _seed_pieces(
-        word_counts, seed_max_len, cap=20 * target_size
-    )
+    freq = Counter()  # every substring of at most seed_max_len characters
+    span = max(seed_max_len, 1)
+    for word, c in word_counts.items():
+        for i in range(len(word)):
+            for j in range(i + 1, min(i + span, len(word)) + 1):
+                freq[word[i:j]] += c
+    singles = sorted(s for s in freq if len(s) == 1)
     if target_size < len(singles):
         raise ValueError(
             f"target size {target_size} below alphabet size {len(singles)}"
         )
-    char_freq = Counter()
-    for word, c in word_counts.items():
-        for ch in word:
-            char_freq[ch] += c
-    freq = {p: float(substr_freq[p]) for p in multis}
-    freq.update({ch: float(char_freq[ch]) for ch in singles})
-    total = sum(freq.values())
-    log_p = {p: math.log(f / total) for p, f in freq.items()}
+    multis = sorted((s for s, f in freq.items() if len(s) > 1 and f >= 2), key=lambda s: (-freq[s], s))
+    seeds = multis[: 20 * target_size] + singles
+    total = sum(float(freq[p]) for p in seeds)
+    log_p = {p: math.log(float(freq[p]) / total) for p in seeds}
 
     n_target_multi = target_size - len(singles)
     while True:
@@ -354,17 +318,12 @@ def train_unigram(
         max_len = max(len(p) for p in log_p)
         impacts = []
         for p in current_multis:
-            others = dict(log_p)
-            del others[p]
-            alt = _viterbi_log_prob(p, others, max_len)
+            alt = _best_path(len(p), [a for a in _arcs(p, log_p, max_len) if a[2] != p])[0]
             impacts.append((counts.get(p, 0.0) * (log_p[p] - alt), p))
         impacts.sort(key=lambda t: (t[0], t[1]))
         for _, p in impacts[:n_drop]:
             del log_p[p]
-        # renormalize the surviving mass
-        logs = np.array(list(log_p.values()))
-        norm = float(np.logaddexp.reduce(logs))
-        log_p = {p: lp - norm for p, lp in log_p.items()}
+        log_p = _normalized(log_p)
 
     order = sorted(log_p, key=lambda p: (-log_p[p], p))
     probs = np.exp(np.array([log_p[p] for p in order], dtype=np.float64))

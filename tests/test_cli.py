@@ -654,6 +654,7 @@ def test_text_inputs_that_are_not_utf8_name_the_file_and_line(world, tmp_path, c
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err and "line 2)" in err
+        assert err.count(str(bad)) == 1, err
     utt, wav, labels = read_tsv(world["root"] / "sadcorpus" / "manifest.tsv", 3)[0]
     lines = Path(labels).read_bytes().split(b"\n")
     bad_labels = tmp_path / "labels.txt"

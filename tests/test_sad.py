@@ -20,7 +20,7 @@ from imsk.audio import BLOCK
 from imsk.nn import tensor as tt
 from imsk.nn.checkpoint import CheckpointError
 from imsk.nn.layers import frozen
-from imsk.nn.optim import DivergedError
+from imsk.nn.optim import OPTIMIZERS, DivergedError
 from imsk.sad import (
     GARBAGE,
     SILENCE,
@@ -61,6 +61,14 @@ def test_config_validation():
         SadConfig(hidden=())
     with pytest.raises(ValueError):
         SadTrainConfig(epochs=0)
+
+
+def test_train_config_checks_the_optimizer_name():
+    # checked when the config is built, not after train_sad has read the data
+    with pytest.raises(ValueError, match="unknown optimizer: 'nope'"):
+        SadTrainConfig(optimizer="nope")
+    for name in OPTIMIZERS:
+        assert SadTrainConfig(optimizer=name).optimizer == name
 
 
 def test_posterior_rows_normalized():

@@ -49,6 +49,17 @@ def oracle_segmentations(text, vocab, max_len):
                 yield (piece,) + rest
 
 
+def all_segmentations(word, log_p):
+    """Every way to split word into pieces of log_p (no unknown pieces)."""
+    if not word:
+        yield ()
+        return
+    for l in range(1, len(word) + 1):
+        if word[:l] in log_p:
+            for rest in all_segmentations(word[l:], log_p):
+                yield (word[:l],) + rest
+
+
 def oracle_best(text, vocab):
     best = None
     for pieces in oracle_segmentations(text, vocab, vocab.max_piece_len):
@@ -240,6 +251,41 @@ class TestEm:
         assert np.isclose(exp_counts["b"], 0.15 / z)
         assert np.isclose(exp_counts["ab"], 0.2 / z)
 
+    def test_matches_exhaustive_enumeration(self):
+        # every word of 1 to 6 characters over {a, b, c}: the likelihood sums
+        # the probability of every segmentation, and a piece's expected count
+        # adds its occurrences in each segmentation weighted by its posterior
+        probs = {"a": 0.2, "b": 0.15, "c": 0.1, "ab": 0.15, "bc": 0.1,
+                 "ca": 0.05, "bb": 0.05, "abc": 0.1, "cab": 0.05, "abca": 0.05}
+        log_p = {p: math.log(q) for p, q in probs.items()}
+        words = ["".join(t) for n in range(1, 7) for t in itertools.product("abc", repeat=n)]
+        word_counts = Counter({w: 1 + i % 3 for i, w in enumerate(words)})
+        new_log_p, ll, counts = em_step(word_counts, log_p)
+        want_ll, want = 0.0, dict.fromkeys(log_p, 0.0)
+        for word, c in word_counts.items():
+            paths = list(all_segmentations(word, log_p))
+            weights = [math.prod(probs[p] for p in path) for path in paths]
+            z = math.fsum(weights)
+            want_ll += c * math.log(z)
+            for path, w in zip(paths, weights):
+                for p in path:
+                    want[p] += c * w / z
+        assert ll == pytest.approx(want_ll, rel=1e-12)
+        for p in log_p:
+            assert counts[p] == pytest.approx(want[p], rel=1e-12), p
+            assert math.exp(new_log_p[p]) == pytest.approx(want[p] / sum(want.values()), rel=1e-12), p
+
+    def test_underflowing_count_share_is_probability_zero(self):
+        # "ab"'s expected count is positive but divided by the total it
+        # underflows to 0.0, whose log once raised a math domain error
+        log_p = {"a": math.log(0.5), "b": math.log(0.5), "ab": -740.0}
+        new_log_p, _, counts = em_step(Counter({"ab": 1, "a": 1000}), log_p)
+        assert counts["ab"] > 0.0
+        assert new_log_p["ab"] == -np.inf
+        assert math.exp(new_log_p["a"]) + math.exp(new_log_p["b"]) == pytest.approx(1.0, rel=1e-12)
+        # training drops such a piece like any other starved one
+        assert train_unigram(PINNED_CORPUS, target_size=20).size == 20 + 3
+
 
 class TestTraining:
     def test_degenerate_single_character_corpus(self):
@@ -306,6 +352,30 @@ class TestTraining:
         corpus = ["hello world"] * 30
         v = train_unigram(corpus, target_size=14)
         assert any(len(p) > 1 for p in v.pieces)
+
+
+# 120 lines of syllable words; training at 30 or 60 pieces runs more than
+# 10 prune rounds, and at 20 an expected-count share underflows
+_SYLLABLES = ["da", "re", "mi", "fa", "so", "la", "ti", "ka"]
+_WORDS = ["".join(t) for t in itertools.product(_SYLLABLES, repeat=2)] + [
+    "".join(t) for t in itertools.product(_SYLLABLES[:4], repeat=3)
+]
+PINNED_CORPUS = [
+    " ".join(_WORDS[(7 * i + k * k) % len(_WORDS)] for k in range(1 + i % 6)) for i in range(120)
+]
+
+
+@pytest.mark.parametrize("target_size, digest", [
+    (30, "5fe9bf91c7bb363b1a75d15570c49bbba247dd9a5f73dc2147a13be46921f8fa"),
+    (60, "b90446eec3c1163fd836f7a84ddf4541394f784e154ca5be913e5f18c3ab8c15"),
+])
+def test_training_writes_pinned_vocabulary_bytes(monkeypatch, target_size, digest):
+    # the sha256 of the save_vocab bytes guards every bit of seeding, EM and pruning
+    em_calls = []
+    monkeypatch.setattr(tok, "em_step", lambda *a: em_calls.append(1) or em_step(*a))
+    v = train_unigram(PINNED_CORPUS, target_size=target_size)
+    assert len(em_calls) // tok.EM_ITERS_PER_ROUND - 1 >= 3  # prune rounds
+    assert tok.vocab_fingerprint(v) == digest
 
 
 _CORRUPTIBLE = train_unigram(["abab abba"] * 10, target_size=8)
